@@ -19,7 +19,8 @@
 //     the cycle tag read decides help/full/empty, and the value is only
 //     trusted when the tag matches the ticket's round.
 //   * head_/tail_ load: acquire, paired with advance()'s release.
-//   * advance() CAS: release success / relaxed failure (helping).
+//   * advance() CAS loop: release success / relaxed failure; moves a
+//     counter to at least seen+k (a helper's step, or a claimed range).
 //   * full/empty verdicts rely on counter/entry freshness beyond the
 //     pairings (per-location coherence; see sync/memory_order.hpp).
 #pragma once
@@ -54,10 +55,29 @@ class BasicScqRing {
   // Where the slot array actually landed (policy, hugepage, node).
   topo::Placement placement() const noexcept { return cells_.placement(); }
 
+  // Scalar ops are bulk(n=1): each direction has exactly one body.
   bool try_enqueue(std::uint64_t v) noexcept {
+    return try_enqueue_bulk(&v, 1) == 1;
+  }
+  bool try_dequeue(std::uint64_t& out) noexcept {
+    return try_dequeue_bulk(&out, 1) == 1;
+  }
+
+  // Enqueue: claim consecutive tickets t0, t0+1, … by the slot CAS
+  // (2r → 2r+1), then advance tail_ once over the claimed range. Safe
+  // because the counter only helps: tickets are allocated by the slot
+  // CAS, never by the counter, so a lagging tail_ costs other threads
+  // help iterations but never correctness. A slot whose state is 2·round
+  // is always claimable (its previous round was dequeued, so head has
+  // passed ticket t−cap_). Any contention or unready slot ends the
+  // batch: prefix semantics.
+  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
+                               std::size_t n) noexcept {
+    if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_enq_attempt);
     Backoff backoff;
-    for (;;) {
+    std::uint64_t t0;
+    for (;;) {  // first item: the whole protocol at n=1
       // Acquire ticket loads paired with advance()'s release (header).
       const std::uint64_t t = tail_.load(O::acquire);
       const std::uint64_t h = head_.load(O::acquire);
@@ -68,48 +88,6 @@ class BasicScqRing {
         // Cycle handoff: CAS 2r -> 2r+1 publishes the value with release
         // for the dequeuer's acquire entry load.
         if (cells_[t % cap_].compare_exchange_strong(
-                cur, Entry{2 * round + 1, v}, O::acq_rel, O::relaxed)) {
-          advance(tail_, t);
-          return true;
-        }
-        telemetry::count(telemetry::Counter::k_cas_fail);
-        backoff.pause();
-        continue;
-      }
-      if (cur.state == 2 * round + 1) {
-        advance(tail_, t);  // ticket t already enqueued; help
-        continue;
-      }
-      // Slot still carries an older cycle: full once the counters agree
-      // (freshness argument on the monotone counters).
-      if (t - h >= cap_) return false;
-      backoff.pause();
-    }
-  }
-
-  // Bulk enqueue: claim consecutive tickets t0, t0+1, … with the tail
-  // advance DEFERRED — the scalar path pays one helping CAS on tail_ per
-  // item; here a single release CAS `tail_: t0 → t0+k` covers the whole
-  // claimed range at the end. Safe because advance() is helping-only:
-  // tickets are allocated by the slot CAS (2r → 2r+1), never by the
-  // counter, so a lagging tail_ costs other threads help iterations but
-  // never correctness. A slot whose state is 2·round is always claimable
-  // (its previous round was dequeued, so head has passed ticket t−cap_).
-  // Any contention or unready slot ends the batch: prefix semantics.
-  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                               std::size_t n) noexcept {
-    if (n == 0) return 0;
-    telemetry::count(telemetry::Counter::k_enq_attempt);
-    Backoff backoff;
-    std::uint64_t t0;
-    for (;;) {  // first item: full scalar protocol, advance deferred
-      const std::uint64_t t = tail_.load(O::acquire);
-      const std::uint64_t h = head_.load(O::acquire);
-      Entry cur = cells_[t % cap_].load(O::acquire);
-      if (t != tail_.load(O::acquire)) continue;
-      const std::uint64_t round = t / cap_;
-      if (cur.state == 2 * round) {
-        if (cells_[t % cap_].compare_exchange_strong(
                 cur, Entry{2 * round + 1, vs[0]}, O::acq_rel, O::relaxed)) {
           t0 = t;
           break;
@@ -119,9 +97,11 @@ class BasicScqRing {
         continue;
       }
       if (cur.state == 2 * round + 1) {
-        advance(tail_, t);
+        advance(tail_, t, 1);  // ticket t already enqueued; help
         continue;
       }
+      // Slot still carries an older cycle: full once the counters agree
+      // (freshness argument on the monotone counters).
       if (t - h >= cap_) return 0;
       backoff.pause();
     }
@@ -131,7 +111,7 @@ class BasicScqRing {
       const std::uint64_t round = t / cap_;
       Entry cur = cells_[t % cap_].load(O::acquire);
       if (cur.state != 2 * round) break;  // unready or already claimed
-      // Same release half as the scalar claim: publishes vs[k] to the
+      // Same release half as the first claim: publishes vs[k] to the
       // dequeuer's acquire entry load for round `round`.
       if (!cells_[t % cap_].compare_exchange_strong(
               cur, Entry{2 * round + 1, vs[k]}, O::acq_rel, O::relaxed)) {
@@ -140,17 +120,18 @@ class BasicScqRing {
       }
       ++k;
     }
-    // One release CAS covers the claimed range. Helping semantics: if a
-    // helper already advanced past t0 this fails harmlessly.
-    std::uint64_t expected = t0;
-    tail_.compare_exchange_strong(expected, t0 + k, O::release, O::relaxed);
+    advance(tail_, t0, k);
     return k;
   }
 
-  bool try_dequeue(std::uint64_t& out) noexcept {
+  // Dequeue mirror: claim consecutive published slots (2r+1 → 2(r+1)),
+  // then advance head_ once over the claimed range.
+  std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+    if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
-    for (;;) {
+    std::uint64_t h0;
+    for (;;) {  // first item: the whole protocol at n=1
       const std::uint64_t h = head_.load(O::acquire);
       const std::uint64_t t = tail_.load(O::acquire);
       Entry cur = cells_[h % cap_].load(O::acquire);
@@ -162,41 +143,6 @@ class BasicScqRing {
         // double-width word, so its read needs no separate pairing.
         if (cells_[h % cap_].compare_exchange_strong(
                 cur, Entry{2 * (round + 1), 0}, O::acq_rel, O::relaxed)) {
-          advance(head_, h);
-          out = cur.value;
-          return true;
-        }
-        telemetry::count(telemetry::Counter::k_cas_fail);
-        backoff.pause();
-        continue;
-      }
-      if (cur.state == 2 * (round + 1)) {
-        advance(head_, h);  // ticket h already dequeued; help
-        continue;
-      }
-      // Empty verdict: entry still in round r's enqueue-ready state and
-      // tail agrees (freshness argument).
-      if (t <= h) return false;  // empty
-      backoff.pause();
-    }
-  }
-
-  // Bulk dequeue mirror: claim consecutive published slots (2r+1 →
-  // 2(r+1)), defer the head advance to one release CAS over the range.
-  std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
-    if (n == 0) return 0;
-    telemetry::count(telemetry::Counter::k_deq_attempt);
-    Backoff backoff;
-    std::uint64_t h0;
-    for (;;) {  // first item: full scalar protocol, advance deferred
-      const std::uint64_t h = head_.load(O::acquire);
-      const std::uint64_t t = tail_.load(O::acquire);
-      Entry cur = cells_[h % cap_].load(O::acquire);
-      if (h != head_.load(O::acquire)) continue;
-      const std::uint64_t round = h / cap_;
-      if (cur.state == 2 * round + 1) {
-        if (cells_[h % cap_].compare_exchange_strong(
-                cur, Entry{2 * (round + 1), 0}, O::acq_rel, O::relaxed)) {
           out[0] = cur.value;
           h0 = h;
           break;
@@ -206,9 +152,11 @@ class BasicScqRing {
         continue;
       }
       if (cur.state == 2 * (round + 1)) {
-        advance(head_, h);
+        advance(head_, h, 1);  // ticket h already dequeued; help
         continue;
       }
+      // Empty verdict: entry still in round r's enqueue-ready state and
+      // tail agrees (freshness argument).
       if (t <= h) return 0;  // empty
       backoff.pause();
     }
@@ -218,8 +166,8 @@ class BasicScqRing {
       const std::uint64_t round = h / cap_;
       Entry cur = cells_[h % cap_].load(O::acquire);
       if (cur.state != 2 * round + 1) break;  // unpublished or claimed
-      // Release half publishes the vacancy to round r+1's enqueuer, as in
-      // the scalar claim; the value rode inside the double-width word.
+      // Same release half as the first claim: publishes the vacancy to
+      // round r+1's enqueuer; the value rode inside the double-width word.
       if (!cells_[h % cap_].compare_exchange_strong(
               cur, Entry{2 * (round + 1), 0}, O::acq_rel, O::relaxed)) {
         telemetry::count(telemetry::Counter::k_cas_fail);
@@ -228,8 +176,7 @@ class BasicScqRing {
       out[k] = cur.value;
       ++k;
     }
-    std::uint64_t expected = h0;
-    head_.compare_exchange_strong(expected, h0 + k, O::release, O::relaxed);
+    advance(head_, h0, k);
     return k;
   }
 
@@ -258,13 +205,16 @@ class BasicScqRing {
     std::uint64_t value;
   };
 
-  static void advance(std::atomic<std::uint64_t>& counter,
-                      std::uint64_t seen) noexcept {
-    std::uint64_t expected = seen;
-    // Release success / relaxed failure; same helping-CAS contract as
-    // the L2 ring (queues/distinct_queue.hpp).
-    counter.compare_exchange_strong(expected, seen + 1, O::release,
-                                    O::relaxed);
+  // Move `counter` to at least seen+k, for a helper (k = 1) and for the
+  // range a bulk op claimed alike. Release success / relaxed failure;
+  // same contract as the L2 ring (queues/distinct_queue.hpp), including
+  // why a one-shot CAS seen → seen+k would strand the counter.
+  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
+                      std::uint64_t k) noexcept {
+    std::uint64_t cur = seen;
+    while (cur < seen + k && !counter.compare_exchange_weak(
+                                 cur, seen + k, O::release, O::relaxed)) {
+    }
   }
 
   const std::size_t cap_;

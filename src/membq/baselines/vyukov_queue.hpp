@@ -14,7 +14,8 @@
 //     the non-atomic cell.value write behind it. This pairing is the
 //     whole queue: the value word itself is plain memory.
 //   * seq store: release — publishes cell.value (enqueue) or the slot's
-//     vacancy for the wrapped round (dequeue) to the seq acquire loads.
+//     vacancy for the wrapped round (dequeue) to the seq acquire loads;
+//     one store per slot of a reserved range, never one per range.
 //   * head_/tail_ loads and CASes: relaxed — the counters are pure
 //     ticket allocators here. A stale position costs a retry; the CAS
 //     that wins ticket t is ordered against the slot by the seq pairing,
@@ -54,44 +55,19 @@ class BasicVyukovQueue {
   // Where the slot array actually landed (policy, hugepage, node).
   topo::Placement placement() const noexcept { return cells_.placement(); }
 
+  // Scalar ops are bulk(n=1): each direction has exactly one body.
   bool try_enqueue(std::uint64_t v) noexcept {
-    telemetry::count(telemetry::Counter::k_enq_attempt);
-    // Position hint only; staleness is corrected by the CAS below.
-    std::uint64_t pos = tail_.load(O::relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos % cap_];
-      // Acquire: pairs with the dequeuer's release seq store for the
-      // previous round — seeing seq == pos means the slot's earlier
-      // value was fully consumed before we overwrite cell.value.
-      const std::uint64_t seq = cell.seq.load(O::acquire);
-      const std::int64_t dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        // Ticket allocation: relaxed CAS — winning the ticket carries no
-        // data; the slot handoff is entirely the seq pairing.
-        if (tail_.compare_exchange_weak(pos, pos + 1, O::relaxed)) {
-          cell.value = v;
-          // Release: publishes cell.value to the dequeuer's acquire seq
-          // load for this round.
-          cell.seq.store(pos + 1, O::release);
-          return true;
-        }
-        // pos reloaded by the failed CAS; retry.
-        telemetry::count(telemetry::Counter::k_cas_fail);
-      } else if (dif < 0) {
-        return false;  // slot still holds the previous round: full
-      } else {
-        pos = tail_.load(O::relaxed);
-      }
-    }
+    return try_enqueue_bulk(&v, 1) == 1;
+  }
+  bool try_dequeue(std::uint64_t& out) noexcept {
+    return try_dequeue_bulk(&out, 1) == 1;
   }
 
-  // Bulk enqueue: reserve tickets pos..pos+k-1 with ONE relaxed CAS
-  // `tail_: pos → pos+k`, then write the k values and publish each slot
-  // with its own release seq store. The amortization is the single CAS
-  // (and single scan) per batch; publication stays per-slot because each
-  // consumer acquires only its own slot's seq word — a single trailing
-  // release store on the last slot would leave slots 0..k-2 unpaired.
+  // Enqueue: scan the slots ready for tickets pos..pos+k-1, reserve them
+  // with ONE relaxed CAS `tail_: pos → pos+k`, then write the k values
+  // and publish each slot with its own release seq store. The first slot
+  // is the whole protocol at n=1; the rest amortize the CAS and the scan
+  // over a batch.
   //
   // Ownership argument for the scan-then-CAS: the acquire scan saw
   // seq == pos+i for every i < k, i.e. every slot ready for exactly round
@@ -100,59 +76,64 @@ class BasicVyukovQueue {
   // first — and a dequeuer never touches a slot whose seq it hasn't seen
   // published (seq == ticket+1), so the scanned slots stay ours even
   // though the scan happened before the reservation.
-  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                               std::size_t n) noexcept {
+  [[gnu::always_inline]] std::size_t try_enqueue_bulk(
+      const std::uint64_t* vs, std::size_t n) noexcept {
     if (n == 0) return 0;
+    telemetry::count(telemetry::Counter::k_enq_attempt);
+    // Position hint only; staleness is corrected by the CAS below.
     std::uint64_t pos = tail_.load(O::relaxed);
     for (;;) {
-      telemetry::count(telemetry::Counter::k_enq_attempt);
-      // Acquire: pairs with the dequeuer's release store of the wrapped
-      // round — seeing seq == pos makes the cell.value writes below safe.
-      const std::uint64_t seq0 = cells_[pos % cap_].seq.load(O::acquire);
+      const std::size_t first = pos % cap_;
+      // Acquire: pairs with the dequeuer's release seq store for the
+      // previous round — seeing seq == pos means the slot's earlier
+      // value was fully consumed before we overwrite cell.value.
+      const std::uint64_t seq0 = cells_[first].seq.load(O::acquire);
       const std::int64_t dif0 = static_cast<std::int64_t>(seq0) -
                                 static_cast<std::int64_t>(pos);
-      if (dif0 < 0) return 0;  // slot holds the previous round: full
+      if (dif0 < 0) return 0;  // slot still holds the previous round: full
       if (dif0 != 0) {
         pos = tail_.load(O::relaxed);
         continue;
       }
       std::size_t k = 1;
-      while (k < n && k < cap_) {
-        const std::uint64_t seq = cells_[(pos + k) % cap_].seq.load(O::acquire);
-        if (seq != pos + k) break;  // full at this slot, or claimed
-        ++k;
+      for (std::size_t i = next_slot(first); k < n && k < cap_;
+           i = next_slot(i), ++k) {
+        // Full at this slot, or claimed.
+        if (cells_[i].seq.load(O::acquire) != pos + k) break;
       }
-      std::uint64_t expect = pos;
-      if (tail_.compare_exchange_weak(expect, pos + k, O::relaxed)) {
-        for (std::size_t i = 0; i < k; ++i) {
-          Cell& cell = cells_[(pos + i) % cap_];
-          cell.value = vs[i];
-          // Release: publishes cell.value to this round's dequeuer — one
-          // store per slot (see the header comment on why the publication
-          // sweep cannot collapse to a single trailing release).
-          cell.seq.store(pos + i + 1, O::release);
+      // Ticket allocation: relaxed CAS — winning the tickets carries no
+      // data; the slot handoff is entirely the seq pairing. A failed CAS
+      // reloads pos.
+      if (tail_.compare_exchange_weak(pos, pos + k, O::relaxed)) {
+        for (std::size_t j = 0, i = first; j < k; ++j, i = next_slot(i)) {
+          cells_[i].value = vs[j];
+          // Release: publishes cell.value to this round's dequeuer. One
+          // store per slot: each consumer acquires only its own slot's
+          // seq word, so a single trailing release on the last slot
+          // would leave slots 0..k-2 unpaired.
+          cells_[i].seq.store(pos + j + 1, O::release);
         }
         return k;
       }
       telemetry::count(telemetry::Counter::k_cas_fail);
-      pos = expect;
     }
   }
 
-  // Bulk dequeue mirror: one relaxed CAS `head_: pos → pos+k` reserves
-  // the ticket range after the scan acquire-loads each slot's published
-  // seq (pos+i+1). Ownership argument mirrors try_enqueue_bulk: a
-  // competing dequeuer must advance head_ first, and no enqueuer touches
-  // a slot before its wrapped-round seq (pos+i+cap_) appears — which only
-  // we will store.
-  std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+  // Dequeue mirror: the scan acquire-loads each slot's published seq
+  // (pos+i+1), then one relaxed CAS `head_: pos → pos+k` reserves the
+  // range. Ownership mirrors the enqueue: a competing dequeuer must
+  // advance head_ first, and no enqueuer touches a slot before its
+  // wrapped-round seq (pos+i+cap_) appears — which only we will store.
+  [[gnu::always_inline]] std::size_t try_dequeue_bulk(
+      std::uint64_t* out, std::size_t n) noexcept {
     if (n == 0) return 0;
+    telemetry::count(telemetry::Counter::k_deq_attempt);
     std::uint64_t pos = head_.load(O::relaxed);
     for (;;) {
-      telemetry::count(telemetry::Counter::k_deq_attempt);
+      const std::size_t first = pos % cap_;
       // Acquire: pairs with the enqueuer's release seq store — seeing
       // seq == pos + 1 makes the non-atomic cell.value reads below safe.
-      const std::uint64_t seq0 = cells_[pos % cap_].seq.load(O::acquire);
+      const std::uint64_t seq0 = cells_[first].seq.load(O::acquire);
       const std::int64_t dif0 = static_cast<std::int64_t>(seq0) -
                                 static_cast<std::int64_t>(pos + 1);
       if (dif0 < 0) return 0;  // slot not yet published: empty
@@ -161,53 +142,22 @@ class BasicVyukovQueue {
         continue;
       }
       std::size_t k = 1;
-      while (k < n && k < cap_) {
-        const std::uint64_t seq =
-            cells_[(pos + k) % cap_].seq.load(O::acquire);
-        if (seq != pos + k + 1) break;  // not yet published, or claimed
-        ++k;
+      for (std::size_t i = next_slot(first); k < n && k < cap_;
+           i = next_slot(i), ++k) {
+        // Not yet published, or claimed.
+        if (cells_[i].seq.load(O::acquire) != pos + k + 1) break;
       }
-      std::uint64_t expect = pos;
-      if (head_.compare_exchange_weak(expect, pos + k, O::relaxed)) {
-        for (std::size_t i = 0; i < k; ++i) {
-          Cell& cell = cells_[(pos + i) % cap_];
-          out[i] = cell.value;
+      if (head_.compare_exchange_weak(pos, pos + k, O::relaxed)) {
+        for (std::size_t j = 0, i = first; j < k; ++j, i = next_slot(i)) {
+          out[j] = cells_[i].value;
           // Release: publishes the vacancy (and our cell.value read) to
-          // the wrapped round's enqueuer — per slot, same as the scalar
-          // path; the wrapped enqueuer acquires this slot's seq alone.
-          cell.seq.store(pos + i + cap_, O::release);
+          // the wrapped round's enqueuer — per slot, since that enqueuer
+          // acquires this slot's seq alone.
+          cells_[i].seq.store(pos + j + cap_, O::release);
         }
         return k;
       }
       telemetry::count(telemetry::Counter::k_cas_fail);
-      pos = expect;
-    }
-  }
-
-  bool try_dequeue(std::uint64_t& out) noexcept {
-    telemetry::count(telemetry::Counter::k_deq_attempt);
-    std::uint64_t pos = head_.load(O::relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos % cap_];
-      // Acquire: pairs with the enqueuer's release seq store — seeing
-      // seq == pos + 1 makes the non-atomic cell.value read below safe.
-      const std::uint64_t seq = cell.seq.load(O::acquire);
-      const std::int64_t dif = static_cast<std::int64_t>(seq) -
-                               static_cast<std::int64_t>(pos + 1);
-      if (dif == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1, O::relaxed)) {
-          out = cell.value;
-          // Release: publishes the vacancy (and our cell.value read) to
-          // the wrapped round's enqueuer.
-          cell.seq.store(pos + cap_, O::release);
-          return true;
-        }
-        telemetry::count(telemetry::Counter::k_cas_fail);
-      } else if (dif < 0) {
-        return false;  // slot not yet published: empty
-      } else {
-        pos = head_.load(O::relaxed);
-      }
     }
   }
 
@@ -235,6 +185,12 @@ class BasicVyukovQueue {
     std::atomic<std::uint64_t> seq{0};
     std::uint64_t value = 0;  // plain word; guarded by the seq pairing
   };
+
+  // The slot after `i`: a range walks the ring with one compare per slot
+  // and a single division for its first ticket.
+  std::size_t next_slot(std::size_t i) const noexcept {
+    return i + 1 == cap_ ? 0 : i + 1;
+  }
 
   const std::size_t cap_;
   topo::TopoArray<Cell> cells_;

@@ -5,7 +5,10 @@
 // positioning counter (tail for enqueue, head for dequeue), so a thread
 // that slept through a ring round cannot land a stale CAS — the scenario
 // Theorem 3.12 uses to kill constant-overhead CAS rings. The memory price
-// is the DCSS descriptor pool: one descriptor per thread, Θ(T).
+// is the DCSS descriptor pool: one descriptor per thread, Θ(T). The ⊥
+// carries no round, so a dequeuer vacates ticket h only once tail has
+// passed h (it helps tail first); the enqueue DCSS's tail comparand then
+// rejects any second enqueuer holding ticket h.
 //
 // Memory orders (policy `O`, default RingOrders): the cell transitions go
 // through BasicDcssDomain<O> — read() is an acquire of the cell, dcss()
@@ -99,6 +102,14 @@ class BasicDcssQueue {
         const std::uint64_t cur = q.domain_.read(&q.cells_[h % q.cap_]);
         if (h != q.head_.load(O::acquire)) continue;
         if (cur != kBot) {
+          // Tail still at h: ticket h's enqueuer has written but not yet
+          // advanced tail. Help it before vacating (see the header): a ⊥
+          // under a current ticket passes a second enqueuer's tail
+          // comparand.
+          if (t <= h) {
+            advance(q.tail_, t);
+            continue;
+          }
           if (th_.dcss(&q.cells_[h % q.cap_], cur, kBot, &q.head_, h)) {
             advance(q.head_, h);
             out = cur;

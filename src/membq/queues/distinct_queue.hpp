@@ -14,6 +14,8 @@
 //   dequeue: cell must hold a value; CAS it to ⊥_{round+1}, then help
 //            advance head. A cell holding ⊥_{round+1} means the ticket is
 //            served (help head); ⊥_round with tail ≤ h means empty.
+//   A bulk op claims further consecutive cells the same way before its
+//   one counter advance; a scalar op is a bulk op of one.
 //
 // Memory orders (policy `O`, default RingOrders; see sync/memory_order.hpp
 // for the policy contract and the freshness-argument caveat):
@@ -28,10 +30,11 @@
 //   * head_/tail_ load: acquire — pairs with advance()'s release, so a
 //     ticket computed from tail ≥ x happens-after the cell transitions
 //     that let tail reach x.
-//   * advance() CAS: release on success — publishes the cell transition
-//     completed at ticket `seen` to everyone who derives a ticket from
-//     the advanced counter. Failure relaxed: losing the helping race
-//     observes nothing.
+//   * advance() CAS loop: release on success — publishes the cell
+//     transitions completed below the new counter value to everyone who
+//     derives a ticket from it. Failure relaxed: losing to a helper
+//     observes nothing. It moves the counter to AT LEAST seen+k, so a
+//     bulk op's claimed range is never left behind a partial helper.
 //   * full/empty verdicts additionally rely on counter/cell freshness
 //     (per-location coherence), not just the pairings above; the litmus
 //     suite stresses exactly these gates.
@@ -69,11 +72,29 @@ class BasicDistinctQueue {
   // Where the slot array actually landed (policy, hugepage, node).
   topo::Placement placement() const noexcept { return cells_.placement(); }
 
+  // Scalar ops are bulk(n=1): each direction has exactly one body.
   bool try_enqueue(std::uint64_t v) noexcept {
-    assert((v & kBotBit) == 0 && "values must keep bit 63 clear");
+    return try_enqueue_bulk(&v, 1) == 1;
+  }
+  bool try_dequeue(std::uint64_t& out) noexcept {
+    return try_dequeue_bulk(&out, 1) == 1;
+  }
+
+  // Enqueue: claim consecutive tickets t0, t0+1, … by the ⊥_round → v
+  // cell CAS, then advance tail_ once over the claimed range. Tickets are
+  // allocated by the cell CAS, never by the counter, so a lagging tail_
+  // only costs other threads help steps. Each extension step re-checks
+  // the fullness gate with a fresh head read (a stale head is an
+  // underestimate — monotone counter — so the gate can only be
+  // conservatively early, which prefix semantics allow).
+  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
+                               std::size_t n) noexcept {
+    if (n == 0) return 0;
+    assert((vs[0] & kBotBit) == 0 && "values must keep bit 63 clear");
     telemetry::count(telemetry::Counter::k_enq_attempt);
     Backoff backoff;
-    for (;;) {
+    std::uint64_t t0;
+    for (;;) {  // first item: the whole protocol at n=1
       // Ticket/limit loads: acquire, paired with advance()'s release (see
       // header comment) — the cell state read below is at least as new as
       // the transitions that produced this tail/head.
@@ -90,46 +111,6 @@ class BasicDistinctQueue {
         // head. Writing then would land a wrapped value under a head
         // ticket another dequeuer may still serve. (Freshness argument:
         // h is an acquire read of a monotone counter.)
-        if (t - h >= cap_) return false;
-        if (bot_round(cur) == round) {
-          if (cells_[t % cap_].compare_exchange_strong(cur, v, O::acq_rel,
-                                                       O::relaxed)) {
-            advance(tail_, t);
-            return true;
-          }
-          telemetry::count(telemetry::Counter::k_cas_fail);
-        }
-        backoff.pause();
-        continue;
-      }
-      // Cell holds a value: ring full, or ticket t already written.
-      if (t - h >= cap_) return false;
-      advance(tail_, t);
-    }
-  }
-
-  // Bulk enqueue: claim consecutive tickets t0, t0+1, … by the usual
-  // ⊥_round → v CAS but DEFER the tail advance — one release CAS
-  // `tail_: t0 → t0+k` covers the claimed range at the end instead of one
-  // helping CAS per item. Tickets are allocated by the cell CAS, never by
-  // the counter, so a lagging tail_ only costs other threads help steps.
-  // Each extension step re-checks the fullness gate with a fresh head
-  // read (a stale head is an underestimate — monotone counter — so the
-  // gate can only be conservatively early, which prefix semantics allow).
-  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                               std::size_t n) noexcept {
-    if (n == 0) return 0;
-    assert((vs[0] & kBotBit) == 0 && "values must keep bit 63 clear");
-    telemetry::count(telemetry::Counter::k_enq_attempt);
-    Backoff backoff;
-    std::uint64_t t0;
-    for (;;) {  // first item: full scalar protocol, advance deferred
-      const std::uint64_t t = tail_.load(O::acquire);
-      const std::uint64_t h = head_.load(O::acquire);
-      std::uint64_t cur = cells_[t % cap_].load(O::acquire);
-      if (t != tail_.load(O::acquire)) continue;
-      const std::uint64_t round = t / cap_;
-      if (is_bot(cur)) {
         if (t - h >= cap_) return 0;
         if (bot_round(cur) == round) {
           if (cells_[t % cap_].compare_exchange_strong(cur, vs[0], O::acq_rel,
@@ -142,20 +123,21 @@ class BasicDistinctQueue {
         backoff.pause();
         continue;
       }
+      // Cell holds a value: ring full, or ticket t already written.
       if (t - h >= cap_) return 0;
-      advance(tail_, t);
+      advance(tail_, t, 1);
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
       const std::uint64_t t = t0 + k;
       const std::uint64_t round = t / cap_;
-      // Fresh fullness gate per step — same hazard as the scalar path's
-      // empty-cell gate (a wrapped write under a still-served ticket).
+      // Fresh fullness gate per step — the same hazard as the first
+      // claim's empty-cell gate (a wrapped write under a served ticket).
       const std::uint64_t h = head_.load(O::acquire);
       if (t - h >= cap_) break;
       std::uint64_t cur = cells_[t % cap_].load(O::acquire);
       if (!is_bot(cur) || bot_round(cur) != round) break;
-      // Same release half as the scalar claim: publishes vs[k] to the
+      // Same release half as the first claim: publishes vs[k] to the
       // dequeuer's acquire cell load.
       if (!cells_[t % cap_].compare_exchange_strong(cur, vs[k], O::acq_rel,
                                                     O::relaxed)) {
@@ -164,56 +146,15 @@ class BasicDistinctQueue {
       }
       ++k;
     }
-    // One release CAS covers the claimed range (helping semantics: losing
-    // to an earlier helper is harmless).
-    std::uint64_t expected = t0;
-    tail_.compare_exchange_strong(expected, t0 + k, O::release, O::relaxed);
+    advance(tail_, t0, k);
     return k;
   }
 
-  bool try_dequeue(std::uint64_t& out) noexcept {
-    telemetry::count(telemetry::Counter::k_deq_attempt);
-    Backoff backoff;
-    for (;;) {
-      // Same pairing as try_enqueue: acquire counter loads against
-      // advance()'s release.
-      const std::uint64_t h = head_.load(O::acquire);
-      const std::uint64_t t = tail_.load(O::acquire);
-      std::uint64_t cur = cells_[h % cap_].load(O::acquire);
-      if (h != head_.load(O::acquire)) continue;
-      const std::uint64_t round = h / cap_;
-      if (!is_bot(cur)) {
-        // Vacate: value → ⊥_{round+1}. Release publishes the vacancy to
-        // the enqueuer's acquire cell load; the version bump (round+1)
-        // is what rejects a stale wrapped enqueue, independent of order.
-        if (cells_[h % cap_].compare_exchange_strong(
-                cur, bot(round + 1), O::acq_rel, O::relaxed)) {
-          advance(head_, h);
-          out = cur;
-          return true;
-        }
-        telemetry::count(telemetry::Counter::k_cas_fail);
-        backoff.pause();
-        continue;
-      }
-      if (bot_round(cur) == round + 1) {
-        advance(head_, h);  // ticket h already dequeued; help
-        continue;
-      }
-      // Empty verdict: cell still holds ⊥_round (the acquire cell load is
-      // the arbiter — no enqueue of ticket h had completed at that read,
-      // and tickets are served in order) and tail agrees no later element
-      // exists (freshness argument on the monotone counter).
-      if (t <= h) return false;  // empty
-      backoff.pause();
-    }
-  }
-
-  // Bulk dequeue mirror, with one extra per-step check the rounds force
-  // on this ring: a value word carries NO round (that is the Θ(1) trick),
-  // so before vacating ticket h0+k we must know the value we read is
-  // round r's and not a wrapped round-(r+1) re-enqueue. The scalar path
-  // brackets its cell read with `h == head_.load()`; here the claimed
+  // Dequeue mirror, with one extra per-step check the rounds force on
+  // this ring: a value word carries NO round (that is the Θ(1) trick), so
+  // before vacating ticket h0+k we must know the value we read is round
+  // r's and not a wrapped round-(r+1) re-enqueue. The first claim
+  // brackets its cell read with `h == head_.load()`; past it the claimed
   // prefix is already vacated, so helpers may legally advance head_ up to
   // h0+k — the bracket becomes `head_.load() ≤ h0+k` AFTER the cell read.
   // A round-(r+1) enqueue of this slot must first pass the fullness gate,
@@ -226,13 +167,18 @@ class BasicDistinctQueue {
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
     std::uint64_t h0;
-    for (;;) {  // first item: full scalar protocol, advance deferred
+    for (;;) {  // first item: the whole protocol at n=1
+      // Same pairing as the enqueue: acquire counter loads against
+      // advance()'s release.
       const std::uint64_t h = head_.load(O::acquire);
       const std::uint64_t t = tail_.load(O::acquire);
       std::uint64_t cur = cells_[h % cap_].load(O::acquire);
       if (h != head_.load(O::acquire)) continue;
       const std::uint64_t round = h / cap_;
       if (!is_bot(cur)) {
+        // Vacate: value → ⊥_{round+1}. Release publishes the vacancy to
+        // the enqueuer's acquire cell load; the version bump (round+1)
+        // is what rejects a stale wrapped enqueue, independent of order.
         if (cells_[h % cap_].compare_exchange_strong(
                 cur, bot(round + 1), O::acq_rel, O::relaxed)) {
           out[0] = cur;
@@ -244,9 +190,13 @@ class BasicDistinctQueue {
         continue;
       }
       if (bot_round(cur) == round + 1) {
-        advance(head_, h);
+        advance(head_, h, 1);  // ticket h already dequeued; help
         continue;
       }
+      // Empty verdict: cell still holds ⊥_round (the acquire cell load is
+      // the arbiter — no enqueue of ticket h had completed at that read,
+      // and tickets are served in order) and tail agrees no later element
+      // exists (freshness argument on the monotone counter).
       if (t <= h) return 0;  // empty
       backoff.pause();
     }
@@ -256,8 +206,8 @@ class BasicDistinctQueue {
       const std::uint64_t round = h / cap_;
       std::uint64_t cur = cells_[h % cap_].load(O::acquire);
       if (is_bot(cur)) break;  // not yet published (or already vacated)
-      // Wrap bracket (see header comment): confirm head_ has not passed
-      // this ticket — otherwise cur may be a round-(r+1) value.
+      // Wrap bracket (see above): confirm head_ has not passed this
+      // ticket — otherwise cur may be a round-(r+1) value.
       if (head_.load(O::acquire) > h) break;
       if (!cells_[h % cap_].compare_exchange_strong(
               cur, bot(round + 1), O::acq_rel, O::relaxed)) {
@@ -267,8 +217,7 @@ class BasicDistinctQueue {
       out[k] = cur;
       ++k;
     }
-    std::uint64_t expected = h0;
-    head_.compare_exchange_strong(expected, h0 + k, O::release, O::relaxed);
+    advance(head_, h0, k);
     return k;
   }
 
@@ -300,14 +249,21 @@ class BasicDistinctQueue {
   static std::uint64_t bot_round(std::uint64_t w) noexcept {
     return w & ~kBotBit;
   }
-  static void advance(std::atomic<std::uint64_t>& counter,
-                      std::uint64_t seen) noexcept {
-    std::uint64_t expected = seen;
-    // Release on success: publishes the cell transition at ticket `seen`
-    // to the acquire counter loads above. Relaxed on failure: someone
-    // else already advanced; nothing is read from the failure.
-    counter.compare_exchange_strong(expected, seen + 1, O::release,
-                                    O::relaxed);
+  // Move `counter` to at least seen+k: one helping step (k = 1) or the
+  // range a bulk op claimed. Release on success publishes the cell
+  // transitions below seen+k to the acquire counter loads above; relaxed
+  // on failure, where nothing is read. The loop stops once the counter
+  // is there. A one-shot CAS seen → seen+k would fail after a helper
+  // stepped the counter to seen+1 and leave it stranded below our
+  // claimed tickets: once those cells are dequeued, nothing steps it
+  // again (enqueue helps only past a cell holding a value, and the
+  // `t - h` fullness gate wraps when head_ passes tail_).
+  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
+                      std::uint64_t k) noexcept {
+    std::uint64_t cur = seen;
+    while (cur < seen + k && !counter.compare_exchange_weak(
+                                 cur, seen + k, O::release, O::relaxed)) {
+    }
   }
 
   const std::size_t cap_;

@@ -5,7 +5,10 @@
 // fails for any thread whose load-linked snapshot is stale, so versioned
 // bottoms are unnecessary. In the paper's model hardware LL/SC makes this
 // queue Θ(1); our software emulation pays 8 bytes per cell for the stamp,
-// reported separately as aux bytes in the overhead tables.
+// reported separately as aux bytes in the overhead tables. Because ⊥
+// carries no round, a dequeuer vacates ticket h only once tail has passed
+// h (it helps tail first); otherwise a second enqueuer holding ticket h
+// could fill the cell again.
 //
 // Memory orders (policy `O`, default RingOrders): the cell transitions
 // are ll()/sc() on BasicLLSCCell<O> — acquire link loads against acq_rel
@@ -96,6 +99,14 @@ class BasicLlscQueue {
       const typename BasicLLSCCell<O>::Link link = cells_[h % cap_].ll();
       if (h != head_.load(O::acquire)) continue;
       if (link.value != kBot) {
+        // Tail still at h: ticket h's enqueuer has written but not yet
+        // advanced tail. Help it before vacating (see the header): a ⊥
+        // under a current ticket lets a second enqueuer fill the cell,
+        // a round behind head.
+        if (t <= h) {
+          advance(tail_, t);
+          continue;
+        }
         if (cells_[h % cap_].sc(link, kBot)) {
           advance(head_, h);
           out = link.value;

@@ -17,8 +17,8 @@
 //     invariant the hazard-pointer validation loop relies on).
 //
 // Boundedness uses the same approximate reservation counter as the
-// Michael–Scott baseline: try_enqueue reserves a slot in size_ up front
-// and backs out when the queue is at capacity.
+// Michael–Scott baseline: an enqueue reserves its values in size_ up
+// front and backs out the part past capacity.
 //
 // Values must keep bit 63 clear (the kEmpty/kPoison encodings), the same
 // contract as the DCSS-managed words elsewhere in membq.
@@ -133,8 +133,11 @@ class LockFreeSegmentQueue {
    public:
     explicit Handle(LockFreeSegmentQueue& q) : q_(q), h_(q.domain_) {}
 
-    bool try_enqueue(std::uint64_t v) { return q_.enqueue(h_, v); }
-    bool try_dequeue(std::uint64_t& out) { return q_.dequeue(h_, out); }
+    // Scalar ops are bulk(n=1): each direction has exactly one body.
+    bool try_enqueue(std::uint64_t v) { return try_enqueue_bulk(&v, 1) == 1; }
+    bool try_dequeue(std::uint64_t& out) {
+      return try_dequeue_bulk(&out, 1) == 1;
+    }
     std::size_t try_enqueue_bulk(const std::uint64_t* vs, std::size_t n) {
       return q_.enqueue_bulk(h_, vs, n);
     }
@@ -199,69 +202,11 @@ class LockFreeSegmentQueue {
     return s;
   }
 
-  bool enqueue(typename Domain::ThreadHandle& h, std::uint64_t v) {
-    telemetry::count(telemetry::Counter::k_enq_attempt);
-    assert((v & kEmpty) == 0 && "bit 63 is reserved for slot encodings");
-    if (size_.fetch_add(1, std::memory_order_acq_rel) >=
-        static_cast<std::uint64_t>(cap_)) {
-      size_.fetch_sub(1, std::memory_order_acq_rel);
-      return false;
-    }
-    typename Domain::ThreadHandle::Guard g(h);
-    for (;;) {
-      Segment* t = h.protect(0, tail_);
-      // Fast path: room in the tail segment. next can only become non-null
-      // after enq reached seg_size_, so a ticket below the limit never
-      // needs to look at it.
-      std::uint64_t i = t->enq.load(std::memory_order_acquire);
-      if (i < seg_size_) {
-        i = t->enq.fetch_add(1, std::memory_order_acq_rel);
-        if (i < seg_size_) {
-          std::uint64_t empty = kEmpty;
-          if (t->slots()[i].compare_exchange_strong(
-                  empty, v, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            return true;
-          }
-          telemetry::count(telemetry::Counter::k_cas_fail);
-          continue;  // an impatient dequeuer poisoned the slot; next ticket
-        }
-        // fetch_add overshot past the end; fall through to the slow path.
-      }
-      Segment* next = t->next.load(std::memory_order_acquire);
-      if (next != nullptr) {
-        // tail_ lags behind the chain; help it forward and retry.
-        tail_.compare_exchange_strong(t, next);
-        continue;
-      }
-      // Segment exhausted: append a fresh one with v pre-installed, so the
-      // winning appender finishes its enqueue in the same step.
-      Segment* s = alloc_segment();
-      // Relaxed is sound here: s is still thread-private; the release
-      // half of the append CAS below publishes both stores to anyone who
-      // acquires next (and, transitively, tail_/head_).
-      s->slots()[0].store(v, std::memory_order_relaxed);
-      s->enq.store(1, std::memory_order_relaxed);
-      Segment* expected = nullptr;
-      if (t->next.compare_exchange_strong(expected, s,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        tail_.compare_exchange_strong(t, s);
-        return true;
-      }
-      Segment::destroy(s);  // lost the append race; s was never published
-      telemetry::count(telemetry::Counter::k_cas_fail);
-      tail_.compare_exchange_strong(t, expected);
-    }
-  }
-
-  // Bulk enqueue: ONE size_ reservation covers the whole accepted prefix
-  // and the fast path grabs write tickets in ranges (`enq.fetch_add(m)`
-  // instead of one FAA per item). The slot protocol is unchanged — each
-  // claimed ticket still does its kEmpty → value CAS, a poisoned slot
-  // just moves the pending value to the next ticket — so dequeuers see
-  // exactly the scalar wire state. After the reservation succeeds the
-  // enqueue cannot fail (same argument as the scalar path), so the
+  // Enqueue: ONE size_ reservation covers the whole accepted prefix, and
+  // the fast path grabs write tickets in ranges (`enq.fetch_add(m)`, m = 1
+  // for a single value). Each claimed ticket does its kEmpty → value CAS;
+  // a poisoned slot just moves the pending value to the next ticket.
+  // After the reservation succeeds the enqueue cannot fail, so the
   // return value is the reservation's accepted prefix.
   std::size_t enqueue_bulk(typename Domain::ThreadHandle& h,
                            const std::uint64_t* vs, std::size_t n) {
@@ -288,11 +233,14 @@ class LockFreeSegmentQueue {
     std::size_t placed = 0;
     while (placed < accept) {
       Segment* t = h.protect(0, tail_);
+      // Fast path: room in the tail segment. next can only become non-null
+      // after enq reached seg_size_, so a ticket below the limit never
+      // needs to look at it.
       std::uint64_t i = t->enq.load(std::memory_order_acquire);
       if (i < seg_size_) {
         // Ticket-range grab: claim up to the remaining batch in one FAA.
-        // Tickets past seg_size_ are overshoot, burned exactly as the
-        // scalar overshoot is.
+        // Tickets past seg_size_ are overshoot and fall through to the
+        // slow path on the next iteration.
         const std::size_t want = accept - placed;
         const std::uint64_t avail = seg_size_ - i;
         const std::uint64_t m =
@@ -315,15 +263,20 @@ class LockFreeSegmentQueue {
       }
       Segment* next = t->next.load(std::memory_order_acquire);
       if (next != nullptr) {
+        // tail_ lags behind the chain; help it forward and retry.
         tail_.compare_exchange_strong(t, next);
         continue;
       }
-      // Append with as much of the pending batch pre-installed as fits.
+      // Segment exhausted: append a fresh one with as much of the pending
+      // batch pre-installed as fits, so the winning appender finishes
+      // those enqueues in the same step.
       Segment* s = alloc_segment();
       const std::size_t m = accept - placed < seg_size_ ? accept - placed
                                                         : seg_size_;
       for (std::size_t j = 0; j < m; ++j) {
-        // Relaxed: s is thread-private until the append CAS releases it.
+        // Relaxed is sound here: s is still thread-private; the release
+        // half of the append CAS below publishes these stores to anyone
+        // who acquires next (and, transitively, tail_/head_).
         s->slots()[j].store(vs[placed + j], std::memory_order_relaxed);
       }
       s->enq.store(m, std::memory_order_relaxed);
@@ -342,61 +295,11 @@ class LockFreeSegmentQueue {
     return accept;
   }
 
-  bool dequeue(typename Domain::ThreadHandle& h, std::uint64_t& out) {
-    telemetry::count(telemetry::Counter::k_deq_attempt);
-    typename Domain::ThreadHandle::Guard g(h);
-    for (;;) {
-      Segment* hd = h.protect(0, head_);
-      const std::uint64_t d = hd->deq.load(std::memory_order_acquire);
-      const std::uint64_t e = hd->enq.load(std::memory_order_acquire);
-      const std::uint64_t lim = e < seg_size_ ? e : seg_size_;
-      if (d >= lim) {
-        if (lim < seg_size_) return false;  // head segment not yet full
-        Segment* next = hd->next.load(std::memory_order_acquire);
-        if (next == nullptr) return false;  // fully drained, nothing after
-        // Help tail_ past hd before unlinking it: a retired segment must
-        // never be reachable from either root.
-        Segment* t = tail_.load(std::memory_order_acquire);
-        if (t == hd) tail_.compare_exchange_strong(t, next);
-        Segment* expected = hd;
-        if (head_.compare_exchange_strong(expected, next)) {
-          h.retire(hd, segment_bytes(), &Segment::destroy);
-        }
-        continue;
-      }
-      const std::uint64_t i = hd->deq.fetch_add(1, std::memory_order_acq_rel);
-      if (i >= seg_size_) continue;  // overshoot; the drained path handles it
-      auto& slot = hd->slots()[i];
-      std::uint64_t v = slot.load(std::memory_order_acquire);
-      for (int spin = 0; v == kEmpty && spin < kSpinsBeforePoison; ++spin) {
-        // One yield near the end of the spin window: if the missing
-        // enqueuer was preempted between its ticket and its slot CAS
-        // (guaranteed on a single CPU), this lets the value land instead
-        // of burning the ticket and cascading segment churn. Progress
-        // never depends on it — the poison path below stays lock-free.
-        if (spin == kSpinsBeforePoison / 2) std::this_thread::yield();
-        v = slot.load(std::memory_order_acquire);
-      }
-      if (v == kEmpty) {
-        std::uint64_t empty = kEmpty;
-        if (slot.compare_exchange_strong(empty, kPoison,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-          continue;  // ticket burned; its enqueuer will retry elsewhere
-        }
-        v = empty;  // the CAS lost because the value just landed
-      }
-      out = v;
-      size_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-
-  // Bulk dequeue: grab read tickets in ranges (`deq.fetch_add(take)`) and
-  // decrement size_ ONCE per round instead of per item. Each claimed
-  // ticket runs the scalar slot protocol (spin, then poison an absent
-  // enqueuer); burned tickets simply yield no value. Returns the received
-  // prefix; stops at the scalar path's empty verdict.
+  // Dequeue: grab read tickets in ranges (`deq.fetch_add(take)`, take = 1
+  // for a single value) and decrement size_ ONCE per round. Each claimed
+  // ticket spins for its value, then poisons an absent enqueuer; burned
+  // tickets yield no value and the loop claims more. Returns the received
+  // prefix; stops at the empty verdict.
   std::size_t dequeue_bulk(typename Domain::ThreadHandle& h,
                            std::uint64_t* out, std::size_t n) {
     telemetry::count(telemetry::Counter::k_deq_attempt);
@@ -412,6 +315,8 @@ class LockFreeSegmentQueue {
         if (lim < seg_size_) break;  // head segment not yet full: empty
         Segment* next = hd->next.load(std::memory_order_acquire);
         if (next == nullptr) break;  // fully drained, nothing after
+        // Help tail_ past hd before unlinking it: a retired segment must
+        // never be reachable from either root.
         Segment* t = tail_.load(std::memory_order_acquire);
         if (t == hd) tail_.compare_exchange_strong(t, next);
         Segment* expected = hd;
@@ -420,7 +325,8 @@ class LockFreeSegmentQueue {
         }
         continue;
       }
-      // Ticket-range grab: up to the published window in one FAA.
+      // Ticket-range grab: up to the published window in one FAA. Tickets
+      // past seg_size_ are overshoot; the drained path above handles them.
       const std::uint64_t want = static_cast<std::uint64_t>(n - got);
       const std::uint64_t avail = lim - d;
       const std::uint64_t take = want < avail ? want : avail;
@@ -431,6 +337,12 @@ class LockFreeSegmentQueue {
         auto& slot = hd->slots()[j];
         std::uint64_t v = slot.load(std::memory_order_acquire);
         for (int spin = 0; v == kEmpty && spin < kSpinsBeforePoison; ++spin) {
+          // One yield near the end of the spin window: if the missing
+          // enqueuer was preempted between its ticket and its slot CAS
+          // (guaranteed on a single CPU), this lets the value land
+          // instead of burning the ticket and cascading segment churn.
+          // Progress never depends on it — the poison path stays
+          // lock-free.
           if (spin == kSpinsBeforePoison / 2) std::this_thread::yield();
           v = slot.load(std::memory_order_acquire);
         }
@@ -448,7 +360,6 @@ class LockFreeSegmentQueue {
       }
       if (round > 0) {
         got += round;
-        // One decrement per round — the scalar path pays one per item.
         size_.fetch_sub(round, std::memory_order_acq_rel);
       }
     }

@@ -95,35 +95,10 @@ class SegmentQueue {
            threads * (seg_size * sizeof(std::uint64_t) + header);
   }
 
-  bool try_enqueue(std::uint64_t v) {
-    telemetry::count(telemetry::Counter::k_enq_attempt);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (size_ >= cap_) return false;
-    if (tail_idx_ == seg_size_) {
-      Segment* s = take_segment();
-      tail_seg_->next = s;
-      tail_seg_ = s;
-      tail_idx_ = 0;
-    }
-    tail_seg_->slots()[tail_idx_++] = v;
-    ++size_;
-    return true;
-  }
-
+  // Scalar ops are bulk(n=1): each direction has exactly one body.
+  bool try_enqueue(std::uint64_t v) { return try_enqueue_bulk(&v, 1) == 1; }
   bool try_dequeue(std::uint64_t& out) {
-    telemetry::count(telemetry::Counter::k_deq_attempt);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (size_ == 0) return false;
-    if (head_idx_ == seg_size_) {
-      Segment* drained = head_seg_;
-      head_seg_ = head_seg_->next;
-      assert(head_seg_ != nullptr);
-      recycle_segment(drained);
-      head_idx_ = 0;
-    }
-    out = head_seg_->slots()[head_idx_++];
-    --size_;
-    return true;
+    return try_dequeue_bulk(&out, 1) == 1;
   }
 
   // Bulk ops: the whole batch under ONE lock acquisition — for a mutex

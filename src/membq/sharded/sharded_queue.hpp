@@ -172,53 +172,24 @@ class ShardedQueue {
       }
     }
 
+    // Scalar ops are bulk(n=1): the router has one path per direction.
     bool try_enqueue(std::uint64_t v) noexcept {
-      const std::size_t n = q_.shards_.size();
-      if (enqueue_on(home_, v)) {
-        telemetry::count(telemetry::Counter::k_shard_affinity_hit);
-        return true;
-      }
-      if (n == 1) return false;
-      // Home refused: spill. Two probes pick the sweep's starting shard
-      // (power of two choices on the length estimates), then every other
-      // shard gets one attempt, so "full" means a full sweep refused.
-      const std::size_t start = pick_spill_start(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t s = (start + i) % n;
-        if (s == home_) continue;
-        if (enqueue_on(s, v)) return true;
-      }
-      return false;
+      return try_enqueue_bulk(&v, 1) == 1;
     }
-
     bool try_dequeue(std::uint64_t& out) noexcept {
-      const std::size_t n = q_.shards_.size();
-      if (dequeue_on(home_, out)) {
-        telemetry::count(telemetry::Counter::k_shard_affinity_hit);
-        return true;
-      }
-      // Steal sweep from home+1 in ring order; empty is only reported
-      // after every shard refused.
-      for (std::size_t i = 1; i < n; ++i) {
-        const std::size_t s = (home_ + i) % n;
-        if (dequeue_on(s, out)) {
-          telemetry::count(telemetry::Counter::k_shard_steal);
-          return true;
-        }
-      }
-      return false;
+      return try_dequeue_bulk(&out, 1) == 1;
     }
 
-    // Bulk ops, same router in batch form. The home shard gets the whole
-    // batch first; only the refused SUFFIX spills (po2 start, ring
-    // sweep). Each shard thus receives a contiguous, in-order slice of
-    // the batch through one bulk call, so the per-producer-per-shard
-    // FIFO contract is preserved verbatim — a shard's slice is enqueued
-    // through the base queue's own order-preserving (bulk or per-item)
-    // path. Telemetry counts items, the batch analogue of the scalar
-    // counters.
-    std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                                 std::size_t n) noexcept {
+    // The home shard gets the whole batch first; only the refused SUFFIX
+    // spills. Two probes pick the spill sweep's starting shard (power of
+    // two choices on the length estimates), then every other shard gets
+    // one attempt, so "full" means a full sweep refused. Each shard thus
+    // receives a contiguous, in-order slice of the batch through one bulk
+    // call, so the per-producer-per-shard FIFO contract is preserved
+    // verbatim — a shard's slice is enqueued through the base queue's own
+    // order-preserving (native or per-item) path. Telemetry counts items.
+    [[gnu::always_inline]] std::size_t try_enqueue_bulk(
+        const std::uint64_t* vs, std::size_t n) noexcept {
       const std::size_t nsh = q_.shards_.size();
       std::size_t done = enqueue_bulk_on(home_, vs, n);
       if (done > 0) {
@@ -234,7 +205,8 @@ class ShardedQueue {
       return done;
     }
 
-    std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+    [[gnu::always_inline]] std::size_t try_dequeue_bulk(
+        std::uint64_t* out, std::size_t n) noexcept {
       const std::size_t nsh = q_.shards_.size();
       std::size_t got = dequeue_bulk_on(home_, out, n);
       if (got > 0) {
@@ -260,20 +232,6 @@ class ShardedQueue {
     std::size_t last_dequeue_shard() const noexcept { return last_deq_; }
 
    private:
-    bool enqueue_on(std::size_t s, std::uint64_t v) noexcept {
-      if (!handles_[s]->try_enqueue(v)) return false;
-      q_.lens_[s].n.fetch_add(1, std::memory_order_relaxed);
-      last_enq_ = s;
-      return true;
-    }
-
-    bool dequeue_on(std::size_t s, std::uint64_t& out) noexcept {
-      if (!handles_[s]->try_dequeue(out)) return false;
-      q_.lens_[s].n.fetch_sub(1, std::memory_order_relaxed);
-      last_deq_ = s;
-      return true;
-    }
-
     std::size_t enqueue_bulk_on(std::size_t s, const std::uint64_t* vs,
                                 std::size_t n) noexcept {
       const std::size_t k = workload::enqueue_bulk(*handles_[s], vs, n);

@@ -32,8 +32,12 @@ namespace telemetry {
 // One X-macro so the enum, the name table and the JSON exporter can never
 // drift apart. Order is the wire order in BENCH_*.json counter objects.
 #define MEMBQ_TELEMETRY_COUNTERS(X)                                         \
-  X(enq_attempt)        /* try_enqueue calls entering a queue           */  \
-  X(deq_attempt)        /* try_dequeue calls entering a queue           */  \
+  X(enq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
+                        /* the workload/bulk.hpp fallback counts one    */  \
+                        /* per item                                     */  \
+  X(deq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
+                        /* the workload/bulk.hpp fallback counts one    */  \
+                        /* per item                                     */  \
   X(cas_fail)           /* failed slot/counter CAS inside a retry loop  */  \
   X(llsc_sc_fail)       /* LL/SC store-conditional (validation) misses  */  \
   X(dcss_help)          /* DCSS descriptors driven by a helper thread   */  \

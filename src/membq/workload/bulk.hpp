@@ -9,7 +9,9 @@
 // enqueue_bulk/dequeue_bulk below forward to a handle's native bulk ops
 // when it has them (detected at compile time) and otherwise run the
 // per-item prefix loop — so every queue in the registry supports bulk
-// callers, and the native paths keep their amortization.
+// callers, and the native paths keep their amortization. This loop is
+// membq's only per-item fallback; a queue with a native bulk body runs
+// its scalar ops through that body instead (bulk with n=1).
 #pragma once
 
 #include <cstddef>

@@ -250,7 +250,7 @@ void enumerate_queues(Visitor&& visit) {
 }
 
 // Adapter from any registry row to the type-erased DynQueue: owns the
-// concrete queue, hands out handle wrappers that forward the two ops.
+// concrete queue, hands out handle wrappers that forward the two bulk ops.
 template <class Q>
 class DynQueueOf final : public DynQueue {
  public:
@@ -264,8 +264,6 @@ class DynQueueOf final : public DynQueue {
   class H final : public Handle {
    public:
     explicit H(Q& q) : h_(q) {}
-    bool try_enqueue(std::uint64_t v) override { return h_.try_enqueue(v); }
-    bool try_dequeue(std::uint64_t& out) override { return h_.try_dequeue(out); }
     // Native bulk when Q::Handle has it, per-item prefix loop otherwise.
     std::size_t try_enqueue_bulk(const std::uint64_t* vs,
                                  std::size_t n) override {

@@ -50,23 +50,20 @@ class DynQueue {
   class Handle {
    public:
     virtual ~Handle() = default;
-    virtual bool try_enqueue(std::uint64_t v) = 0;
-    virtual bool try_dequeue(std::uint64_t& out) = 0;
 
     // Bulk ops (workload/bulk.hpp contract: best-effort prefix, short
-    // count = full/empty, never a hole). The defaults are the correct
-    // per-item loops, so every registry row supports bulk callers;
-    // DynQueueOf overrides them to reach a queue's native bulk path.
+    // count = full/empty, never a hole), the only virtual calls. They
+    // reach a queue's native bulk body, or workload/bulk.hpp's per-item
+    // fallback for rows without one.
     virtual std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                                         std::size_t n) {
-      std::size_t i = 0;
-      while (i < n && try_enqueue(vs[i])) ++i;
-      return i;
-    }
-    virtual std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) {
-      std::size_t i = 0;
-      while (i < n && try_dequeue(out[i])) ++i;
-      return i;
+                                         std::size_t n) = 0;
+    virtual std::size_t try_dequeue_bulk(std::uint64_t* out,
+                                         std::size_t n) = 0;
+
+    // Scalar ops are bulk(n=1).
+    bool try_enqueue(std::uint64_t v) { return try_enqueue_bulk(&v, 1) == 1; }
+    bool try_dequeue(std::uint64_t& out) {
+      return try_dequeue_bulk(&out, 1) == 1;
     }
   };
 

@@ -223,6 +223,23 @@ TEST(LitmusTest, L4RingHandoff) {
   }
 }
 
+// Dequeue-side tail gate of the unversioned-⊥ rings (L3, L4): a dequeuer
+// that vacated ticket t while tail was still t put ⊥ back under a current
+// ticket, so a second enqueuer holding t landed another value there, a
+// round behind head — a FIFO inversion, or head stranded past tail for
+// good (a hang). More threads than CPUs on a 2-slot ring preempt writers
+// inside that window; on a 4-CPU host 16 threads hit it within a run.
+TEST(LitmusTest, OversubscribedL3L4FillEachTicketOnce) {
+  for (const std::uint64_t seed : kSeeds) {
+    membq::LlscQueue q(2);
+    stress_handoff("oversubscribed L3 ring", q, 8, 8, 1200, seed);
+  }
+  for (const std::uint64_t seed : kSeeds) {
+    membq::DcssQueue q(2, /*max_threads=*/17);
+    stress_handoff("oversubscribed L4 ring", q, 8, 8, 1200, seed);
+  }
+}
+
 // ---- Baselines: SCQ cycle handoff, Vyukov ticket-vs-slot ----------------
 
 // Capacity-2 cycle-tagged ring: state 2r -> 2r+1 -> 2(r+1) handoffs wrap
@@ -250,12 +267,12 @@ TEST(LitmusTest, VyukovTicketVsSlotVisibility) {
 
 // Bulk release ↔ consumer ACQUIRE pairing: producers land whole batches
 // (one ticket-range CAS, then a per-slot release sweep) while consumers
-// stay SCALAR — each dequeue acquires only its own slot's seq word. If
-// the bulk publication sweep were a single trailing release store (or a
-// relaxed sweep — the planted-bug check below), slots before the last
-// would hand their plain value word to the consumer without a pairing:
-// an invented/torn value in the ledger, and a plain data race under
-// TSan. (Verified once by planting relaxed stores in the Vyukov bulk
+// take one item per call — each dequeue acquires only its own slot's seq
+// word. If the bulk publication sweep were a single trailing release
+// store (or a relaxed sweep — the planted-bug check below), slots before
+// the last would hand their plain value word to the consumer without a
+// pairing: an invented/torn value in the ledger, and a plain data race
+// under TSan. (Verified once by planting relaxed stores in the Vyukov bulk
 // sweeps: TSan reported the race on cell.value and this scenario's
 // ledger caught invented values natively.)
 TEST(LitmusTest, BulkPublishToScalarAcquire) {

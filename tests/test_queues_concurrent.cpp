@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "queues/llsc_queue.hpp"
 #include "queues/lockfree_segment_queue.hpp"
 #include "queues/segment_queue.hpp"
+#include "workload/driver.hpp"
 
 namespace {
 
@@ -230,6 +232,48 @@ TEST(QueueConcurrentTest, TinyRingHighChurnAllPaperQueues) {
     membq::LockFreeSegmentQueue<membq::reclaim::HazardDomain> q(2, 1, 8);
     run_mpmc_audit(q, 2, 2, 1500);
   }
+}
+
+// A bulk op claims cells t0..t0+k-1 and then advances its counter once
+// over the range. If a helper had already stepped the counter to t0+1, a
+// one-shot CAS t0 → t0+k failed and nothing stepped it again once the
+// claimed cells were dequeued: the ring reported full while empty, or
+// spun forever. B=8 batches on a 64-slot ring at T=4, pinned, hit that
+// window within a few hundred items on a 4-CPU host. After the run the
+// drained ring must hold exactly what the counts say, with no value
+// twice, and still take one value and give it back. On one CPU the
+// window never opens; the test passes there.
+template <class Q>
+void run_bulk_then_check_counters() {
+  Q q(64);
+  membq::workload::RunConfig cfg;
+  cfg.threads = 4;
+  cfg.ops_per_thread = 20000;
+  cfg.mix = membq::workload::Mix::kBalanced;
+  cfg.batch = 8;
+  cfg.prefill = 32;
+  cfg.pin_threads = true;  // one core each: the window needs real overlap
+  const membq::workload::RunResult r = membq::workload::run_workload(q, cfg);
+
+  typename Q::Handle h(q);
+  std::set<std::uint64_t> drained;
+  std::uint64_t v = 0;
+  while (drained.size() <= 2 * q.capacity() && h.try_dequeue(v)) {
+    ASSERT_TRUE(drained.insert(v).second) << "value " << v << " delivered twice";
+  }
+  EXPECT_EQ(drained.size(), cfg.prefill + r.enq_ok - r.deq_ok);
+
+  ASSERT_TRUE(h.try_enqueue(1)) << "drained ring refuses an enqueue";
+  ASSERT_TRUE(h.try_dequeue(v)) << "ring refuses to return its one value";
+  EXPECT_EQ(v, 1u);
+}
+
+TEST(QueueConcurrentTest, ScqBulkRangeAdvanceNeverStrandsCounter) {
+  run_bulk_then_check_counters<membq::ScqRing>();
+}
+
+TEST(QueueConcurrentTest, DistinctBulkRangeAdvanceNeverStrandsCounter) {
+  run_bulk_then_check_counters<membq::DistinctQueue>();
 }
 
 }  // namespace

@@ -128,23 +128,38 @@ TEST(TelemetryAttribution, SoloRunCountsAttemptsNotFailures) {
 }
 
 TEST(TelemetryAttribution, WorkloadDriverAttemptsCoverAllOps) {
-  mt::reset();
-  membq::VyukovQueue q(64);
-  membq::workload::RunConfig cfg;
-  cfg.threads = 4;
-  cfg.ops_per_thread = 2000;
-  cfg.mix = membq::workload::Mix::kBalanced;
-  cfg.prefill = 32;
-  const membq::workload::RunResult r = membq::workload::run_workload(q, cfg);
-  const mt::CounterSnapshot s = mt::snapshot();
-  if (mt::enabled()) {
-    // Every attempted op is counted exactly once (prefill enqueues
-    // included), whether it succeeded or not.
-    EXPECT_EQ(get(s, mt::Counter::k_enq_attempt),
-              r.enq_ok + r.enq_fail + cfg.prefill);
-    EXPECT_EQ(get(s, mt::Counter::k_deq_attempt), r.deq_ok + r.deq_fail);
-  } else {
-    EXPECT_EQ(s.total(), 0u);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(batch);
+    mt::reset();
+    membq::VyukovQueue q(64);
+    membq::workload::RunConfig cfg;
+    cfg.threads = 4;
+    cfg.ops_per_thread = 2000;
+    cfg.mix = membq::workload::Mix::kBalanced;
+    cfg.prefill = 32;
+    cfg.batch = batch;
+    const membq::workload::RunResult r =
+        membq::workload::run_workload(q, cfg);
+    const mt::CounterSnapshot s = mt::snapshot();
+    if (!mt::enabled()) {
+      EXPECT_EQ(s.total(), 0u);
+      continue;
+    }
+    if (batch == 1) {
+      // Every attempted op is counted exactly once (prefill enqueues
+      // included), whether it succeeded or not.
+      EXPECT_EQ(get(s, mt::Counter::k_enq_attempt),
+                r.enq_ok + r.enq_fail + cfg.prefill);
+      EXPECT_EQ(get(s, mt::Counter::k_deq_attempt), r.deq_ok + r.deq_fail);
+    } else {
+      // One count per call, however many items it carries or how often
+      // it retries: the scalar prefill plus ⌈ops/B⌉ calls per thread.
+      const std::uint64_t calls =
+          (cfg.ops_per_thread + batch - 1) / batch;
+      EXPECT_EQ(get(s, mt::Counter::k_enq_attempt) +
+                    get(s, mt::Counter::k_deq_attempt),
+                cfg.prefill + cfg.threads * calls);
+    }
   }
 }
 
