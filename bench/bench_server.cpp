@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
 
   for (std::size_t conns : harness.threads({1, 2, 4})) {
     lcfg.conns = conns;
-    scfg.max_threads = scfg.workers + 2;
     const RunOutcome o = serve_once(scfg, lcfg);
     const std::string label = "serve/" + queue + "/conns=" +
                               std::to_string(conns);
@@ -158,7 +157,6 @@ int main(int argc, char** argv) {
     membq::net::LoadgenConfig blc = lcfg;
     blc.conns = 2;
     blc.batch = b;
-    scfg.max_threads = scfg.workers + 2;
     const RunOutcome o = serve_once(scfg, blc);
     const std::string label = "batch/" + queue + "/B=" + std::to_string(b);
     ok &= print_row(label.c_str(), o);

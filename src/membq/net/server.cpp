@@ -3,7 +3,6 @@
 #include <sys/epoll.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -16,44 +15,72 @@ namespace net {
 
 namespace {
 
-// One epoll_wait batch per worker iteration; small on purpose — with
-// EPOLLONESHOT a big batch just parks ready connections behind this
-// worker instead of letting an idle one take them.
 constexpr int kEpollBatch = 16;
 constexpr int kWaitMs = 200;       // stop_ flag latency while serving
 constexpr int kDrainWaitMs = 10;   // poll cadence during drain
+constexpr std::size_t kReadBytes = 64 * 1024;  // one read() per wakeup
 
-void park(unsigned us) {
-  if (us == 0) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
+// Unsent output at which a connection stops executing and reading. Above
+// one 4096-value DEQ response (32 KiB), so any single frame can always be
+// answered; unsent bytes stay below the mark plus one largest response.
+constexpr std::size_t kOutHighWater = 256 * 1024;
+
+// A handed-over fd is registered writable as well as readable: a fresh
+// socket is writable at once, so its owner meets it on the next wakeup,
+// and after a forced stop every fd no owner met is still reported ready.
+constexpr std::uint32_t kArmedAtAccept = EPOLLIN | EPOLLOUT;
+
+bool epoll_set(int epfd, int op, int fd, std::uint32_t events) {
+  epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = events;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epfd, op, fd, &ev) == 0;
 }
 
 }  // namespace
 
-// Per-connection state. With EPOLLONESHOT exactly one worker touches a
-// Conn between arm and re-arm, so none of this needs a lock. The kernel
-// orders the handoff (EPOLL_CTL_MOD happens before the next epoll_wait
-// delivery), but TSan cannot see that edge, so `handoff` carries it
-// explicitly: release-bumped as the last touch before arming, acquired
-// by whichever worker the event wakes next.
+// Per-connection state, created and touched only by the owning worker.
 struct Server::Conn {
   explicit Conn(int fd_in) : fd(fd_in), parser(Dir::kRequest) {}
 
-  int fd;
+  Fd fd;
   FrameParser parser;
   std::vector<std::uint8_t> out;  // encoded-but-unsent responses
-  std::size_t out_pos = 0;
-  bool closing = false;  // flush what is owed, then close (bad frame)
-  std::atomic<std::uint32_t> handoff{0};
+  std::uint32_t armed = kArmedAtAccept;  // interest registered in epoll
+  bool eof = false;  // the peer half-closed: answer what came, then close
+
+  bool reading() const noexcept { return !eof && parser.error() == nullptr; }
+
+  // Write what the socket takes; false = write error (caller closes).
+  // MSG_NOSIGNAL: a peer that reset the connection costs it the
+  // connection, not the server its process.
+  bool flush() {
+    std::size_t sent = 0;
+    while (sent < out.size()) {
+      const ssize_t w = ::send(fd.get(), out.data() + sent, out.size() - sent,
+                               MSG_NOSIGNAL);
+      if (w < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+        break;  // pending: EPOLLOUT resumes it
+      }
+      sent += static_cast<std::size_t>(w);
+    }
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(sent));
+    return true;
+  }
+};
+
+struct Server::Worker {
+  Fd epoll;
+  std::vector<std::unique_ptr<Conn>> conns;  // indexed by fd
+  std::thread thread;
 };
 
 Server::Server(const ServerConfig& cfg) : cfg_(cfg) {
-  const std::size_t mt =
-      cfg_.max_threads != 0 ? cfg_.max_threads : cfg_.workers + 2;
-  queue_ = workload::make_queue_by_name(cfg_.queue, cfg_.capacity, mt);
+  const std::size_t n = cfg_.workers > 0 ? cfg_.workers : 1;
+  queue_ = workload::make_queue_by_name(cfg_.queue, cfg_.capacity, n + 2);
   if (queue_ == nullptr) {
     throw std::runtime_error("membq_server: unknown queue '" + cfg_.queue +
                              "' (see workload::queue_names())");
@@ -66,18 +93,18 @@ Server::Server(const ServerConfig& cfg) : cfg_(cfg) {
   if (!set_nonblocking(listener_.get())) {
     throw std::runtime_error("membq_server: cannot set listener nonblocking");
   }
-  epoll_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-  if (!epoll_.valid()) {
-    throw std::runtime_error("membq_server: epoll_create1 failed");
-  }
-  epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  // Level-triggered + EPOLLEXCLUSIVE: one worker at a time is woken for a
-  // pending accept backlog; data.ptr == nullptr identifies the listener.
-  ev.events = EPOLLIN | EPOLLEXCLUSIVE;
-  ev.data.ptr = nullptr;
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, listener_.get(), &ev) != 0) {
-    throw std::runtime_error("membq_server: epoll_ctl(listener) failed");
+  workers_ = std::vector<Worker>(n);
+  for (Worker& w : workers_) {
+    w.epoll = Fd(::epoll_create1(EPOLL_CLOEXEC));
+    if (!w.epoll.valid()) {
+      throw std::runtime_error("membq_server: epoll_create1 failed");
+    }
+    // Level-triggered + EPOLLEXCLUSIVE: a pending accept backlog wakes
+    // one waiting worker, not all of them.
+    if (!epoll_set(w.epoll.get(), EPOLL_CTL_ADD, listener_.get(),
+                   EPOLLIN | EPOLLEXCLUSIVE)) {
+      throw std::runtime_error("membq_server: epoll_ctl(listener) failed");
+    }
   }
 }
 
@@ -85,27 +112,29 @@ Server::~Server() { stop_and_join(); }
 
 void Server::start() {
   if (started_.exchange(true)) return;
-  const std::size_t n = cfg_.workers > 0 ? cfg_.workers : 1;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+  for (Worker& w : workers_) {
+    w.thread = std::thread([this, &w] { worker_main(w); });
   }
 }
 
 void Server::stop_and_join() {
   request_stop();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  for (Worker& w : workers_) {
+    if (w.thread.joinable()) w.thread.join();
   }
-  workers_.clear();
   // Whatever outlived the drain window gets cut off now; no worker is
-  // left, so the set is ours alone.
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (Conn* c : conns_) {
-    ::close(c->fd);
-    delete c;
+  // left, so every table is ours alone. Fds handed to a worker that never
+  // woke for them have no Conn; they are still registered and writable,
+  // so polling each epoll lists them (a closed fd leaves its epoll).
+  listener_.reset();
+  for (Worker& w : workers_) {
+    w.conns.clear();
+    epoll_event evs[kEpollBatch];
+    int n;
+    while ((n = ::epoll_wait(w.epoll.get(), evs, kEpollBatch, 0)) > 0) {
+      for (int i = 0; i < n; ++i) ::close(evs[i].data.fd);
+    }
   }
-  conns_.clear();
   conn_count_.store(0, std::memory_order_relaxed);
 }
 
@@ -162,15 +191,22 @@ void Server::ledger_deliver(std::uint64_t v) {
 
 // ---- event loop ----------------------------------------------------------
 
-void Server::worker_main(std::size_t /*wid*/) {
+void Server::worker_main(Worker& w) {
   auto handle = queue_->make_handle();
-  std::vector<std::uint8_t> rbuf(64 * 1024);
+  std::vector<std::uint8_t> rbuf(kReadBytes);
   epoll_event evs[kEpollBatch];
+  bool listening = true;
 
   for (;;) {
-    const bool stopping = stop_.load(std::memory_order_acquire);
+    const bool stopping = stop_.load();
     if (stopping) {
-      remove_listener_once();
+      if (listening) {
+        // Refuse new connects at once; the fd itself stays open until
+        // stop_and_join, so no other worker's accept sees it recycled.
+        ::epoll_ctl(w.epoll.get(), EPOLL_CTL_DEL, listener_.get(), nullptr);
+        ::shutdown(listener_.get(), SHUT_RDWR);
+        listening = false;
+      }
       // Drain clock starts at the first post-stop iteration of any
       // worker; every worker then honours the same deadline.
       std::uint64_t expect = 0;
@@ -179,191 +215,133 @@ void Server::worker_main(std::size_t /*wid*/) {
           Stopwatch::now_ns() +
               static_cast<std::uint64_t>(cfg_.drain_ms) * 1000000ull,
           std::memory_order_acq_rel);
-      if (conn_count_.load(std::memory_order_acquire) == 0) break;
+      if (conn_count_.load() == 0) break;
       if (Stopwatch::now_ns() >=
           drain_deadline_ns_.load(std::memory_order_acquire)) {
         break;
       }
     }
-    const int n = ::epoll_wait(epoll_.get(), evs, kEpollBatch,
+    const int n = ::epoll_wait(w.epoll.get(), evs, kEpollBatch,
                                stopping ? kDrainWaitMs : kWaitMs);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone — shutting down
     }
     for (int i = 0; i < n; ++i) {
-      if (evs[i].data.ptr == nullptr) {
+      if (evs[i].data.fd == listener_.get()) {
         accept_ready();
       } else {
-        handle_conn(static_cast<Conn*>(evs[i].data.ptr), evs[i].events,
-                    *handle, rbuf);
+        serve(w, evs[i].data.fd, evs[i].events, *handle, rbuf);
       }
     }
   }
-}
-
-// conns_mu_ serializes every epoll registration change against every
-// fd close (and guards the conns_ set and the listener Fd). Without it a
-// worker closing one connection races the worker re-arming another that
-// shares the just-recycled fd number — and TSan flags exactly that
-// close-vs-epoll_ctl window. The critical sections are single syscalls,
-// so the serialization is invisible next to the epoll_wait round-trip.
-
-void Server::remove_listener_once() {
-  if (listener_removed_.exchange(true)) return;
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, listener_.get(), nullptr);
-  listener_.reset();  // refuse new connects immediately
 }
 
 void Server::accept_ready() {
   for (;;) {
-    int fd;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (!listener_.valid()) return;  // stop already retired the listener
-      fd = ::accept4(listener_.get(), nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-    }
+    const int fd = ::accept4(listener_.get(), nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // EAGAIN — backlog drained
+      return;  // EAGAIN — backlog drained (EINVAL — listener shut down)
     }
     set_nodelay(fd);
-    Conn* c = new Conn(fd);
-    conn_count_.fetch_add(1, std::memory_order_acq_rel);
     conns_accepted_.fetch_add(1, std::memory_order_relaxed);
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-    ev.data.ptr = c;
-    c->handoff.fetch_add(1, std::memory_order_release);
-    bool armed;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.insert(c);
-      armed = ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &ev) == 0;
+    // The count rises before the stop check (both seq_cst): a worker that
+    // saw stop_ and then a zero count can leave, because this accept will
+    // see stop_ and close the fd itself instead of handing it over.
+    conn_count_.fetch_add(1);
+    const Worker& owner =
+        workers_[next_owner_.fetch_add(1, std::memory_order_relaxed) %
+                 workers_.size()];
+    if (stop_.load() ||
+        !epoll_set(owner.epoll.get(), EPOLL_CTL_ADD, fd, kArmedAtAccept)) {
+      ::close(fd);
+      conn_count_.fetch_sub(1);
     }
-    if (!armed) close_conn(c);
   }
 }
 
-void Server::rearm(Conn* c) {
-  // Every Conn read happens before the release bump: once the bump is
-  // published and the fd re-armed, the next owner may already be running.
-  const int fd = c->fd;
-  epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-  if (c->out_pos < c->out.size()) ev.events |= EPOLLOUT;
-  ev.data.ptr = c;
-  c->handoff.fetch_add(1, std::memory_order_release);
-  bool armed;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    armed = ::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-  if (!armed) close_conn(c);
+void Server::close_conn(Worker& w, int fd) {
+  w.conns[static_cast<std::size_t>(fd)].reset();  // close leaves the epoll
+  conn_count_.fetch_sub(1);
 }
 
-void Server::close_conn(Conn* c) {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, c->fd, nullptr);
-    ::close(c->fd);
-    conns_.erase(c);
-  }
-  delete c;
-  conn_count_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-bool Server::flush_out(Conn* c) {
-  while (c->out_pos < c->out.size()) {
-    const ssize_t w = ::write(c->fd, c->out.data() + c->out_pos,
-                              c->out.size() - c->out_pos);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // pending
-      return false;
+// Executes buffered frames while the unsent output is below the mark;
+// true when the parser holds no complete frame any more.
+bool Server::execute_buffered(Conn& c, workload::DynQueue::Handle& h) {
+  Frame f;
+  while (c.parser.error() == nullptr) {
+    if (c.out.size() >= kOutHighWater) return false;
+    const FrameParser::Result res = c.parser.next(f);
+    if (res == FrameParser::Result::kFrame) {
+      execute(f, c, h);
+    } else if (res == FrameParser::Result::kNeedMore) {
+      break;
+    } else {
+      // Framing is gone: tell the peer why, then hang up. The BAD_FRAME
+      // answer is best-effort — the flush may or may not land it.
+      bad_frames_.fetch_add(1, std::memory_order_relaxed);
+      append_frame(c.out, Op::kPing, Status::kBadFrame, 0, nullptr, 0);
     }
-    c->out_pos += static_cast<std::size_t>(w);
   }
-  c->out.clear();
-  c->out_pos = 0;
   return true;
 }
 
-void Server::handle_conn(Conn* c, std::uint32_t events,
-                         workload::DynQueue::Handle& h,
-                         std::vector<std::uint8_t>& rbuf) {
-  // Pair with the release bump the previous owner made before arming us.
-  c->handoff.load(std::memory_order_acquire);
-  if (events & (EPOLLHUP | EPOLLERR)) {
-    close_conn(c);
+void Server::serve(Worker& w, int fd, std::uint32_t events,
+                   workload::DynQueue::Handle& h,
+                   std::vector<std::uint8_t>& rbuf) {
+  const std::size_t slot = static_cast<std::size_t>(fd);
+  if (slot >= w.conns.size()) w.conns.resize(slot + 1);
+  if (w.conns[slot] == nullptr) w.conns[slot] = std::make_unique<Conn>(fd);
+  Conn& c = *w.conns[slot];
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0 || !c.flush()) {
+    close_conn(w, fd);
     return;
   }
-  if (!flush_out(c)) {
-    close_conn(c);
-    return;
-  }
-
-  bool peer_closed = (events & EPOLLRDHUP) != 0;
-  if ((events & (EPOLLIN | EPOLLRDHUP)) != 0 && !c->closing) {
-    for (;;) {
-      const ssize_t r = ::read(c->fd, rbuf.data(), rbuf.size());
-      if (r > 0) {
-        c->parser.feed(rbuf.data(), static_cast<std::size_t>(r));
-        continue;
-      }
-      if (r == 0) {
-        peer_closed = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_conn(c);
+  // Frames held back by the mark go first. Then at most one read: every
+  // other connection of this worker gets its turn before this one reads
+  // again, and a peer that does not read its answers stops being read.
+  bool drained = execute_buffered(c, h);
+  if (drained && c.reading() && c.out.size() < kOutHighWater &&
+      (events & EPOLLIN) != 0) {
+    const ssize_t r = ::read(fd, rbuf.data(), rbuf.size());
+    if (r > 0) {
+      c.parser.feed(rbuf.data(), static_cast<std::size_t>(r));
+      drained = execute_buffered(c, h);
+    } else if (r == 0) {
+      c.eof = true;
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      close_conn(w, fd);
       return;
     }
-    Frame f;
-    for (;;) {
-      const FrameParser::Result res = c->parser.next(f);
-      if (res == FrameParser::Result::kFrame) {
-        execute(f, c, h);
-      } else if (res == FrameParser::Result::kNeedMore) {
-        break;
-      } else {
-        // Framing is gone: tell the peer why, then hang up. The BAD_FRAME
-        // answer is best-effort — the flush below may or may not land it.
-        bad_frames_.fetch_add(1, std::memory_order_relaxed);
-        append_frame(c->out, Op::kPing, Status::kBadFrame, 0, nullptr, 0);
-        c->closing = true;
-        break;
-      }
-    }
   }
-
-  if (!flush_out(c)) {
-    close_conn(c);
+  if (!c.flush()) {
+    close_conn(w, fd);
     return;
   }
-  const bool drained = c->out_pos >= c->out.size();
-  if (c->closing && drained) {
-    close_conn(c);
+  // Half-close or bad frame: finish what we owe, then close.
+  const bool reading = c.reading();
+  if (!reading && drained && c.out.empty()) {
+    close_conn(w, fd);
     return;
   }
-  if (peer_closed) {
-    // Half-close: the peer stopped sending but may still be reading.
-    // Finish what we owe (the EPOLLOUT re-arm), then close.
-    if (drained) {
-      close_conn(c);
+  // Read while answers flow; wait for writability while output is
+  // pending or frames are held back. Level-triggered, so the interest
+  // changes only on these transitions.
+  const std::uint32_t want =
+      (reading && drained && c.out.size() < kOutHighWater ? EPOLLIN : 0u) |
+      (!drained || !c.out.empty() ? EPOLLOUT : 0u);
+  if (want != c.armed) {
+    if (!epoll_set(w.epoll.get(), EPOLL_CTL_MOD, fd, want)) {
+      close_conn(w, fd);
       return;
     }
-    c->closing = true;
+    c.armed = want;
   }
-  rearm(c);
 }
 
-void Server::execute(const Frame& f, Conn* c, workload::DynQueue::Handle& h) {
+void Server::execute(const Frame& f, Conn& c, workload::DynQueue::Handle& h) {
   frames_rx_.fetch_add(1, std::memory_order_relaxed);
   telemetry::count(telemetry::Counter::k_net_frames_rx);
 
@@ -372,16 +350,10 @@ void Server::execute(const Frame& f, Conn* c, workload::DynQueue::Handle& h) {
       telemetry::count(telemetry::Counter::k_net_batch_items, f.count);
       // Bulk path: the whole frame is offered to the ledger, handed to
       // the queue as ONE bulk enqueue (the amortization the wire batch
-      // was designed for), and the refused suffix retracted. Bounded
-      // retry/park applies to the remaining suffix, not per item.
+      // was designed for), and the refused suffix retracted.
       for (std::uint16_t i = 0; i < f.count; ++i) ledger_offer(f.values[i]);
-      std::uint16_t accepted = static_cast<std::uint16_t>(
+      const std::uint16_t accepted = static_cast<std::uint16_t>(
           h.try_enqueue_bulk(f.values.data(), f.count));
-      for (unsigned r = 0; accepted < f.count && r < cfg_.retries; ++r) {
-        park(cfg_.park_us);
-        accepted += static_cast<std::uint16_t>(h.try_enqueue_bulk(
-            f.values.data() + accepted, f.count - accepted));
-      }
       for (std::uint16_t i = accepted; i < f.count; ++i) {
         ledger_retract(f.values[i]);
       }
@@ -392,22 +364,15 @@ void Server::execute(const Frame& f, Conn* c, workload::DynQueue::Handle& h) {
         would_block_.fetch_add(1, std::memory_order_relaxed);
         telemetry::count(telemetry::Counter::k_net_would_block);
       }
-      append_frame(c->out, Op::kEnq, st, accepted, nullptr, 0);
+      append_frame(c.out, Op::kEnq, st, accepted, nullptr, 0);
       break;
     }
     case Op::kDeq: {
       telemetry::count(telemetry::Counter::k_net_batch_items, f.count);
       std::uint64_t vals[kMaxBatch];
-      // Bulk path: one bulk dequeue fills the response. Bounded retry
-      // only while empty-handed: once something is going back, an empty
-      // queue ends the batch instead of stalling it.
-      std::uint16_t got =
+      // Bulk path: one bulk dequeue fills the response.
+      const std::uint16_t got =
           static_cast<std::uint16_t>(h.try_dequeue_bulk(vals, f.count));
-      for (unsigned r = 0; got == 0 && f.count > 0 && r < cfg_.retries;
-           ++r) {
-        park(cfg_.park_us);
-        got = static_cast<std::uint16_t>(h.try_dequeue_bulk(vals, f.count));
-      }
       // Delivery window (docs/server.md): each value is ledger_delivered
       // HERE, before the response frame is flushed — a connection that
       // dies in between loses it client-side.
@@ -418,11 +383,11 @@ void Server::execute(const Frame& f, Conn* c, workload::DynQueue::Handle& h) {
         would_block_.fetch_add(1, std::memory_order_relaxed);
         telemetry::count(telemetry::Counter::k_net_would_block);
       }
-      append_frame(c->out, Op::kDeq, st, got, vals, got);
+      append_frame(c.out, Op::kDeq, st, got, vals, got);
       break;
     }
     case Op::kPing: {
-      append_frame(c->out, Op::kPing, Status::kOk, 0, nullptr, 0);
+      append_frame(c.out, Op::kPing, Status::kOk, 0, nullptr, 0);
       break;
     }
     case Op::kStat: {
@@ -431,7 +396,7 @@ void Server::execute(const Frame& f, Conn* c, workload::DynQueue::Handle& h) {
           s.frames_rx,       s.enq_ok,         s.deq_ok,
           s.would_block,     s.bad_frames,     s.conns_accepted,
           s.ledger_violations, s.ledger_outstanding};
-      append_frame(c->out, Op::kStat, Status::kOk, ServerStats::kStatValues,
+      append_frame(c.out, Op::kStat, Status::kOk, ServerStats::kStatValues,
                    vals, ServerStats::kStatValues);
       break;
     }

@@ -1,20 +1,29 @@
-// membq_server core: an epoll event loop + worker pool serving the wire
-// protocol (protocol.hpp) over any registry queue.
+// membq_server core: N worker threads serving the wire protocol
+// (protocol.hpp) over any registry queue.
 //
-// Shape (the event-driven-daemon-over-thread-pool idiom): one listening
-// socket and one epoll instance shared by N worker threads. Connections
-// are registered EPOLLONESHOT, so exactly one worker owns a connection at
-// a time — it reads what the socket has, parses complete frames, executes
-// the ops against its own per-worker queue handle, writes the responses,
-// and re-arms the connection. No per-connection locks, no cross-worker
-// handoff; a connection's frames are processed (and answered) in order.
+// Shape: each worker owns an epoll instance and, for life, the
+// connections registered in it. The one listener sits in every worker's
+// epoll with EPOLLEXCLUSIVE; the worker it wakes accepts and hands each
+// new fd to worker `k++ mod N` with one EPOLL_CTL_ADD. Only the owner ever
+// creates or touches a connection's state, so nothing per connection
+// crosses threads and a connection's frames are answered in order.
+// Connections are level-triggered: a wakeup reads once, executes the
+// complete frames, writes the answers, and changes its epoll interest
+// only on its first wakeup and when output starts or stops pending or
+// crosses the high-water mark.
+//
+// Bounds (docs/server.md): a connection executes frames only while its
+// unsent output is below kOutHighWater, and reads only when its parser
+// holds no complete frame and the output is below the mark. Otherwise it
+// stops reading, so TCP pushes back on a peer that does not read its
+// answers; and since a wakeup reads at most one buffer per connection, a
+// flooding connection cannot keep its worker from the others.
 //
 // Backpressure contract: a bounded queue's full/empty verdict is mapped
 // to an explicit WOULD_BLOCK response — an ENQ answer whose accepted
 // count fell short of the batch, or a DEQ answer with fewer values than
-// asked. Optionally the server retries a refusing queue op up to
-// `retries` times, parking `park_us` between attempts, before giving up
-// (bounded retry/park: backpressure is delayed, never hidden).
+// asked. Retrying is the client's job; the server never waits on the
+// queue.
 //
 // Exactly-once ledger (--ledger): a mutex-guarded multiset of in-queue
 // values, incremented before a value is offered to the queue and
@@ -38,7 +47,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/socket.hpp"
@@ -52,9 +60,6 @@ struct ServerConfig {
   std::size_t capacity = 1024;
   std::size_t workers = 2;
   std::uint16_t port = 0;    // 0 = kernel-assigned; Server::port() tells
-  std::size_t max_threads = 0;  // queue handle provisioning; 0 = workers+2
-  unsigned retries = 0;      // bounded retry count before WOULD_BLOCK
-  unsigned park_us = 100;    // park between retries
   bool ledger = false;       // exactly-once delivery accounting
   unsigned drain_ms = 5000;  // how long shutdown waits for conns to close
 };
@@ -76,8 +81,9 @@ struct ServerStats {
 
 class Server {
  public:
-  // Binds the listener and builds the queue; throws std::runtime_error on
-  // an unknown queue name or a socket/epoll failure. No threads yet.
+  // Binds the listener, builds the queue and the workers' epoll
+  // instances; throws std::runtime_error on an unknown queue name or a
+  // socket/epoll failure. No threads yet.
   explicit Server(const ServerConfig& cfg);
   ~Server();
 
@@ -90,7 +96,7 @@ class Server {
 
   // Begin shutdown without blocking: stop accepting, start the drain
   // clock. Safe from a signal handler (one atomic store).
-  void request_stop() noexcept { stop_.store(true, std::memory_order_release); }
+  void request_stop() noexcept { stop_.store(true); }
 
   // request_stop() + wait for the workers; force-closes connections that
   // outlive the drain window. Idempotent.
@@ -100,16 +106,15 @@ class Server {
 
  private:
   struct Conn;
+  struct Worker;
 
-  void worker_main(std::size_t wid);
+  void worker_main(Worker& w);
   void accept_ready();
-  void handle_conn(Conn* c, std::uint32_t events,
-                   workload::DynQueue::Handle& h, std::vector<std::uint8_t>& rbuf);
-  void execute(const struct Frame& f, Conn* c, workload::DynQueue::Handle& h);
-  bool flush_out(Conn* c);       // false = write error (caller closes)
-  void rearm(Conn* c);
-  void close_conn(Conn* c);
-  void remove_listener_once();
+  void serve(Worker& w, int fd, std::uint32_t events,
+             workload::DynQueue::Handle& h, std::vector<std::uint8_t>& rbuf);
+  bool execute_buffered(Conn& c, workload::DynQueue::Handle& h);
+  void execute(const struct Frame& f, Conn& c, workload::DynQueue::Handle& h);
+  void close_conn(Worker& w, int fd);
 
   bool ledger_offer(std::uint64_t v);       // count++ before try_enqueue
   void ledger_retract(std::uint64_t v);     // failed enqueue: undo
@@ -118,18 +123,14 @@ class Server {
   ServerConfig cfg_;
   std::unique_ptr<workload::DynQueue> queue_;
   Fd listener_;
-  Fd epoll_;
   std::uint16_t port_ = 0;
 
-  std::vector<std::thread> workers_;
+  std::vector<Worker> workers_;  // sized once, at construction
+  std::atomic<std::size_t> next_owner_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> listener_removed_{false};
   std::atomic<std::uint64_t> drain_deadline_ns_{0};
   std::atomic<std::size_t> conn_count_{0};
-
-  mutable std::mutex conns_mu_;
-  std::unordered_set<Conn*> conns_;
 
   mutable std::mutex ledger_mu_;
   std::unordered_map<std::uint64_t, std::uint64_t> ledger_;  // value -> in-queue count

@@ -1,7 +1,7 @@
 // membq_server: stand-alone network front end for the registry queues.
 //
 //   membq_server --queue='sharded(vyukov,4)' --capacity=1024 --workers=2
-//                --port=7171 [--retries=N --park-us=U --ledger --drain-ms=M]
+//                --port=7171 [--ledger --drain-ms=M]
 //
 // Prints "membq_server listening on <port>" once the listener is live
 // (scripts wait for that line), then serves until SIGTERM/SIGINT, then
@@ -30,8 +30,8 @@ bool parse_u64(const char* s, std::uint64_t& out) {
 void usage() {
   std::fprintf(stderr,
                "usage: membq_server [--queue=NAME] [--capacity=N] [--workers=N]\n"
-               "                    [--port=P] [--retries=N] [--park-us=U]\n"
-               "                    [--ledger] [--drain-ms=M] [--list-queues]\n");
+               "                    [--port=P] [--ledger] [--drain-ms=M]\n"
+               "                    [--list-queues]\n");
 }
 
 }  // namespace
@@ -56,12 +56,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = val("--port=")) {
       if (!parse_u64(v, n) || n > 65535) { usage(); return 1; }
       cfg.port = static_cast<std::uint16_t>(n);
-    } else if (const char* v = val("--retries=")) {
-      if (!parse_u64(v, n)) { usage(); return 1; }
-      cfg.retries = static_cast<unsigned>(n);
-    } else if (const char* v = val("--park-us=")) {
-      if (!parse_u64(v, n)) { usage(); return 1; }
-      cfg.park_us = static_cast<unsigned>(n);
     } else if (const char* v = val("--drain-ms=")) {
       if (!parse_u64(v, n)) { usage(); return 1; }
       cfg.drain_ms = static_cast<unsigned>(n);

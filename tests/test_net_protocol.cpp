@@ -1,15 +1,23 @@
-// Parser robustness for the net/ wire protocol — pure byte spans, no
-// sockets. The contracts under test: fragmentation-agnostic reassembly
-// (any split of the stream parses identically), header-only rejection of
-// hostile lengths (no allocation toward a length the parser would
-// refuse), and the per-direction semantic rules.
+// Parser robustness for the net/ wire protocol — pure byte spans, plus
+// one loopback case. The contracts under test: fragmentation-agnostic
+// reassembly (any split of the stream parses identically), header-only
+// rejection of hostile lengths (no allocation toward a length the parser
+// would refuse), and the per-direction semantic rules. The seeded fuzzer
+// at the end checks the first two on random streams, splits and
+// mutations, and sends one random stream to a live server.
 
 #include "net/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <thread>
 #include <vector>
+
+#include "net/server.hpp"
+#include "net/socket.hpp"
 
 namespace {
 
@@ -259,6 +267,177 @@ TEST(NetProtocolTest, CountAboveMaxBatchRejected) {
   Frame f;
   ASSERT_EQ(p.next(f), Result::kError);
   EXPECT_STREQ(p.error(), "count above kMaxBatch");
+}
+
+// ---- seeded fuzzer --------------------------------------------------------
+
+// A random valid request stream of `frames` frames; `ends` gets each
+// frame's end offset.
+Bytes random_requests(std::mt19937_64& rng, std::size_t frames,
+                      std::vector<std::size_t>& ends) {
+  Bytes b;
+  std::vector<std::uint64_t> vals;
+  for (std::size_t i = 0; i < frames; ++i) {
+    const auto count = static_cast<std::uint16_t>(1 + rng() % 8);
+    switch (rng() % 4) {
+      case 0:
+        vals.resize(count);
+        for (auto& v : vals) v = 1 + rng() % 1000;
+        append_request(b, Op::kEnq, count, vals.data(), count);
+        break;
+      case 1:
+        append_request(b, Op::kDeq, count, nullptr, 0);
+        break;
+      case 2:
+        append_request(b, Op::kPing, 0, nullptr, 0);
+        break;
+      default:
+        append_request(b, Op::kStat, 0, nullptr, 0);
+        break;
+    }
+    ends.push_back(b.size());
+  }
+  return b;
+}
+
+// Feeds `b` in random-sized pieces, collecting frames until the stream
+// ends or the parser fails; after a failure, checks that it stays failed.
+std::vector<Frame> parse_split(const Bytes& b, std::mt19937_64& rng) {
+  FrameParser p(Dir::kRequest);
+  std::vector<Frame> got;
+  Frame f;
+  for (std::size_t pos = 0; pos < b.size();) {
+    const std::size_t n = std::min<std::size_t>(b.size() - pos, 1 + rng() % 64);
+    p.feed(b.data() + pos, n);
+    pos += n;
+    Result r;
+    while ((r = p.next(f)) == Result::kFrame) got.push_back(f);
+    if (r == Result::kError) {
+      p.feed(b.data(), b.size());
+      EXPECT_EQ(p.next(f), Result::kError);  // sticky
+      EXPECT_NE(p.error(), nullptr);
+      return got;
+    }
+  }
+  return got;
+}
+
+bool same_frame(const Frame& a, const Frame& b) {
+  return a.op == b.op && a.status == b.status && a.count == b.count &&
+         a.values == b.values;
+}
+
+TEST(NetProtocolTest, FuzzRandomSplitsParseLikeOneFeed) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    std::vector<std::size_t> ends;
+    const Bytes b = random_requests(rng, 1 + rng() % 64, ends);
+    FrameParser whole(Dir::kRequest);
+    whole.feed(b.data(), b.size());
+    std::vector<Frame> want;
+    Frame f;
+    while (whole.next(f) == Result::kFrame) want.push_back(f);
+    ASSERT_EQ(want.size(), ends.size());
+    const std::vector<Frame> got = parse_split(b, rng);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(same_frame(got[i], want[i])) << "frame " << i;
+    }
+  }
+}
+
+TEST(NetProtocolTest, FuzzMutatedStreamsKeepValidPrefixThenFramesOrError) {
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    std::vector<std::size_t> ends;
+    const Bytes clean = random_requests(rng, 1 + rng() % 16, ends);
+    std::vector<Frame> want;
+    {
+      FrameParser p(Dir::kRequest);
+      p.feed(clean.data(), clean.size());
+      Frame f;
+      while (p.next(f) == Result::kFrame) want.push_back(f);
+    }
+    // Flip, insert, delete or truncate at random offsets; `first` is the
+    // lowest offset touched, so every frame ending at or before it must
+    // still parse as in the clean stream.
+    Bytes b = clean;
+    std::size_t first = b.size();
+    for (std::size_t k = 1 + rng() % 4; k > 0 && !b.empty(); --k) {
+      const std::size_t at = rng() % b.size();
+      switch (rng() % 4) {
+        case 0: b[at] ^= static_cast<std::uint8_t>(1 + rng() % 255); break;
+        case 1: b.insert(b.begin() + static_cast<std::ptrdiff_t>(at),
+                         static_cast<std::uint8_t>(rng()));
+                break;
+        case 2: b.erase(b.begin() + static_cast<std::ptrdiff_t>(at)); break;
+        default: b.resize(at); break;
+      }
+      first = std::min(first, at);
+    }
+    const std::vector<Frame> got = parse_split(b, rng);
+    const std::size_t intact = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), first) - ends.begin());
+    ASSERT_GE(got.size(), intact);
+    for (std::size_t i = 0; i < intact; ++i) {
+      EXPECT_TRUE(same_frame(got[i], want[i])) << "intact frame " << i;
+    }
+    // Whatever parses past the damage is still a well-formed request.
+    for (const Frame& g : got) {
+      EXPECT_EQ(g.status, Status::kOk);
+      EXPECT_LE(g.count, kMaxBatch);
+      EXPECT_EQ(g.values.size(), g.op == Op::kEnq ? g.count : 0u);
+      EXPECT_EQ(g.count == 0, g.op == Op::kPing || g.op == Op::kStat);
+    }
+  }
+}
+
+// The whole response stream a fresh server sends for `requests`, written
+// in one piece or, with `rng`, in random-sized pieces.
+Bytes serve_stream(const Bytes& requests, std::size_t frames,
+                   std::mt19937_64* rng) {
+  membq::net::ServerConfig cfg;
+  cfg.queue = "vyukov(perslot-seq)";
+  cfg.capacity = 16;
+  membq::net::Server server(cfg);
+  server.start();
+  membq::net::Fd sock = membq::net::connect_tcp("127.0.0.1", server.port());
+  EXPECT_TRUE(sock.valid());
+  std::thread writer([&] {
+    for (std::size_t pos = 0; pos < requests.size();) {
+      const std::size_t n =
+          rng == nullptr ? requests.size()
+                         : std::min<std::size_t>(requests.size() - pos,
+                                                 1 + (*rng)() % 3000);
+      if (!membq::net::write_all(sock.get(), requests.data() + pos, n)) return;
+      pos += n;
+    }
+  });
+  Bytes out;
+  FrameParser p(Dir::kResponse);
+  Frame f;
+  std::uint8_t buf[4096];
+  for (std::size_t got = 0; got < frames;) {
+    const ssize_t n = ::read(sock.get(), buf, sizeof(buf));
+    if (n <= 0) break;
+    out.insert(out.end(), buf, buf + n);
+    p.feed(buf, static_cast<std::size_t>(n));
+    while (p.next(f) == Result::kFrame) ++got;
+  }
+  writer.join();
+  return out;
+}
+
+TEST(NetProtocolTest, FuzzSplitWritesToLiveServerAnswerLikeOneWrite) {
+  std::mt19937_64 rng(7);
+  std::vector<std::size_t> ends;
+  const Bytes requests = random_requests(rng, 3000, ends);
+  const Bytes whole = serve_stream(requests, ends.size(), nullptr);
+  const Bytes split = serve_stream(requests, ends.size(), &rng);
+  EXPECT_FALSE(whole.empty());
+  EXPECT_EQ(whole, split);
 }
 
 }  // namespace

@@ -4,9 +4,15 @@
 // BAD_FRAME close) and the shutdown drain.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/loadgen.hpp"
@@ -261,6 +267,164 @@ TEST(NetServerTest, StopDrainsEstablishedConnections) {
   sock.reset();
   server.stop_and_join();
   EXPECT_GE(server.stats().conns_accepted, 1u);
+}
+
+// A client that pipelines STAT requests and never reads its answers must
+// be pushed back by TCP once the server holds a bounded amount of unsent
+// output, not grow server memory with everything it sends. Reading
+// afterwards must then yield exactly one STAT answer per request.
+TEST(NetServerTest, NeverReadingClientIsPushedBack) {
+  ServerConfig cfg;
+  cfg.queue = "vyukov(perslot-seq)";
+  cfg.capacity = 16;
+  Server server(cfg);
+  server.start();
+  Fd sock = connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(sock.valid());
+  ASSERT_TRUE(set_nonblocking(sock.get()));
+
+  std::vector<std::uint8_t> stats;  // 8192 STAT requests, 8 bytes each
+  for (int i = 0; i < 8192; ++i) append_request(stats, Op::kStat, 0, nullptr, 0);
+  constexpr std::size_t kCap = std::size_t{64} << 20;
+  std::size_t sent = 0;
+  bool stalled = false;
+  while (!stalled && sent < kCap) {
+    const std::size_t off = sent % stats.size();
+    const ssize_t w = ::write(sock.get(), stats.data() + off, stats.size() - off);
+    if (w > 0) {
+      sent += static_cast<std::size_t>(w);
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+    pollfd p{sock.get(), POLLOUT, 0};
+    stalled = ::poll(&p, 1, 200) == 0;  // still unwritable after 200 ms
+  }
+  EXPECT_TRUE(stalled) << "wrote " << sent << " bytes without a 200 ms stall";
+  EXPECT_LT(sent, kCap);
+  // A server that pauses reading while it works through a huge backlog
+  // also stalls the client for a while; pushback means the answers it
+  // produced for a client that read none stay bounded too.
+  constexpr std::size_t kStatAnswerBytes =
+      kHeaderBytes + kPayloadFixedBytes + 8 * ServerStats::kStatValues;
+  EXPECT_LT(server.stats().frames_rx * kStatAnswerBytes, kCap);
+
+  // Finish the frame a partial write may have cut, and read every answer.
+  const std::size_t requests = (sent + 7) / 8;
+  FrameParser parser(Dir::kResponse);
+  Frame f;
+  std::size_t answers = 0;
+  std::vector<char> buf(64 * 1024);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (answers < requests && std::chrono::steady_clock::now() < deadline) {
+    const bool cut = sent < requests * 8;
+    pollfd p{sock.get(), static_cast<short>(POLLIN | (cut ? POLLOUT : 0)), 0};
+    ::poll(&p, 1, 1000);
+    if (cut && (p.revents & POLLOUT) != 0) {
+      const ssize_t w = ::write(sock.get(), stats.data() + sent % stats.size(),
+                                requests * 8 - sent);
+      if (w > 0) sent += static_cast<std::size_t>(w);
+    }
+    const ssize_t n = ::read(sock.get(), buf.data(), buf.size());
+    if (n == 0) break;
+    if (n < 0) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+      continue;
+    }
+    parser.feed(buf.data(), static_cast<std::size_t>(n));
+    while (parser.next(f) == FrameParser::Result::kFrame) {
+      ++answers;
+      ASSERT_EQ(f.op, Op::kStat);
+      ASSERT_EQ(f.status, Status::kOk);
+      ASSERT_EQ(f.values.size(), ServerStats::kStatValues);
+    }
+  }
+  EXPECT_EQ(answers, requests);
+  EXPECT_EQ(f.values.empty() ? 0 : f.values[0], requests);  // frames_rx
+  EXPECT_EQ(parser.pending_bytes(), 0u);
+  sock.reset();
+  server.stop_and_join();
+  EXPECT_EQ(server.stats().frames_rx, requests);
+}
+
+// One PING round trip that must complete within `timeout_ms`.
+bool ping_within(int fd, int timeout_ms) {
+  std::vector<std::uint8_t> req;
+  append_request(req, Op::kPing, 0, nullptr, 0);
+  if (!write_all(fd, req.data(), req.size())) return false;
+  FrameParser parser(Dir::kResponse);
+  Frame f;
+  char buf[64];
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (parser.next(f) != FrameParser::Result::kFrame) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+      return false;
+    }
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return false;
+    parser.feed(buf, static_cast<std::size_t>(n));
+  }
+  return f.op == Op::kPing && f.status == Status::kOk;
+}
+
+// On the only worker, a connection that streams PINGs as fast as it can
+// (draining its answers on another thread) must not starve an already
+// served neighbour: each of the neighbour's closed-loop PINGs is answered
+// within 1 s.
+TEST(NetServerTest, FloodingConnectionDoesNotStarveNeighbour) {
+  ServerConfig cfg;
+  cfg.queue = "vyukov(perslot-seq)";
+  cfg.capacity = 16;
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  Fd neighbour = connect_tcp("127.0.0.1", server.port());
+  Fd flood = connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(neighbour.valid());
+  ASSERT_TRUE(flood.valid());
+  ASSERT_TRUE(ping_within(neighbour.get(), 10000));
+  ASSERT_TRUE(ping_within(flood.get(), 10000));
+
+  std::vector<std::uint8_t> pings;
+  for (int i = 0; i < 8192; ++i) append_request(pings, Op::kPing, 0, nullptr, 0);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> flooded{0};
+  std::thread writer([&] {
+    // Bounded so a server that buffers everything it reads cannot take
+    // the host's memory with it.
+    for (std::size_t sent = 0; !done.load() && sent < (std::size_t{256} << 20);) {
+      const std::size_t off = sent % pings.size();
+      const ssize_t w = ::send(flood.get(), pings.data() + off,
+                               pings.size() - off, MSG_NOSIGNAL);
+      if (w <= 0) break;
+      sent += static_cast<std::size_t>(w);
+      flooded.store(sent);
+    }
+  });
+  std::thread reader([&] {
+    std::vector<char> buf(64 * 1024);
+    while (::read(flood.get(), buf.data(), buf.size()) > 0) {
+    }
+  });
+  // The neighbour starts once the flood is under way.
+  for (int i = 0; i < 10000 && flooded.load() < (std::size_t{1} << 20); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  int answered = 0;
+  while (answered < 200 && ping_within(neighbour.get(), 1000)) ++answered;
+  done.store(true);
+  ::shutdown(flood.get(), SHUT_RDWR);
+  writer.join();
+  reader.join();
+  EXPECT_EQ(answered, 200) << "neighbour PING " << answered + 1
+                           << " unanswered after 1 s";
+  neighbour.reset();
+  flood.reset();
+  server.stop_and_join();
 }
 
 }  // namespace
