@@ -18,7 +18,10 @@
 //   * entry load: acquire — observes the opposite role's CAS release;
 //     the cycle tag read decides help/full/empty, and the value is only
 //     trusted when the tag matches the ticket's round.
-//   * head_/tail_ load: acquire, paired with advance()'s release.
+//   * head_/tail_ load: acquire, paired with advance()'s release. Each
+//     role loads its own counter for its ticket; it loads the other
+//     role's counter only on its full/empty verdict path, after the entry
+//     read showed neither a ready nor a served state.
 //   * advance() CAS loop: release success / relaxed failure; moves a
 //     counter to at least seen+k (a helper's step, or a claimed range).
 //   * full/empty verdicts rely on counter/entry freshness beyond the
@@ -80,7 +83,6 @@ class BasicScqRing {
     for (;;) {  // first item: the whole protocol at n=1
       // Acquire ticket loads paired with advance()'s release (header).
       const std::uint64_t t = tail_.load(O::acquire);
-      const std::uint64_t h = head_.load(O::acquire);
       Entry cur = cells_[t % cap_].load(O::acquire);
       if (t != tail_.load(O::acquire)) continue;
       const std::uint64_t round = t / cap_;
@@ -100,9 +102,10 @@ class BasicScqRing {
         advance(tail_, t, 1);  // ticket t already enqueued; help
         continue;
       }
-      // Slot still carries an older cycle: full once the counters agree
-      // (freshness argument on the monotone counters).
-      if (t - h >= cap_) return 0;
+      // Slot still carries an older cycle: full once head_, loaded here
+      // after the entry read, agrees (freshness argument on the monotone
+      // counters).
+      if (t - head_.load(O::acquire) >= cap_) return 0;
       backoff.pause();
     }
     std::size_t k = 1;
@@ -133,7 +136,6 @@ class BasicScqRing {
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
       const std::uint64_t h = head_.load(O::acquire);
-      const std::uint64_t t = tail_.load(O::acquire);
       Entry cur = cells_[h % cap_].load(O::acquire);
       if (h != head_.load(O::acquire)) continue;
       const std::uint64_t round = h / cap_;
@@ -156,8 +158,9 @@ class BasicScqRing {
         continue;
       }
       // Empty verdict: entry still in round r's enqueue-ready state and
-      // tail agrees (freshness argument).
-      if (t <= h) return 0;  // empty
+      // tail_, loaded here after the entry read, agrees (freshness
+      // argument).
+      if (tail_.load(O::acquire) <= h) return 0;  // empty
       backoff.pause();
     }
     std::size_t k = 1;

@@ -16,6 +16,14 @@
 // marker window (pairings annotated in sync/dcss.cpp). The counters here
 // follow the same pairing as the other rings:
 //   * head_/tail_ load: acquire — pairs with advance()'s release.
+//   * counter floors: as in the L3 ring, each Handle keeps the last value
+//     it loaded of the other role's counter and reloads it (the acquire
+//     load above, same site) only when the floor fails its gate
+//     (`t − floor ≥ C`, `floor ≤ h`). A floor only lags its monotone
+//     counter, so it makes a gate stricter, never looser; every full,
+//     empty or help-tail verdict is taken on a fresh load. Floors are
+//     handle-local state, not shared memory: the Θ(T) is still the
+//     descriptor pool alone.
 //   * advance() CAS: release on success, relaxed on failure (helping
 //     race lost, nothing observed).
 //   * full/empty verdicts rely on counter/cell freshness beyond the
@@ -71,14 +79,14 @@ class BasicDcssQueue {
       for (;;) {
         // Acquire ticket loads paired with advance()'s release (header).
         const std::uint64_t t = q.tail_.load(O::acquire);
-        const std::uint64_t h = q.head_.load(O::acquire);
+        if (t - head_floor_ >= q.cap_) reload(q.head_, head_floor_);
         const std::uint64_t cur = q.domain_.read(&q.cells_[t % q.cap_]);
         if (t != q.tail_.load(O::acquire)) continue;
         if (cur == kBot) {
           // Fullness gate on the empty-cell path: ⊥ may mean a vacated
           // cell whose dequeuer has not yet advanced head (the DCSS only
           // guards tail, not head).
-          if (t - h >= q.cap_) return false;
+          if (t - head_floor_ >= q.cap_) return false;
           if (th_.dcss(&q.cells_[t % q.cap_], kBot, v, &q.tail_, t)) {
             advance(q.tail_, t);
             return true;
@@ -87,8 +95,8 @@ class BasicDcssQueue {
           backoff.pause();
           continue;
         }
-        if (t - h >= q.cap_) return false;  // full
-        advance(q.tail_, t);                // ticket t already written; help
+        if (t - head_floor_ >= q.cap_) return false;  // full
+        advance(q.tail_, t);  // ticket t already written; help
       }
     }
 
@@ -98,7 +106,7 @@ class BasicDcssQueue {
       BasicDcssQueue& q = q_;
       for (;;) {
         const std::uint64_t h = q.head_.load(O::acquire);
-        const std::uint64_t t = q.tail_.load(O::acquire);
+        if (tail_floor_ <= h) reload(q.tail_, tail_floor_);
         const std::uint64_t cur = q.domain_.read(&q.cells_[h % q.cap_]);
         if (h != q.head_.load(O::acquire)) continue;
         if (cur != kBot) {
@@ -106,8 +114,8 @@ class BasicDcssQueue {
           // advanced tail. Help it before vacating (see the header): a ⊥
           // under a current ticket passes a second enqueuer's tail
           // comparand.
-          if (t <= h) {
-            advance(q.tail_, t);
+          if (tail_floor_ <= h) {
+            advance(q.tail_, tail_floor_);
             continue;
           }
           if (th_.dcss(&q.cells_[h % q.cap_], cur, kBot, &q.head_, h)) {
@@ -121,14 +129,16 @@ class BasicDcssQueue {
         }
         // Empty verdict: the domain read (acquire) saw ⊥ at the head
         // ticket and tail agrees (freshness argument).
-        if (t <= h) return false;  // empty
-        advance(q.head_, h);       // ticket h already dequeued; help
+        if (tail_floor_ <= h) return false;  // empty
+        advance(q.head_, h);                 // ticket h already dequeued; help
       }
     }
 
    private:
     BasicDcssQueue& q_;
     typename BasicDcssDomain<O>::ThreadHandle th_;
+    std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
+    std::uint64_t tail_floor_ = 0;  // a tail_ value this handle loaded
   };
 
  private:
@@ -143,6 +153,13 @@ class BasicDcssQueue {
     // is what the window observes.
     counter.compare_exchange_strong(expected, seen + 1, O::release,
                                     O::relaxed);
+  }
+  // Reload a handle's floor of `counter`: the acquire load a gate used to
+  // make on every call, now made only when the floor fails the gate.
+  static void reload(const std::atomic<std::uint64_t>& counter,
+                     std::uint64_t& floor) noexcept {
+    floor = counter.load(O::acquire);
+    telemetry::count(telemetry::Counter::k_floor_reload);
   }
 
   const std::size_t cap_;

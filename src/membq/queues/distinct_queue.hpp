@@ -30,6 +30,15 @@
 //   * head_/tail_ load: acquire — pairs with advance()'s release, so a
 //     ticket computed from tail ≥ x happens-after the cell transitions
 //     that let tail reach x.
+//   * head floor: each Handle keeps the last head_ value it loaded. The
+//     enqueue gates test the floor and reload it (the acquire load
+//     above, at the same site) only when `t − floor ≥ C`. head_ is
+//     monotone, so the floor can only lag it: a stale floor makes the
+//     gate stricter, never looser, and every full verdict is taken on a
+//     fresh load. The floor is handle-local, like the tickets t and h,
+//     not shared memory, so the overhead stays Θ(1).
+//   * tail_ is read only on the dequeue's empty-verdict path, after the
+//     cell read showed ⊥_round.
 //   * advance() CAS loop: release on success — publishes the cell
 //     transitions completed below the new counter value to everyone who
 //     derives a ticket from it. Failure relaxed: losing to a helper
@@ -72,23 +81,41 @@ class BasicDistinctQueue {
   // Where the slot array actually landed (policy, hugepage, node).
   topo::Placement placement() const noexcept { return cells_.placement(); }
 
-  // Scalar ops are bulk(n=1): each direction has exactly one body.
-  bool try_enqueue(std::uint64_t v) noexcept {
-    return try_enqueue_bulk(&v, 1) == 1;
-  }
-  bool try_dequeue(std::uint64_t& out) noexcept {
-    return try_dequeue_bulk(&out, 1) == 1;
-  }
+  // The per-thread access point and the only entry point: it carries the
+  // enqueue role's head floor (see the header comment).
+  class Handle {
+   public:
+    explicit Handle(BasicDistinctQueue& q) noexcept : q_(q) {}
+    // Scalar ops are bulk(n=1): each direction has exactly one body.
+    bool try_enqueue(std::uint64_t v) noexcept {
+      return try_enqueue_bulk(&v, 1) == 1;
+    }
+    bool try_dequeue(std::uint64_t& out) noexcept {
+      return try_dequeue_bulk(&out, 1) == 1;
+    }
+    std::size_t try_enqueue_bulk(const std::uint64_t* vs,
+                                 std::size_t n) noexcept {
+      return q_.enqueue_bulk(vs, n, head_floor_);
+    }
+    std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+      return q_.dequeue_bulk(out, n);
+    }
 
+   private:
+    BasicDistinctQueue& q_;
+    std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
+  };
+
+ private:
   // Enqueue: claim consecutive tickets t0, t0+1, … by the ⊥_round → v
   // cell CAS, then advance tail_ once over the claimed range. Tickets are
   // allocated by the cell CAS, never by the counter, so a lagging tail_
-  // only costs other threads help steps. Each extension step re-checks
-  // the fullness gate with a fresh head read (a stale head is an
-  // underestimate — monotone counter — so the gate can only be
-  // conservatively early, which prefix semantics allow).
-  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                               std::size_t n) noexcept {
+  // only costs other threads help steps. Every claim passes the fullness
+  // gate `t − head < C`, tested on the handle's floor `hf` and reloaded
+  // only when the floor fails (see the header comment): the floor lags
+  // head_, so a pass on it implies a pass on a fresh head.
+  std::size_t enqueue_bulk(const std::uint64_t* vs, std::size_t n,
+                           std::uint64_t& hf) noexcept {
     if (n == 0) return 0;
     assert((vs[0] & kBotBit) == 0 && "values must keep bit 63 clear");
     telemetry::count(telemetry::Counter::k_enq_attempt);
@@ -99,7 +126,7 @@ class BasicDistinctQueue {
       // header comment) — the cell state read below is at least as new as
       // the transitions that produced this tail/head.
       const std::uint64_t t = tail_.load(O::acquire);
-      const std::uint64_t h = head_.load(O::acquire);
+      if (t - hf >= cap_) reload(head_, hf);
       std::uint64_t cur = cells_[t % cap_].load(O::acquire);
       // Confirm ticket t was still current around the cell read (tail_ is
       // monotone, so re-reading t bounds the cell read's round).
@@ -110,8 +137,9 @@ class BasicDistinctQueue {
         // ⊥_round while a dequeuer that vacated it has not yet advanced
         // head. Writing then would land a wrapped value under a head
         // ticket another dequeuer may still serve. (Freshness argument:
-        // h is an acquire read of a monotone counter.)
-        if (t - h >= cap_) return 0;
+        // a failing floor was just reloaded by an acquire read of a
+        // monotone counter.)
+        if (t - hf >= cap_) return 0;
         if (bot_round(cur) == round) {
           if (cells_[t % cap_].compare_exchange_strong(cur, vs[0], O::acq_rel,
                                                        O::relaxed)) {
@@ -124,17 +152,19 @@ class BasicDistinctQueue {
         continue;
       }
       // Cell holds a value: ring full, or ticket t already written.
-      if (t - h >= cap_) return 0;
+      if (t - hf >= cap_) return 0;
       advance(tail_, t, 1);
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
       const std::uint64_t t = t0 + k;
       const std::uint64_t round = t / cap_;
-      // Fresh fullness gate per step — the same hazard as the first
-      // claim's empty-cell gate (a wrapped write under a served ticket).
-      const std::uint64_t h = head_.load(O::acquire);
-      if (t - h >= cap_) break;
+      // Fullness gate per step — the same hazard as the first claim's
+      // empty-cell gate (a wrapped write under a served ticket).
+      if (t - hf >= cap_) {
+        reload(head_, hf);
+        if (t - hf >= cap_) break;
+      }
       std::uint64_t cur = cells_[t % cap_].load(O::acquire);
       if (!is_bot(cur) || bot_round(cur) != round) break;
       // Same release half as the first claim: publishes vs[k] to the
@@ -162,16 +192,15 @@ class BasicDistinctQueue {
   // that gate passed after our confirm, hence after our cell read — so
   // the value we saw was round r's. The cell CAS arbitrates same-round
   // races as usual.
-  std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+  std::size_t dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
-      // Same pairing as the enqueue: acquire counter loads against
+      // Same pairing as the enqueue: acquire counter load against
       // advance()'s release.
       const std::uint64_t h = head_.load(O::acquire);
-      const std::uint64_t t = tail_.load(O::acquire);
       std::uint64_t cur = cells_[h % cap_].load(O::acquire);
       if (h != head_.load(O::acquire)) continue;
       const std::uint64_t round = h / cap_;
@@ -195,9 +224,10 @@ class BasicDistinctQueue {
       }
       // Empty verdict: cell still holds ⊥_round (the acquire cell load is
       // the arbiter — no enqueue of ticket h had completed at that read,
-      // and tickets are served in order) and tail agrees no later element
-      // exists (freshness argument on the monotone counter).
-      if (t <= h) return 0;  // empty
+      // and tickets are served in order) and a tail_ load made after that
+      // read agrees no later element exists (freshness argument on the
+      // monotone counter).
+      if (tail_.load(O::acquire) <= h) return 0;  // empty
       backoff.pause();
     }
     std::size_t k = 1;
@@ -221,33 +251,19 @@ class BasicDistinctQueue {
     return k;
   }
 
-  // Uniform per-thread access point (stateless for this queue).
-  class Handle {
-   public:
-    explicit Handle(BasicDistinctQueue& q) noexcept : q_(q) {}
-    bool try_enqueue(std::uint64_t v) noexcept { return q_.try_enqueue(v); }
-    bool try_dequeue(std::uint64_t& out) noexcept {
-      return q_.try_dequeue(out);
-    }
-    std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                                 std::size_t n) noexcept {
-      return q_.try_enqueue_bulk(vs, n);
-    }
-    std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
-      return q_.try_dequeue_bulk(out, n);
-    }
-
-   private:
-    BasicDistinctQueue& q_;
-  };
-
- private:
   static bool is_bot(std::uint64_t w) noexcept { return (w & kBotBit) != 0; }
   static std::uint64_t bot(std::uint64_t round) noexcept {
     return kBotBit | round;
   }
   static std::uint64_t bot_round(std::uint64_t w) noexcept {
     return w & ~kBotBit;
+  }
+  // Reload a handle's floor of `counter`: the acquire load a gate used to
+  // make on every call, now made only when the floor fails the gate.
+  static void reload(const std::atomic<std::uint64_t>& counter,
+                     std::uint64_t& floor) noexcept {
+    floor = counter.load(O::acquire);
+    telemetry::count(telemetry::Counter::k_floor_reload);
   }
   // Move `counter` to at least seen+k: one helping step (k = 1) or the
   // range a bulk op claimed. Release on success publishes the cell

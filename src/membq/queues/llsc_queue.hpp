@@ -17,6 +17,14 @@
 //   * head_/tail_ load: acquire — pairs with advance()'s release, so a
 //     ticket derived from an advanced counter happens-after the cell
 //     transition that let the counter advance.
+//   * counter floors: each Handle keeps the last value it loaded of the
+//     other role's counter (head_ when enqueuing, tail_ when dequeuing)
+//     and reloads it, with the acquire load above at the same site, only
+//     when the floor fails its gate (`t − floor ≥ C`, `floor ≤ h`). The
+//     counters are monotone, so a floor only lags: a stale floor makes a
+//     gate stricter, never looser, and every full, empty or help-tail
+//     verdict is taken on a fresh load. Floors are handle-local, like the
+//     tickets t and h, not shared memory.
 //   * advance() CAS: release on success (publishes the transition at
 //     ticket `seen`), relaxed on failure (lost the helping race, nothing
 //     observed).
@@ -59,7 +67,27 @@ class BasicLlscQueue {
   // Where the slot array actually landed (policy, hugepage, node).
   topo::Placement placement() const noexcept { return cells_.placement(); }
 
-  bool try_enqueue(std::uint64_t v) noexcept {
+  // The per-thread access point and the only entry point: it carries the
+  // two counter floors (see the header comment).
+  class Handle {
+   public:
+    explicit Handle(BasicLlscQueue& q) noexcept : q_(q) {}
+    bool try_enqueue(std::uint64_t v) noexcept {
+      return q_.enqueue(v, head_floor_);
+    }
+    bool try_dequeue(std::uint64_t& out) noexcept {
+      return q_.dequeue(out, tail_floor_);
+    }
+
+   private:
+    BasicLlscQueue& q_;
+    std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
+    std::uint64_t tail_floor_ = 0;  // a tail_ value this handle loaded
+  };
+
+ private:
+  // `hf`: the handle's head floor, reloaded only when `t − hf ≥ C`.
+  bool enqueue(std::uint64_t v, std::uint64_t& hf) noexcept {
     assert(v != kBot && "kBot is reserved");
     // SC misses surface in llsc_sc_fail (counted inside the cell), so
     // this queue contributes attempts here and retries there.
@@ -68,14 +96,14 @@ class BasicLlscQueue {
     for (;;) {
       // Acquire ticket loads paired with advance()'s release (header).
       const std::uint64_t t = tail_.load(O::acquire);
-      const std::uint64_t h = head_.load(O::acquire);
+      if (t - hf >= cap_) reload(head_, hf);
       const typename BasicLLSCCell<O>::Link link = cells_[t % cap_].ll();
       if (t != tail_.load(O::acquire)) continue;
       if (link.value == kBot) {
         // Same fullness gate as the value branch: ⊥ may mean a vacated
         // cell whose dequeuer has not yet advanced head; writing a
         // wrapped value there would overlap a still-serving head ticket.
-        if (t - h >= cap_) return false;
+        if (t - hf >= cap_) return false;
         // sc publishes v with release; any staleness in `link` (another
         // thread stored since our ll) fails the sc via the stamp.
         if (cells_[t % cap_].sc(link, v)) {
@@ -85,17 +113,18 @@ class BasicLlscQueue {
         backoff.pause();
         continue;
       }
-      if (t - h >= cap_) return false;  // full
-      advance(tail_, t);                // ticket t already written; help
+      if (t - hf >= cap_) return false;  // full
+      advance(tail_, t);                 // ticket t already written; help
     }
   }
 
-  bool try_dequeue(std::uint64_t& out) noexcept {
+  // `tf`: the handle's tail floor, reloaded only when `tf ≤ h`.
+  bool dequeue(std::uint64_t& out, std::uint64_t& tf) noexcept {
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
     for (;;) {
       const std::uint64_t h = head_.load(O::acquire);
-      const std::uint64_t t = tail_.load(O::acquire);
+      if (tf <= h) reload(tail_, tf);
       const typename BasicLLSCCell<O>::Link link = cells_[h % cap_].ll();
       if (h != head_.load(O::acquire)) continue;
       if (link.value != kBot) {
@@ -103,8 +132,8 @@ class BasicLlscQueue {
         // advanced tail. Help it before vacating (see the header): a ⊥
         // under a current ticket lets a second enqueuer fill the cell,
         // a round behind head.
-        if (t <= h) {
-          advance(tail_, t);
+        if (tf <= h) {
+          advance(tail_, tf);
           continue;
         }
         if (cells_[h % cap_].sc(link, kBot)) {
@@ -118,24 +147,11 @@ class BasicLlscQueue {
       // Empty verdict: the acquire ll() saw ⊥ at the head ticket (no
       // enqueue of ticket h had published) and tail agrees (freshness
       // argument on the monotone counter).
-      if (t <= h) return false;  // empty
-      advance(head_, h);         // ticket h already dequeued; help
+      if (tf <= h) return false;  // empty
+      advance(head_, h);          // ticket h already dequeued; help
     }
   }
 
-  class Handle {
-   public:
-    explicit Handle(BasicLlscQueue& q) noexcept : q_(q) {}
-    bool try_enqueue(std::uint64_t v) noexcept { return q_.try_enqueue(v); }
-    bool try_dequeue(std::uint64_t& out) noexcept {
-      return q_.try_dequeue(out);
-    }
-
-   private:
-    BasicLlscQueue& q_;
-  };
-
- private:
   static void advance(std::atomic<std::uint64_t>& counter,
                       std::uint64_t seen) noexcept {
     std::uint64_t expected = seen;
@@ -143,6 +159,13 @@ class BasicLlscQueue {
     // as the L2 ring (see queues/distinct_queue.hpp).
     counter.compare_exchange_strong(expected, seen + 1, O::release,
                                     O::relaxed);
+  }
+  // Reload a handle's floor of `counter`: the acquire load a gate used to
+  // make on every call, now made only when the floor fails the gate.
+  static void reload(const std::atomic<std::uint64_t>& counter,
+                     std::uint64_t& floor) noexcept {
+    floor = counter.load(O::acquire);
+    telemetry::count(telemetry::Counter::k_floor_reload);
   }
 
   const std::size_t cap_;

@@ -39,6 +39,7 @@ namespace telemetry {
                         /* the workload/bulk.hpp fallback counts one    */  \
                         /* per item                                     */  \
   X(cas_fail)           /* failed slot/counter CAS inside a retry loop  */  \
+  X(floor_reload)       /* ring handle reloaded a stale counter floor   */  \
   X(llsc_sc_fail)       /* LL/SC store-conditional (validation) misses  */  \
   X(dcss_help)          /* DCSS descriptors driven by a helper thread   */  \
   X(dcss_owner_resolve) /* DCSS descriptors resolved by their owner     */  \

@@ -36,7 +36,12 @@
 //     every thread interleaving Schedule perturbation with its protocol
 //     steps. Run with a small capacity so the ring wraps constantly
 //     (version reuse, cycle handoff) and with 1p/1c for pure
-//     message-passing litmus.
+//     message-passing litmus. With sleeper_rounds > 0 the last producer
+//     and the last consumer are sleepers: each makes one call, parks
+//     until the others have moved sleeper_rounds × capacity items
+//     through the ring, then resumes with its handle's state as the
+//     first call left it (the ticket rings' counter floors, now that
+//     many rounds stale).
 //
 // Native runs exercise the real hardware orderings; the TSan job runs the
 // same scenarios under the race detector (see .github/workflows/ci.yml).
@@ -163,7 +168,7 @@ class HandoffLedger {
 template <class Q>
 void stress_handoff(const char* site, Q& q, std::size_t producers,
                     std::size_t consumers, std::size_t per_producer,
-                    std::uint64_t seed) {
+                    std::uint64_t seed, std::size_t sleeper_rounds = 0) {
   const std::uint64_t total =
       static_cast<std::uint64_t>(producers) * per_producer;
   HandoffLedger ledger(producers, per_producer, consumers);
@@ -172,12 +177,32 @@ void stress_handoff(const char* site, Q& q, std::size_t producers,
   std::vector<std::thread> threads;
   threads.reserve(producers + consumers);
 
+  // Sleepers wake once the others moved this many items; the others'
+  // quota must cover it, or the sleepers would park forever.
+  std::uint64_t wake_at = 0;
+  if (sleeper_rounds > 0) {
+    ASSERT_GE(producers, 2u) << site;
+    ASSERT_GE(consumers, 2u) << site;
+    wake_at = static_cast<std::uint64_t>(sleeper_rounds) * q.capacity();
+    ASSERT_GE(total - per_producer, wake_at) << site;
+  }
+  const auto park = [&] {
+    while (consumed_total.load(std::memory_order_acquire) < wake_at) {
+      std::this_thread::yield();
+    }
+  };
+
   for (std::size_t p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       typename Q::Handle h(q);
       Schedule sch(seed, p);
       barrier.arrive_and_wait();
-      for (std::uint64_t seq = 0; seq < per_producer; ++seq) {
+      std::uint64_t seq = 0;
+      if (sleeper_rounds > 0 && p + 1 == producers) {
+        if (h.try_enqueue(HandoffLedger::tag(p, 0))) seq = 1;
+        park();
+      }
+      for (; seq < per_producer; ++seq) {
         const std::uint64_t v = HandoffLedger::tag(p, seq);
         while (!h.try_enqueue(v)) sch.step();
         sch.step();
@@ -190,14 +215,20 @@ void stress_handoff(const char* site, Q& q, std::size_t producers,
       Schedule sch(seed, producers + c);
       barrier.arrive_and_wait();
       std::uint64_t out = 0;
-      while (consumed_total.load(std::memory_order_acquire) < total) {
+      const auto take = [&] {
         if (h.try_dequeue(out)) {
           ledger.consumed(c, out);
           consumed_total.fetch_add(1, std::memory_order_acq_rel);
         } else {
           sch.step();
         }
+      };
+      if (sleeper_rounds > 0 && c + 1 == consumers) {
+        take();
+        park();
+        take();  // at least one call on the stale state, even if done
       }
+      while (consumed_total.load(std::memory_order_acquire) < total) take();
     });
   }
   for (auto& t : threads) t.join();

@@ -240,6 +240,40 @@ TEST(LitmusTest, OversubscribedL3L4FillEachTicketOnce) {
   }
 }
 
+// ---- Counter floors: sleeper handles across many wraps -------------------
+
+// A ring handle's copy of the other role's counter (its floor) may be any
+// number of rounds stale. Capacity 2, and one sleeper handle per role
+// (the third producer and the third consumer) makes one call, parks while
+// the others wrap the ring 100 rounds, then resumes. A floor that passed
+// a gate its counter would fail vacates a cell before tail_ passed its
+// ticket (a refilled cell: the ledger reports a duplicate or an inversion)
+// or lands a wrapped write over an unconsumed cell (a lost value: the
+// consumers never reach their quota, a hang that CI's timeout fails).
+// scq loads the other counter fresh on its verdict path: the control.
+TEST(LitmusTest, SleeperHandlesSurviveHundredWraps) {
+  constexpr std::size_t kRounds = 100;
+  for (const std::uint64_t seed : kSeeds) {
+    {
+      membq::DistinctQueue q(2);
+      stress_handoff("L2 sleeper floors", q, 3, 3, 1200, seed, kRounds);
+    }
+    {
+      membq::LlscQueue q(2);
+      stress_handoff("L3 sleeper floors", q, 3, 3, 1200, seed, kRounds);
+    }
+    {
+      membq::DcssQueue q(2, /*max_threads=*/7);
+      stress_handoff("L4 sleeper floors", q, 3, 3, 1200, seed, kRounds);
+    }
+    {
+      membq::ScqRing q(2);
+      stress_handoff("SCQ sleeper verdict loads", q, 3, 3, 1200, seed,
+                     kRounds);
+    }
+  }
+}
+
 // ---- Baselines: SCQ cycle handoff, Vyukov ticket-vs-slot ----------------
 
 // Capacity-2 cycle-tagged ring: state 2r -> 2r+1 -> 2(r+1) handoffs wrap

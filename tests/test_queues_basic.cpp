@@ -1,6 +1,9 @@
 // Single-threaded semantics for every queue: FIFO order, full and empty
 // behavior, and wraparound across many ring rounds.
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,9 @@
 #include "queues/llsc_queue.hpp"
 #include "queues/lockfree_segment_queue.hpp"
 #include "queues/segment_queue.hpp"
+#include "telemetry/counters.hpp"
+#include "workload/bulk.hpp"
+#include "workload/driver.hpp"
 
 namespace {
 
@@ -238,6 +244,122 @@ TEST(QueueBasicTest, SegmentQueueElementBytesTracksSize) {
   membq::SegmentQueue::Handle h(q);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(h.try_enqueue(val(i)));
   EXPECT_EQ(q.element_bytes(), 5 * sizeof(std::uint64_t));
+}
+
+// Counter floors: a ring handle keeps the last value it loaded of the
+// other role's counter and reloads it only when the floor fails a gate.
+// One thread drives two handles of one ring, switching between them at
+// random and leaving one idle for up to 4000 calls, so the idle handle's
+// floors fall far behind the counters. Every verdict must still match a
+// std::deque model exactly: full exactly at size C, empty exactly at 0,
+// values in FIFO order, a bulk call's accepted count exactly the room
+// (or the size). A stale floor may cost a reload, never a verdict.
+template <class Q>
+void check_stale_floors(Q& q, std::size_t cap) {
+  using membq::workload::detail::xorshift64;
+  SCOPED_TRACE(std::string(Q::kName) + " C=" + std::to_string(cap));
+  typename Q::Handle a(q), b(q);
+  typename Q::Handle* const handles[] = {&a, &b};
+  std::deque<std::uint64_t> model;
+  std::uint64_t rng = 0x5eed0000 + cap;
+  std::uint64_t next = 1;
+  std::vector<std::uint64_t> buf(5);
+  for (std::size_t calls = 0; calls < 60000;) {
+    auto& h = *handles[xorshift64(rng) & 1];
+    const std::size_t run = 1 + xorshift64(rng) % 4000;
+    // Enqueue share of this run: 1/8, 4/8 or 7/8, so runs reach both ends.
+    const std::uint64_t enq_eighths = 1 + 3 * (xorshift64(rng) % 3);
+    for (std::size_t i = 0; i < run; ++i, ++calls) {
+      const std::uint64_t r = xorshift64(rng);
+      const bool enq = (r & 7) < enq_eighths;
+      // Half the calls take one item; the rest up to five, through the
+      // native bulk body where the ring has one (its continuation steps
+      // test the same floor).
+      const std::size_t n = (r >> 3) % 2 == 0 ? 1 : 1 + (r >> 4) % buf.size();
+      if (enq) {
+        for (std::size_t j = 0; j < n; ++j) buf[j] = next + j;
+        const std::size_t room = cap - model.size();
+        const std::size_t got = membq::workload::enqueue_bulk(h, buf.data(), n);
+        ASSERT_EQ(got, std::min(n, room))
+            << "enqueue of " << n << " at size " << model.size();
+        for (std::size_t j = 0; j < got; ++j) model.push_back(next++);
+      } else {
+        const std::size_t got = membq::workload::dequeue_bulk(h, buf.data(), n);
+        ASSERT_EQ(got, std::min(n, model.size()))
+            << "dequeue of " << n << " at size " << model.size();
+        for (std::size_t j = 0; j < got; ++j) {
+          ASSERT_EQ(buf[j], model.front()) << "FIFO order";
+          model.pop_front();
+        }
+      }
+    }
+  }
+}
+
+TEST(QueueFloorTest, StaleFloorsKeepExactVerdicts) {
+  for (const std::size_t cap : {1, 2, 3, 8, 64}) {
+    {
+      membq::DistinctQueue q(cap);
+      check_stale_floors(q, cap);
+    }
+    {
+      membq::LlscQueue q(cap);
+      check_stale_floors(q, cap);
+    }
+    {
+      membq::DcssQueue q(cap, 2);
+      check_stale_floors(q, cap);
+    }
+    {
+      membq::ScqRing q(cap);
+      check_stale_floors(q, cap);
+    }
+  }
+}
+
+// floor_reload counts reloads of a stale floor. One handle alternating
+// enqueue and dequeue on a half-full ring reloads its head floor about
+// once per C/2 enqueues and its tail floor about once per C/2 dequeues,
+// so reloads stay far under 1% of calls; on every call before floors
+// there was one load of the other role's counter.
+template <class Q>
+void check_floor_reloads_rare(Q& q) {
+  SCOPED_TRACE(Q::kName);
+  constexpr std::size_t kCalls = 100000;
+  typename Q::Handle h(q);
+  std::uint64_t next = 1;
+  for (std::size_t i = 0; i < q.capacity() / 2; ++i) {
+    ASSERT_TRUE(h.try_enqueue(next++));
+  }
+  const auto before = membq::telemetry::snapshot();
+  std::uint64_t out = 0;
+  for (std::size_t i = 0; i < kCalls / 2; ++i) {
+    ASSERT_TRUE(h.try_enqueue(next++));
+    ASSERT_TRUE(h.try_dequeue(out));
+  }
+  const std::uint64_t reloads = membq::telemetry::snapshot().delta_since(
+      before)[membq::telemetry::Counter::k_floor_reload];
+  EXPECT_GT(reloads, 0u) << "the counter must see the floors' reloads";
+  EXPECT_LT(reloads * 100, kCalls) << reloads << " reloads";
+}
+
+TEST(QueueFloorTest, FloorReloadsStayUnderOnePercentOfCalls) {
+  if (!membq::telemetry::enabled()) {
+    GTEST_SKIP() << "telemetry compiled out (MEMBQ_TELEMETRY=OFF)";
+  }
+  constexpr std::size_t kCap = 4096;
+  {
+    membq::DistinctQueue q(kCap);
+    check_floor_reloads_rare(q);
+  }
+  {
+    membq::LlscQueue q(kCap);
+    check_floor_reloads_rare(q);
+  }
+  {
+    membq::DcssQueue q(kCap, 2);
+    check_floor_reloads_rare(q);
+  }
 }
 
 }  // namespace
