@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
     const std::size_t kBatch = harness.batch(8);
     const char* kBulkRows[] = {
         membq::VyukovQueue::kName,  membq::ScqRing::kName,
-        membq::DistinctQueue::kName,
-        membq::EbrSegmentQueue::kName,
+        membq::DistinctQueue::kName, membq::LlscQueue::kName,
+        membq::DcssQueue::kName,    membq::EbrSegmentQueue::kName,
         "sharded(vyukov,4)",
     };
     RunConfig cfg;

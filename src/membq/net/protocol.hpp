@@ -10,10 +10,11 @@
 // All integers little-endian. Ops: ENQ(1) carries `count` values to
 // enqueue; DEQ(2) asks for up to `count` values (request carries none,
 // response carries the delivered ones); PING(3) is an empty round trip;
-// STAT(4) returns the server's counter vector as values. Requests always
-// carry status 0; responses answer OK(0) or WOULD_BLOCK(1) — the bounded
-// queue's full/empty verdict made visible — or BAD_FRAME(2) right before
-// the server closes a connection that broke the framing rules.
+// STAT(4) returns the server's counter vector as values. ENQ values keep
+// bits 62/63 clear (kReservedValueBits). Requests always carry status 0;
+// responses answer OK(0) or WOULD_BLOCK(1) — the bounded queue's
+// full/empty verdict made visible — or BAD_FRAME(2) right before the
+// server closes a connection that broke the framing rules.
 //
 // `count` is authoritative, `status` is the backpressure signal: an ENQ
 // response's count says how many values of the batch were accepted (a
@@ -57,6 +58,13 @@ constexpr std::size_t kHeaderBytes = 4;
 constexpr std::size_t kPayloadFixedBytes = 4;  // op + status + count
 constexpr std::size_t kMaxBatch = 4096;
 constexpr std::size_t kMaxPayload = kPayloadFixedBytes + 8 * kMaxBatch;
+
+// Bits 62 and 63 of a queued value are reserved for the rings' own cell
+// encodings (L2's versioned ⊥, L3's all-ones ⊥, L4's ⊥ and DCSS marker).
+// An ENQ request carrying a value with either bit set is a framing
+// violation: the rings only assert the contract, and a release build
+// would store such a value and lose it or wedge the ring.
+constexpr std::uint64_t kReservedValueBits = std::uint64_t{3} << 62;
 
 struct Frame {
   Op op = Op::kPing;
@@ -200,6 +208,11 @@ class FrameParser {
         case Op::kEnq:
           if (count == 0) return fail("zero-length ENQ batch");
           if (nvalues != count) return fail("ENQ request missing its values");
+          for (std::size_t i = 0; i < nvalues; ++i) {
+            if ((detail::get_u64(p + 8 + 8 * i) & kReservedValueBits) != 0) {
+              return fail("ENQ value uses reserved bits 62/63");
+            }
+          }
           break;
         case Op::kDeq:
           if (count == 0) return fail("zero-length DEQ batch");

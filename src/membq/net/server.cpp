@@ -30,6 +30,23 @@ constexpr std::size_t kOutHighWater = 256 * 1024;
 // and after a forced stop every fd no owner met is still reported ready.
 constexpr std::uint32_t kArmedAtAccept = EPOLLIN | EPOLLOUT;
 
+// Runs `op(done, remaining)`, a bulk queue op on the rest of a batch,
+// until the batch is done or a call moves nothing. A ring's bulk op may
+// stop short where another thread holds the next cell, but its first
+// claim returns 0 only on a full or empty verdict. So a short total means
+// the queue was full (ENQ) or empty (DEQ), and WOULD_BLOCK keeps meaning
+// that on every ring.
+template <class BulkOp>
+std::uint16_t whole_batch(std::uint16_t n, BulkOp op) {
+  std::size_t done = 0;
+  while (done < n) {
+    const std::size_t k = op(done, n - done);
+    if (k == 0) break;
+    done += k;
+  }
+  return static_cast<std::uint16_t>(done);
+}
+
 bool epoll_set(int epfd, int op, int fd, std::uint32_t events) {
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
@@ -349,11 +366,14 @@ void Server::execute(const Frame& f, Conn& c, workload::DynQueue::Handle& h) {
     case Op::kEnq: {
       telemetry::count(telemetry::Counter::k_net_batch_items, f.count);
       // Bulk path: the whole frame is offered to the ledger, handed to
-      // the queue as ONE bulk enqueue (the amortization the wire batch
-      // was designed for), and the refused suffix retracted.
+      // the queue as bulk enqueues (the amortization the wire batch was
+      // designed for; one call unless a ring cuts the batch), and the
+      // refused suffix retracted.
       for (std::uint16_t i = 0; i < f.count; ++i) ledger_offer(f.values[i]);
-      const std::uint16_t accepted = static_cast<std::uint16_t>(
-          h.try_enqueue_bulk(f.values.data(), f.count));
+      const std::uint16_t accepted =
+          whole_batch(f.count, [&](std::size_t i, std::size_t m) {
+            return h.try_enqueue_bulk(f.values.data() + i, m);
+          });
       for (std::uint16_t i = accepted; i < f.count; ++i) {
         ledger_retract(f.values[i]);
       }
@@ -370,9 +390,11 @@ void Server::execute(const Frame& f, Conn& c, workload::DynQueue::Handle& h) {
     case Op::kDeq: {
       telemetry::count(telemetry::Counter::k_net_batch_items, f.count);
       std::uint64_t vals[kMaxBatch];
-      // Bulk path: one bulk dequeue fills the response.
+      // Bulk path: bulk dequeues fill the response.
       const std::uint16_t got =
-          static_cast<std::uint16_t>(h.try_dequeue_bulk(vals, f.count));
+          whole_batch(f.count, [&](std::size_t i, std::size_t m) {
+            return h.try_dequeue_bulk(vals + i, m);
+          });
       // Delivery window (docs/server.md): each value is ledger_delivered
       // HERE, before the response frame is flushed — a connection that
       // dies in between loses it client-side.

@@ -10,6 +10,24 @@
 // passed h (it helps tail first); the enqueue DCSS's tail comparand then
 // rejects any second enqueuer holding ticket h.
 //
+// Bulk ops have L2's shape: the first claim is the whole scalar protocol,
+// further cells t0+1, t0+2, … are claimed one at a time under the same
+// gates and floors, and the counter then advances once, to at least
+// t0+k. A scalar op is a bulk op of one. A claim past the first cannot
+// use its ticket as the comparand: our own unadvanced claim holds the
+// counter back, anywhere in [t0, t]. So it takes a fresh counter load
+// made after the cell read, checks it, and passes it as the comparand:
+//   * enqueue: τ = tail_ ≤ t, then DCSS(⊥ → v, tail_ == τ). The ⊥ names
+//     no round: had ticket t been written and served while our claim sat
+//     unadvanced, the ⊥ would be ready for t+C. Serving t needs tail_ > t
+//     first, and tail_ == τ ≤ t at the DCSS's linearization point.
+//   * dequeue: vacate ticket h only once tail_ > h (the rule above), then
+//     η = head_ ≤ h and DCSS(v → ⊥, head_ == η): L2's wrap bracket, and
+//     it also rejects a round-(r+1) re-enqueue of an equal value, since
+//     that enqueue must first see head_ > h.
+// Each claim past the first is one attempt, as in L2 and L3: a failed
+// check or DCSS cuts the batch.
+//
 // Memory orders (policy `O`, default RingOrders): the cell transitions go
 // through BasicDcssDomain<O> — read() is an acquire of the cell, dcss()
 // resolves with a release, and the decision reads the counter inside the
@@ -24,8 +42,13 @@
 //     empty or help-tail verdict is taken on a fresh load. Floors are
 //     handle-local state, not shared memory: the Θ(T) is still the
 //     descriptor pool alone.
-//   * advance() CAS: release on success, relaxed on failure (helping
-//     race lost, nothing observed).
+//   * advance() CAS loop: release on success, relaxed on failure
+//     (helping race lost, nothing observed); it moves the counter to at
+//     least seen+k.
+//   * continuation comparands (above): τ and η are acquire loads made
+//     after the domain read of the cell. The DCSS compares the counter
+//     again inside its marker window, so a claim lands only if the
+//     counter still holds the checked value at its linearization point.
 //   * full/empty verdicts rely on counter/cell freshness beyond the
 //     pairings (per-location coherence; see sync/memory_order.hpp). The
 //     stale-ticket protection itself does NOT: that is the DCSS second
@@ -71,12 +94,27 @@ class BasicDcssQueue {
    public:
     explicit Handle(BasicDcssQueue& q) : q_(q), th_(q.domain_) {}
 
+    // Scalar ops are bulk(n=1): each direction has exactly one body.
     bool try_enqueue(std::uint64_t v) noexcept {
-      assert(v < kBot && "values must stay below the reserved range");
+      return try_enqueue_bulk(&v, 1) == 1;
+    }
+    bool try_dequeue(std::uint64_t& out) noexcept {
+      return try_dequeue_bulk(&out, 1) == 1;
+    }
+
+    // Enqueue: claim tickets t0, t0+1, … by ⊥ → v DCSSes, then advance
+    // tail_ once over the claimed range. Inlined, so that at a scalar call
+    // site (n = 1) the continuation folds away and the first claim is the
+    // whole op.
+    [[gnu::always_inline]] std::size_t try_enqueue_bulk(
+        const std::uint64_t* vs, std::size_t n) noexcept {
+      if (n == 0) return 0;
+      assert(vs[0] < kBot && "values must stay below the reserved range");
       telemetry::count(telemetry::Counter::k_enq_attempt);
       Backoff backoff;
       BasicDcssQueue& q = q_;
-      for (;;) {
+      std::uint64_t t0;
+      for (;;) {  // first item: the whole protocol at n=1
         // Acquire ticket loads paired with advance()'s release (header).
         const std::uint64_t t = q.tail_.load(O::acquire);
         if (t - head_floor_ >= q.cap_) reload(q.head_, head_floor_);
@@ -86,25 +124,52 @@ class BasicDcssQueue {
           // Fullness gate on the empty-cell path: ⊥ may mean a vacated
           // cell whose dequeuer has not yet advanced head (the DCSS only
           // guards tail, not head).
-          if (t - head_floor_ >= q.cap_) return false;
-          if (th_.dcss(&q.cells_[t % q.cap_], kBot, v, &q.tail_, t)) {
-            advance(q.tail_, t);
-            return true;
+          if (t - head_floor_ >= q.cap_) return 0;
+          if (th_.dcss(&q.cells_[t % q.cap_], kBot, vs[0], &q.tail_, t)) {
+            t0 = t;
+            break;
           }
           telemetry::count(telemetry::Counter::k_cas_fail);
           backoff.pause();
           continue;
         }
-        if (t - head_floor_ >= q.cap_) return false;  // full
-        advance(q.tail_, t);  // ticket t already written; help
+        if (t - head_floor_ >= q.cap_) return 0;  // full
+        advance(q.tail_, t, 1);  // ticket t already written; help
       }
+      std::size_t k = 1;
+      while (k < n && k < q.cap_) {
+        const std::uint64_t t = t0 + k;
+        if (t - head_floor_ >= q.cap_) {
+          reload(q.head_, head_floor_);
+          if (t - head_floor_ >= q.cap_) break;  // full
+        }
+        std::atomic<std::uint64_t>* cell = &q.cells_[t % q.cap_];
+        if (q.domain_.read(cell) != kBot) break;  // ticket t taken
+        // Round check (see the header): τ ≤ t after the cell read, and
+        // the DCSS lands only while tail_ still holds τ.
+        const std::uint64_t tau = q.tail_.load(O::acquire);
+        if (tau > t) break;  // ticket t may be written and served
+        assert(vs[k] < kBot && "values must stay below the reserved range");
+        if (!th_.dcss(cell, kBot, vs[k], &q.tail_, tau)) {
+          telemetry::count(telemetry::Counter::k_cas_fail);
+          break;
+        }
+        ++k;
+      }
+      advance(q.tail_, t0, k);
+      return k;
     }
 
-    bool try_dequeue(std::uint64_t& out) noexcept {
+    // Dequeue mirror, with the tail rule and the wrap bracket of a claim
+    // past the first (see the header).
+    [[gnu::always_inline]] std::size_t try_dequeue_bulk(
+        std::uint64_t* out, std::size_t n) noexcept {
+      if (n == 0) return 0;
       telemetry::count(telemetry::Counter::k_deq_attempt);
       Backoff backoff;
       BasicDcssQueue& q = q_;
-      for (;;) {
+      std::uint64_t h0;
+      for (;;) {  // first item: the whole protocol at n=1
         const std::uint64_t h = q.head_.load(O::acquire);
         if (tail_floor_ <= h) reload(q.tail_, tail_floor_);
         const std::uint64_t cur = q.domain_.read(&q.cells_[h % q.cap_]);
@@ -115,13 +180,13 @@ class BasicDcssQueue {
           // under a current ticket passes a second enqueuer's tail
           // comparand.
           if (tail_floor_ <= h) {
-            advance(q.tail_, tail_floor_);
+            advance(q.tail_, tail_floor_, 1);
             continue;
           }
           if (th_.dcss(&q.cells_[h % q.cap_], cur, kBot, &q.head_, h)) {
-            advance(q.head_, h);
-            out = cur;
-            return true;
+            out[0] = cur;
+            h0 = h;
+            break;
           }
           telemetry::count(telemetry::Counter::k_cas_fail);
           backoff.pause();
@@ -129,9 +194,33 @@ class BasicDcssQueue {
         }
         // Empty verdict: the domain read (acquire) saw ⊥ at the head
         // ticket and tail agrees (freshness argument).
-        if (tail_floor_ <= h) return false;  // empty
-        advance(q.head_, h);                 // ticket h already dequeued; help
+        if (tail_floor_ <= h) return 0;  // empty
+        advance(q.head_, h, 1);          // ticket h already dequeued; help
       }
+      std::size_t k = 1;
+      while (k < n && k < q.cap_) {
+        const std::uint64_t h = h0 + k;
+        if (tail_floor_ <= h) {
+          reload(q.tail_, tail_floor_);
+          // Empty, or ticket h's tail not yet advanced.
+          if (tail_floor_ <= h) break;
+        }
+        std::atomic<std::uint64_t>* cell = &q.cells_[h % q.cap_];
+        const std::uint64_t cur = q.domain_.read(cell);
+        if (cur == kBot) break;  // another dequeuer took ticket h
+        // Wrap bracket: η ≤ h after the cell read, or cur may be a
+        // round-(r+1) value; the DCSS lands only while head_ holds η.
+        const std::uint64_t eta = q.head_.load(O::acquire);
+        if (eta > h) break;
+        if (!th_.dcss(cell, cur, kBot, &q.head_, eta)) {
+          telemetry::count(telemetry::Counter::k_cas_fail);
+          break;
+        }
+        out[k] = cur;
+        ++k;
+      }
+      advance(q.head_, h0, k);
+      return k;
     }
 
    private:
@@ -144,15 +233,19 @@ class BasicDcssQueue {
  private:
   friend class Handle;
 
-  static void advance(std::atomic<std::uint64_t>& counter,
-                      std::uint64_t seen) noexcept {
-    std::uint64_t expected = seen;
-    // Release on success / relaxed on failure; same helping-CAS contract
-    // as the L2 ring. NOTE: the DCSS decision load of this counter reads
-    // it through O::acquire inside the marker window; the release here
-    // is what the window observes.
-    counter.compare_exchange_strong(expected, seen + 1, O::release,
-                                    O::relaxed);
+  // Move `counter` to at least seen+k: one helping step (k = 1) or the
+  // range a bulk op claimed. Release on success / relaxed on failure;
+  // the same loop and contract as the L2 ring's advance() (see
+  // queues/distinct_queue.hpp for why a one-shot CAS strands the
+  // counter). NOTE: the DCSS decision load of this counter reads it
+  // through O::acquire inside the marker window; the release here is
+  // what the window observes.
+  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
+                      std::uint64_t k) noexcept {
+    std::uint64_t cur = seen;
+    while (cur < seen + k && !counter.compare_exchange_weak(
+                                 cur, seen + k, O::release, O::relaxed)) {
+    }
   }
   // Reload a handle's floor of `counter`: the acquire load a gate used to
   // make on every call, now made only when the floor fails the gate.

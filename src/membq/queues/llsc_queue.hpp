@@ -10,6 +10,26 @@
 // h (it helps tail first); otherwise a second enqueuer holding ticket h
 // could fill the cell again.
 //
+// Bulk ops have L2's shape: the first claim is the whole scalar protocol,
+// further cells t0+1, t0+2, … are claimed one at a time under the same
+// gates and floors, and the counter then advances once, to at least
+// t0+k. A scalar op is a bulk op of one. A claim past the first cannot
+// confirm its ticket against the counter, which our own unadvanced
+// claim holds back, and ⊥ names no round. So it needs two checks that
+// L2's round-versioned ⊥ makes unnecessary:
+//   * enqueue takes a ⊥ cell at ticket t only if a tail_ load made after
+//     the ll() is still ≤ t. While our claim sat unadvanced, helpers may
+//     have stepped tail_ to t, and another enqueuer may have written
+//     ticket t, which a dequeuer then served. That ⊥ is ready for t+C;
+//     writing it would land our value a round ahead. Serving t needs
+//     tail_ > t first, so tail_ ≤ t after the ll() rules that out.
+//   * dequeue vacates ticket h only once tail_ > h (the rule above, the
+//     floor reloaded once) and only if a head_ load made after the ll()
+//     is ≤ h: L2's wrap bracket, since a round-(r+1) enqueue of the cell
+//     must first see head_ > h.
+// The batch is cut only when another thread holds the next cell or a
+// gate says full or empty.
+//
 // Memory orders (policy `O`, default RingOrders): the cell transitions
 // are ll()/sc() on BasicLLSCCell<O> — acquire link loads against acq_rel
 // publishing sc()s, annotated in sync/llsc.hpp. The positioning counters
@@ -25,9 +45,12 @@
 //     gate stricter, never looser, and every full, empty or help-tail
 //     verdict is taken on a fresh load. Floors are handle-local, like the
 //     tickets t and h, not shared memory.
-//   * advance() CAS: release on success (publishes the transition at
-//     ticket `seen`), relaxed on failure (lost the helping race, nothing
-//     observed).
+//   * advance() CAS loop: release on success (publishes the transitions
+//     below the new counter value), relaxed on failure (lost the helping
+//     race, nothing observed). It moves the counter to at least seen+k.
+//   * continuation checks (above): the tail_ load after an enqueue's ll()
+//     and the head_ load after a dequeue's ll() are acquire loads, each
+//     made after the cell read it judges.
 //   * the full/empty verdicts rely on counter/cell freshness beyond the
 //     pairings (per-location coherence); see sync/memory_order.hpp and
 //     the litmus suite.
@@ -72,11 +95,20 @@ class BasicLlscQueue {
   class Handle {
    public:
     explicit Handle(BasicLlscQueue& q) noexcept : q_(q) {}
+    // Scalar ops are bulk(n=1): each direction has exactly one body.
     bool try_enqueue(std::uint64_t v) noexcept {
-      return q_.enqueue(v, head_floor_);
+      return try_enqueue_bulk(&v, 1) == 1;
     }
     bool try_dequeue(std::uint64_t& out) noexcept {
-      return q_.dequeue(out, tail_floor_);
+      return try_dequeue_bulk(&out, 1) == 1;
+    }
+    [[gnu::always_inline]] std::size_t try_enqueue_bulk(
+        const std::uint64_t* vs, std::size_t n) noexcept {
+      return q_.enqueue_bulk(vs, n, head_floor_);
+    }
+    [[gnu::always_inline]] std::size_t try_dequeue_bulk(
+        std::uint64_t* out, std::size_t n) noexcept {
+      return q_.dequeue_bulk(out, n, tail_floor_);
     }
 
    private:
@@ -86,14 +118,22 @@ class BasicLlscQueue {
   };
 
  private:
-  // `hf`: the handle's head floor, reloaded only when `t − hf ≥ C`.
-  bool enqueue(std::uint64_t v, std::uint64_t& hf) noexcept {
-    assert(v != kBot && "kBot is reserved");
+  // Enqueue: claim tickets t0, t0+1, … by ⊥ → v store-conditionals, then
+  // advance tail_ once over the claimed range. `hf`: the handle's head
+  // floor, reloaded only when `t − hf ≥ C`. Inlined, so that at a scalar
+  // call site (n = 1) the continuation folds away and the first claim is
+  // the whole op.
+  [[gnu::always_inline]] std::size_t enqueue_bulk(const std::uint64_t* vs,
+                                                  std::size_t n,
+                                                  std::uint64_t& hf) noexcept {
+    if (n == 0) return 0;
+    assert(vs[0] != kBot && "kBot is reserved");
     // SC misses surface in llsc_sc_fail (counted inside the cell), so
     // this queue contributes attempts here and retries there.
     telemetry::count(telemetry::Counter::k_enq_attempt);
     Backoff backoff;
-    for (;;) {
+    std::uint64_t t0;
+    for (;;) {  // first item: the whole protocol at n=1
       // Acquire ticket loads paired with advance()'s release (header).
       const std::uint64_t t = tail_.load(O::acquire);
       if (t - hf >= cap_) reload(head_, hf);
@@ -103,26 +143,50 @@ class BasicLlscQueue {
         // Same fullness gate as the value branch: ⊥ may mean a vacated
         // cell whose dequeuer has not yet advanced head; writing a
         // wrapped value there would overlap a still-serving head ticket.
-        if (t - hf >= cap_) return false;
+        if (t - hf >= cap_) return 0;
         // sc publishes v with release; any staleness in `link` (another
         // thread stored since our ll) fails the sc via the stamp.
-        if (cells_[t % cap_].sc(link, v)) {
-          advance(tail_, t);
-          return true;
+        if (cells_[t % cap_].sc(link, vs[0])) {
+          t0 = t;
+          break;
         }
         backoff.pause();
         continue;
       }
-      if (t - hf >= cap_) return false;  // full
-      advance(tail_, t);                 // ticket t already written; help
+      if (t - hf >= cap_) return 0;  // full
+      advance(tail_, t, 1);          // ticket t already written; help
     }
+    std::size_t k = 1;
+    while (k < n && k < cap_) {
+      assert(vs[k] != kBot && "kBot is reserved");
+      const std::uint64_t t = t0 + k;
+      if (t - hf >= cap_) {
+        reload(head_, hf);
+        if (t - hf >= cap_) break;  // full
+      }
+      const typename BasicLLSCCell<O>::Link link = cells_[t % cap_].ll();
+      if (link.value != kBot) break;  // another enqueuer holds ticket t
+      // Round check (see the header): a ⊥ read while tail_ ≤ t is
+      // ticket t's, not the vacancy of a ticket t already served.
+      if (tail_.load(O::acquire) > t) break;
+      if (!cells_[t % cap_].sc(link, vs[k])) break;
+      ++k;
+    }
+    advance(tail_, t0, k);
+    return k;
   }
 
-  // `tf`: the handle's tail floor, reloaded only when `tf ≤ h`.
-  bool dequeue(std::uint64_t& out, std::uint64_t& tf) noexcept {
+  // Dequeue mirror. `tf`: the handle's tail floor, reloaded only when
+  // `tf ≤ h`. A claim past the first keeps the tail rule and adds L2's
+  // wrap bracket (see the header).
+  [[gnu::always_inline]] std::size_t dequeue_bulk(std::uint64_t* out,
+                                                  std::size_t n,
+                                                  std::uint64_t& tf) noexcept {
+    if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
-    for (;;) {
+    std::uint64_t h0;
+    for (;;) {  // first item: the whole protocol at n=1
       const std::uint64_t h = head_.load(O::acquire);
       if (tf <= h) reload(tail_, tf);
       const typename BasicLLSCCell<O>::Link link = cells_[h % cap_].ll();
@@ -133,13 +197,13 @@ class BasicLlscQueue {
         // under a current ticket lets a second enqueuer fill the cell,
         // a round behind head.
         if (tf <= h) {
-          advance(tail_, tf);
+          advance(tail_, tf, 1);
           continue;
         }
         if (cells_[h % cap_].sc(link, kBot)) {
-          advance(head_, h);
-          out = link.value;
-          return true;
+          out[0] = link.value;
+          h0 = h;
+          break;
         }
         backoff.pause();
         continue;
@@ -147,18 +211,38 @@ class BasicLlscQueue {
       // Empty verdict: the acquire ll() saw ⊥ at the head ticket (no
       // enqueue of ticket h had published) and tail agrees (freshness
       // argument on the monotone counter).
-      if (tf <= h) return false;  // empty
-      advance(head_, h);          // ticket h already dequeued; help
+      if (tf <= h) return 0;  // empty
+      advance(head_, h, 1);   // ticket h already dequeued; help
     }
+    std::size_t k = 1;
+    while (k < n && k < cap_) {
+      const std::uint64_t h = h0 + k;
+      if (tf <= h) {
+        reload(tail_, tf);
+        if (tf <= h) break;  // empty, or ticket h's tail not yet advanced
+      }
+      const typename BasicLLSCCell<O>::Link link = cells_[h % cap_].ll();
+      if (link.value == kBot) break;  // another dequeuer took ticket h
+      if (head_.load(O::acquire) > h) break;  // wrap bracket (above)
+      if (!cells_[h % cap_].sc(link, kBot)) break;
+      out[k] = link.value;
+      ++k;
+    }
+    advance(head_, h0, k);
+    return k;
   }
 
-  static void advance(std::atomic<std::uint64_t>& counter,
-                      std::uint64_t seen) noexcept {
-    std::uint64_t expected = seen;
-    // Release on success / relaxed on failure; same helping-CAS contract
-    // as the L2 ring (see queues/distinct_queue.hpp).
-    counter.compare_exchange_strong(expected, seen + 1, O::release,
-                                    O::relaxed);
+  // Move `counter` to at least seen+k: one helping step (k = 1) or the
+  // range a bulk op claimed. Release on success / relaxed on failure;
+  // the same loop and contract as the L2 ring's advance() (see
+  // queues/distinct_queue.hpp for why a one-shot CAS strands the
+  // counter).
+  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
+                      std::uint64_t k) noexcept {
+    std::uint64_t cur = seen;
+    while (cur < seen + k && !counter.compare_exchange_weak(
+                                 cur, seen + k, O::release, O::relaxed)) {
+    }
   }
   // Reload a handle's floor of `counter`: the acquire load a gate used to
   // make on every call, now made only when the floor fails the gate.

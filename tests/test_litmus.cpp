@@ -342,6 +342,23 @@ TEST(LitmusTest, BulkWrapAcrossReservedRange) {
     membq::litmus::stress_handoff_bulk("L2 bulk wrap bracket", q, 4, 4, 1200,
                                        /*pbatch=*/3, /*cbatch=*/3, seed);
   }
+  for (const std::uint64_t seed : kSeeds) {
+    // L3's ⊥ carries no round: a claim past the first takes a ⊥ cell
+    // only while tail_ ≤ t, and vacates a value only once tail_ > h and
+    // while head_ ≤ h.
+    membq::LlscQueue q(4);
+    membq::litmus::stress_handoff_bulk("L3 bulk wrap tail/head checks", q, 4,
+                                       4, 1200, /*pbatch=*/3, /*cbatch=*/3,
+                                       seed);
+  }
+  for (const std::uint64_t seed : kSeeds) {
+    // L4: the same checks, with the fresh tail_/head_ load as the DCSS
+    // comparand of every claim past the first.
+    membq::DcssQueue q(4, /*max_threads=*/9);
+    membq::litmus::stress_handoff_bulk("L4 bulk wrap DCSS comparands", q, 4,
+                                       4, 1200, /*pbatch=*/3, /*cbatch=*/3,
+                                       seed);
+  }
 }
 
 // Both memory-order policies pinned, mirroring the scalar pinning tests:
@@ -369,6 +386,52 @@ TEST(LitmusTest, BulkPolicyPinnedHandoff) {
     membq::litmus::stress_handoff_bulk("pinned seq-cst distinct bulk", q, 4,
                                        4, 800, /*pbatch=*/3, /*cbatch=*/3,
                                        kSeeds[0]);
+  }
+  {
+    membq::BasicLlscQueue<membq::RelaxedOrders> q(4);
+    membq::litmus::stress_handoff_bulk("pinned acq-rel llsc bulk", q, 4, 4,
+                                       800, /*pbatch=*/3, /*cbatch=*/3,
+                                       kSeeds[0]);
+  }
+  {
+    membq::BasicLlscQueue<membq::SeqCstOrders> q(4);
+    membq::litmus::stress_handoff_bulk("pinned seq-cst llsc bulk", q, 4, 4,
+                                       800, /*pbatch=*/3, /*cbatch=*/3,
+                                       kSeeds[0]);
+  }
+  {
+    membq::BasicDcssQueue<membq::RelaxedOrders> q(4, /*max_threads=*/9);
+    membq::litmus::stress_handoff_bulk("pinned acq-rel dcss bulk", q, 4, 4,
+                                       800, /*pbatch=*/3, /*cbatch=*/3,
+                                       kSeeds[0]);
+  }
+  {
+    membq::BasicDcssQueue<membq::SeqCstOrders> q(4, /*max_threads=*/9);
+    membq::litmus::stress_handoff_bulk("pinned seq-cst dcss bulk", q, 4, 4,
+                                       800, /*pbatch=*/3, /*cbatch=*/3,
+                                       kSeeds[0]);
+  }
+}
+
+// Claims past the first cell of an L3/L4 bulk op, oversubscribed: 16
+// threads on a 2-slot ring with batches of 2. A batch preempted between
+// its first claim and the next cell's read gives the others time to serve
+// that ticket and refill its cell a round later (the dequeue's head
+// bracket), or to write and serve it (the enqueue's tail check). Taking
+// such a cell delivers a value a round early: the ledger reports a FIFO
+// inversion or a duplicate.
+TEST(LitmusTest, BulkOversubscribedL3L4Continuations) {
+  for (const std::uint64_t seed : kSeeds) {
+    membq::LlscQueue q(2);
+    membq::litmus::stress_handoff_bulk("oversubscribed L3 bulk", q, 8, 8,
+                                       1200, /*pbatch=*/2, /*cbatch=*/2,
+                                       seed);
+  }
+  for (const std::uint64_t seed : kSeeds) {
+    membq::DcssQueue q(2, /*max_threads=*/17);
+    membq::litmus::stress_handoff_bulk("oversubscribed L4 bulk", q, 8, 8,
+                                       1200, /*pbatch=*/2, /*cbatch=*/2,
+                                       seed);
   }
 }
 

@@ -269,6 +269,37 @@ TEST(NetProtocolTest, CountAboveMaxBatchRejected) {
   EXPECT_STREQ(p.error(), "count above kMaxBatch");
 }
 
+TEST(NetProtocolTest, EnqValueWithReservedBitsRejected) {
+  // The largest legal value parses; bit 62, bit 63 or both are refused,
+  // wherever in the batch the value sits.
+  const std::uint64_t top_legal = (std::uint64_t{1} << 62) - 1;
+  {
+    const Bytes b = enq_request({1, top_legal});
+    FrameParser p(Dir::kRequest);
+    p.feed(b.data(), b.size());
+    Frame f;
+    ASSERT_EQ(p.next(f), Result::kFrame);
+    EXPECT_EQ(f.values.back(), top_legal);
+  }
+  for (const std::uint64_t bad : {std::uint64_t{1} << 62, std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0}}) {
+    const Bytes b = enq_request({1, 2, bad});
+    FrameParser p(Dir::kRequest);
+    p.feed(b.data(), b.size());
+    Frame f;
+    ASSERT_EQ(p.next(f), Result::kError) << std::hex << bad;
+    EXPECT_STREQ(p.error(), "ENQ value uses reserved bits 62/63");
+  }
+  // A response may carry any value (STAT counters, DEQ deliveries).
+  const std::uint64_t any = ~std::uint64_t{0};
+  Bytes r;
+  append_frame(r, Op::kStat, Status::kOk, 1, &any, 1);
+  FrameParser p(Dir::kResponse);
+  p.feed(r.data(), r.size());
+  Frame f;
+  EXPECT_EQ(p.next(f), Result::kFrame);
+}
+
 // ---- seeded fuzzer --------------------------------------------------------
 
 // A random valid request stream of `frames` frames; `ends` gets each
@@ -389,6 +420,9 @@ TEST(NetProtocolTest, FuzzMutatedStreamsKeepValidPrefixThenFramesOrError) {
       EXPECT_EQ(g.status, Status::kOk);
       EXPECT_LE(g.count, kMaxBatch);
       EXPECT_EQ(g.values.size(), g.op == Op::kEnq ? g.count : 0u);
+      for (const std::uint64_t v : g.values) {
+        EXPECT_EQ(v & membq::net::kReservedValueBits, 0u);
+      }
       EXPECT_EQ(g.count == 0, g.op == Op::kPing || g.op == Op::kStat);
     }
   }

@@ -44,6 +44,32 @@ Frame roundtrip(int fd, const std::vector<std::uint8_t>& req) {
   }
 }
 
+// Reads until the server closes `fd`, each read within 10 s; every frame
+// before the close must be BAD_FRAME, and there must be one.
+void expect_bad_frame_then_close(int fd) {
+  FrameParser parser(Dir::kResponse);
+  Frame f;
+  char buf[512];
+  bool got_bad_frame = false, got_eof = false;
+  for (int i = 0; i < 100 && !got_eof; ++i) {
+    pollfd p{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 10000), 1) << "no answer and no close in 10 s";
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n == 0) {
+      got_eof = true;
+      break;
+    }
+    ASSERT_GT(n, 0);
+    parser.feed(buf, static_cast<std::size_t>(n));
+    while (parser.next(f) == FrameParser::Result::kFrame) {
+      EXPECT_EQ(f.status, Status::kBadFrame);
+      got_bad_frame = true;
+    }
+  }
+  EXPECT_TRUE(got_bad_frame);
+  EXPECT_TRUE(got_eof);
+}
+
 TEST(NetServerTest, RegistryLookupByName) {
   // The --queue flag and the bench registry share one table.
   auto q = membq::workload::make_queue_by_name("vyukov(perslot-seq)", 8);
@@ -136,6 +162,77 @@ TEST(NetServerTest, EmptyDequeueAnswersWouldBlock) {
   server.stop_and_join();
 }
 
+// WOULD_BLOCK means full or empty, on every ring. A ring's bulk op may
+// stop short where another thread holds the next cell; the server must
+// not pass that on. Four connections on four workers pipeline batches of
+// 8 into a ring that never fills, then out of one that never empties, so
+// every frame must be answered OK with its whole batch.
+TEST(NetServerTest, ContendedBatchesAreShortOnlyWhenFullOrEmpty) {
+  constexpr int kConns = 4;
+  constexpr int kFrames = 96;  // per connection and phase
+  constexpr std::uint16_t kBatch = 8;
+  for (const char* queue : {"distinct(L2)", "llsc(L3)", "dcss(L4)"}) {
+    SCOPED_TRACE(queue);
+    ServerConfig cfg;
+    cfg.queue = queue;
+    cfg.capacity = 2 * kConns * kFrames * kBatch;
+    cfg.workers = kConns;
+    Server server(cfg);
+    server.start();
+    std::vector<Fd> socks;
+    for (int c = 0; c < kConns; ++c) {
+      socks.push_back(connect_tcp("127.0.0.1", server.port()));
+      ASSERT_TRUE(socks.back().valid());
+    }
+    // One phase: every connection writes all its frames at once, then
+    // reads every answer.
+    const auto phase = [&](Op op) {
+      std::vector<std::thread> clients;
+      std::atomic<int> short_answers{0};
+      for (int c = 0; c < kConns; ++c) {
+        clients.emplace_back([&, c] {
+          std::vector<std::uint8_t> req;
+          std::uint64_t vals[kBatch];
+          for (int i = 0; i < kFrames; ++i) {
+            for (std::uint16_t j = 0; j < kBatch; ++j) {
+              vals[j] = (std::uint64_t(c) * kFrames + i) * kBatch + j;
+            }
+            append_request(req, op, kBatch, vals, op == Op::kEnq ? kBatch : 0);
+          }
+          if (!write_all(socks[c].get(), req.data(), req.size())) {
+            short_answers += kFrames;
+            return;
+          }
+          FrameParser parser(Dir::kResponse);
+          Frame f;
+          char buf[4096];
+          for (int got = 0; got < kFrames;) {
+            if (parser.next(f) == FrameParser::Result::kFrame) {
+              if (f.status != Status::kOk || f.count != kBatch) ++short_answers;
+              ++got;
+              continue;
+            }
+            const ssize_t n = ::read(socks[c].get(), buf, sizeof(buf));
+            if (n <= 0) {
+              short_answers += kFrames - got;
+              return;
+            }
+            parser.feed(buf, static_cast<std::size_t>(n));
+          }
+        });
+      }
+      for (auto& t : clients) t.join();
+      EXPECT_EQ(short_answers.load(), 0) << "op " << int(op);
+    };
+    phase(Op::kEnq);
+    phase(Op::kDeq);
+    socks.clear();
+    server.stop_and_join();
+    EXPECT_EQ(server.stats().would_block, 0u);
+    EXPECT_EQ(server.stats().deq_ok, std::uint64_t{kConns} * kFrames * kBatch);
+  }
+}
+
 TEST(NetServerTest, BadFrameGetsStatusThenClose) {
   ServerConfig cfg;
   cfg.queue = "vyukov(perslot-seq)";
@@ -149,26 +246,7 @@ TEST(NetServerTest, BadFrameGetsStatusThenClose) {
   std::vector<std::uint8_t> req;
   append_frame(req, Op::kEnq, Status::kOk, 0, nullptr, 0);
   ASSERT_TRUE(write_all(sock.get(), req.data(), req.size()));
-
-  FrameParser parser(Dir::kResponse);
-  Frame f;
-  char buf[512];
-  bool got_bad_frame = false, got_eof = false;
-  for (int i = 0; i < 100 && !got_eof; ++i) {
-    const ssize_t n = ::read(sock.get(), buf, sizeof(buf));
-    if (n == 0) {
-      got_eof = true;
-      break;
-    }
-    ASSERT_GT(n, 0);
-    parser.feed(buf, static_cast<std::size_t>(n));
-    while (parser.next(f) == FrameParser::Result::kFrame) {
-      EXPECT_EQ(f.status, Status::kBadFrame);
-      got_bad_frame = true;
-    }
-  }
-  EXPECT_TRUE(got_bad_frame);
-  EXPECT_TRUE(got_eof);
+  expect_bad_frame_then_close(sock.get());
 
   server.stop_and_join();
   EXPECT_EQ(server.stats().bad_frames, 1u);
@@ -346,14 +424,13 @@ TEST(NetServerTest, NeverReadingClientIsPushedBack) {
   EXPECT_EQ(server.stats().frames_rx, requests);
 }
 
-// One PING round trip that must complete within `timeout_ms`.
-bool ping_within(int fd, int timeout_ms) {
-  std::vector<std::uint8_t> req;
-  append_request(req, Op::kPing, 0, nullptr, 0);
+// One request/response round trip that must complete within
+// `timeout_ms`; the response lands in `f`.
+bool roundtrip_within(int fd, const std::vector<std::uint8_t>& req,
+                      int timeout_ms, Frame& f) {
   if (!write_all(fd, req.data(), req.size())) return false;
   FrameParser parser(Dir::kResponse);
-  Frame f;
-  char buf[64];
+  char buf[256];
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (parser.next(f) != FrameParser::Result::kFrame) {
@@ -367,7 +444,16 @@ bool ping_within(int fd, int timeout_ms) {
     if (n <= 0) return false;
     parser.feed(buf, static_cast<std::size_t>(n));
   }
-  return f.op == Op::kPing && f.status == Status::kOk;
+  return true;
+}
+
+// One PING round trip that must complete within `timeout_ms`.
+bool ping_within(int fd, int timeout_ms) {
+  std::vector<std::uint8_t> req;
+  append_request(req, Op::kPing, 0, nullptr, 0);
+  Frame f;
+  return roundtrip_within(fd, req, timeout_ms, f) && f.op == Op::kPing &&
+         f.status == Status::kOk;
 }
 
 // On the only worker, a connection that streams PINGs as fast as it can
@@ -425,6 +511,51 @@ TEST(NetServerTest, FloodingConnectionDoesNotStarveNeighbour) {
   neighbour.reset();
   flood.reset();
   server.stop_and_join();
+}
+
+// Bits 62/63 are the rings' reserved encodings, and their asserts are
+// compiled out in release builds. On dcss(L4) an accepted ENQ of 1<<63
+// would plant a word that reads as a DCSS marker: the next DEQ would spin
+// in DcssDomain::read helping a descriptor that never existed, and the
+// only worker would never answer anyone again. The parser refuses the
+// value: BAD_FRAME and a close, and a fresh connection is served within
+// 1 s.
+TEST(NetServerTest, ReservedBitValueIsBadFrameAndWorkerStaysLive) {
+  ServerConfig cfg;
+  cfg.queue = "dcss(L4)";
+  cfg.capacity = 16;
+  cfg.workers = 1;
+  Server server(cfg);
+  server.start();
+  {
+    Fd sock = connect_tcp("127.0.0.1", server.port());
+    ASSERT_TRUE(sock.valid());
+    const std::uint64_t reserved = std::uint64_t{1} << 63;
+    std::vector<std::uint8_t> req;
+    append_request(req, Op::kEnq, 1, &reserved, 1);
+    ASSERT_TRUE(write_all(sock.get(), req.data(), req.size()));
+    expect_bad_frame_then_close(sock.get());
+  }
+
+  Fd fresh = connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fresh.valid());
+  const std::uint64_t v = 42;
+  std::vector<std::uint8_t> req;
+  append_request(req, Op::kEnq, 1, &v, 1);
+  Frame f;
+  ASSERT_TRUE(roundtrip_within(fresh.get(), req, 1000, f))
+      << "ENQ unanswered after 1 s";
+  EXPECT_EQ(f.status, Status::kOk);
+  EXPECT_EQ(f.count, 1);
+  req.clear();
+  append_request(req, Op::kDeq, 1, nullptr, 0);
+  ASSERT_TRUE(roundtrip_within(fresh.get(), req, 1000, f))
+      << "DEQ unanswered after 1 s";
+  EXPECT_EQ(f.values, (std::vector<std::uint64_t>{42}));
+
+  fresh.reset();
+  server.stop_and_join();
+  EXPECT_EQ(server.stats().bad_frames, 1u);
 }
 
 }  // namespace

@@ -276,4 +276,12 @@ TEST(QueueConcurrentTest, DistinctBulkRangeAdvanceNeverStrandsCounter) {
   run_bulk_then_check_counters<membq::DistinctQueue>();
 }
 
+TEST(QueueConcurrentTest, LlscBulkRangeAdvanceNeverStrandsCounter) {
+  run_bulk_then_check_counters<membq::LlscQueue>();
+}
+
+TEST(QueueConcurrentTest, DcssBulkRangeAdvanceNeverStrandsCounter) {
+  run_bulk_then_check_counters<membq::DcssQueue>();
+}
+
 }  // namespace
