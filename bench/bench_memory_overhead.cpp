@@ -37,10 +37,11 @@ constexpr Claim kClaims[] = {
     // reported in its own column and excluded from the inference.
     {"segment(L1,ebr)", "Theta(C/K+TK)"},
     {"segment(L1,hp)", "Theta(C/K+TK)"},
-    // Lock-free L5 keeps the Θ(T) class: announcement array, DCSS
-    // descriptor pool, and SMR per-thread state are all Θ(T); in-flight
-    // announcement records are ≤ T and the retired backlog has its own
-    // column.
+    // Lock-free L5 keeps the Θ(T) class: one announcement record per
+    // slot and the DCSS descriptor pool are Θ(T), and nothing else is
+    // allocated. Records are recycled by sequence, never retired, so its
+    // retired_B column is 0 — there is no backlog left out of the
+    // verdict. The two rows are registry spellings of one class.
     {"optimal(L5,lf,ebr)", "Theta(T)"},
     {"optimal(L5,lf,hp)", "Theta(T)"},
     // Sharded rows keep the base row's class: N is a constant, so N

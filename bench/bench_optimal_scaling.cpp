@@ -64,9 +64,12 @@ int main(int argc, char** argv) {
   }
 
   // The lock-free realization pays the same Θ(T) findOp scan per operation
-  // (plus the announcement-record allocation and the DCSS-guarded vacate),
-  // so its time must scale with T exactly like the combining row — the
-  // memory-class verdict re-checked for the readElem/findOp protocol.
+  // (a single thread finds `cur_` empty every time, scans all T records
+  // and installs its own), plus the DCSS-guarded vacate; it allocates and
+  // retires nothing. So its time must scale with T exactly like the
+  // combining row — the memory-class verdict re-checked for the
+  // readElem/findOp protocol. The ebr and hp rows are registry spellings
+  // of one class.
   for (std::size_t t : {1, 4, 16, 64, 256}) {
     membq::EbrOptimalQueue q(/*capacity=*/1024, /*max_threads=*/t);
     pair_loop(harness, "optimal(L5,lf,ebr)/T=" + std::to_string(t), q,

@@ -30,13 +30,14 @@ struct QueueSpec {
 
 // The nine queues of the E9 table in the paper's order (L5, L2, L3, L4,
 // L1, then the baselines), plus the lock-free realizations: the two
-// lock-free L5 rows — optimal(L5,lf,ebr) and optimal(L5,lf,hp) — right
-// after the combining L5 baseline, and the two lock-free L1 rows —
-// segment(L1,ebr) and segment(L1,hp) — right after the mutex L1 row,
-// plus the sharded elastic layer rows — sharded(vyukov,4) and
-// sharded(segment-ebr,4) — at the end. The sharded rows are relaxed-FIFO
-// (per-producer-per-shard FIFO, exactly-once, no loss — docs/sharding.md),
-// not globally linearizable; the model checker treats them accordingly.
+// lock-free L5 rows — optimal(L5,lf,ebr) and optimal(L5,lf,hp), two
+// names of one class — right after the combining L5 baseline, and the
+// two lock-free L1 rows — segment(L1,ebr) and segment(L1,hp) — right
+// after the mutex L1 row, plus the sharded elastic layer rows —
+// sharded(vyukov,4) and sharded(segment-ebr,4) — at the end. The sharded
+// rows are relaxed-FIFO (per-producer-per-shard FIFO, exactly-once, no
+// loss — docs/sharding.md), not globally linearizable; the model checker
+// treats them accordingly.
 // `max_threads` bounds how many handles the Θ(T)-sized designs (and the
 // SMR domains) provision when run() constructs them.
 std::vector<QueueSpec> all_queues(std::size_t max_threads = 64);

@@ -11,6 +11,11 @@
 // strands every later dequeuer — the Theorem 3.12 staleness weapon
 // re-aimed at the helping protocol, and the reason the lock-free L5
 // spends a DCSS on its vacate.
+//
+// The record-recycling schedule parks a helper across a re-announcement
+// of the record it helps: its bind CAS must miss by sequence, and with
+// one sentinel for every sequence (the control) it corrupts the next
+// operation in the record.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -25,6 +30,7 @@ using membq::adversary::check_bounded_queue;
 using membq::adversary::GuardedOptimal;
 using membq::adversary::OpKind;
 using membq::adversary::ScheduledExecution;
+using membq::adversary::SharedSentinelOptimal;
 using membq::adversary::UnguardedOptimal;
 
 template <class Q>
@@ -297,6 +303,123 @@ TEST(AdversaryOptimalTest, FindOpInstallsTheOldestAnnouncement) {
   const auto res = check_bounded_queue(exec.history(), 2);
   ASSERT_FALSE(res.history_too_large);
   EXPECT_TRUE(res.linearizable);
+}
+
+// ---- a stale bind across a re-announcement -------------------------------
+//
+// Records are recycled: the owner re-announces its slot's record for its
+// next operation, so a helper of incarnation s can be parked across the
+// start of s' in the same record.
+//
+//   E0 = enq(10)          runs solo: cell0 = 10, tail = 1.
+//   O  = deq (ticket s)   steps until it has installed itself.
+//   H  = deq (helper)     steps until poised at the bind CAS of s's tail
+//                         view, having read tail = t0 = 1.
+//   O completes s         binds (1, 0), dequeues 10, head = 1.
+//   E1 = enq(20)          runs solo: its findOp first helps H's own
+//                         dequeue to an empty-fail, then writes cell1 =
+//                         20 and moves tail to t0 + 1 = 2.
+//   O' = enq(30)          O's slot re-announces its record as s'.
+//   grant H's bind CAS
+//
+// Sequence-named sentinels: the CAS expects unbound(s), the record holds
+// unbound(s'): it misses, H drops s on its seq check, O' binds tail 2 and
+// writes 30, and a drain returns 20, 30. The history linearizes.
+// One shared sentinel (the control): the CAS lands and binds s' to the
+// stale t0. O' finds cell1 already written (by E1), concludes a helper's
+// write landed, and reports success without ever writing 30: the drain
+// returns 20 and then empty after a completed enq(30).
+
+template <class Q>
+void run_stale_bind_schedule(Q& q, ScheduledExecution& exec,
+                             typename Q::Op& h) {
+  typename Q::Op e0(q, /*slot=*/2, OpKind::kEnqueue, 10);
+  exec.run(2, e0);
+  ASSERT_TRUE(e0.ok());
+
+  typename Q::Op o(q, /*slot=*/0, OpKind::kDequeue);
+  exec.invoke(0, o);
+  step_until(exec, o, [&] { return o.phase() == Phase<Q>::kLookup; });
+
+  exec.invoke(1, h);
+  step_until(exec, h, [&] {
+    return h.phase() == Phase<Q>::kBindTail && h.helping_other();
+  });
+  ASSERT_EQ(q.tail(), 1u) << "H read t0 = 1";
+
+  step_until(exec, o, [&] { return o.complete(); });
+  ASSERT_TRUE(o.ok());
+  ASSERT_EQ(o.value(), 10u);
+
+  typename Q::Op e1(q, /*slot=*/2, OpKind::kEnqueue, 20);
+  exec.run(2, e1);
+  ASSERT_TRUE(e1.ok());
+  ASSERT_EQ(q.tail(), 2u) << "another enqueue moved tail to t0 + 1";
+
+  typename Q::Op o2(q, /*slot=*/0, OpKind::kEnqueue, 30);
+  exec.invoke(0, o2);
+  exec.step(o2);  // announce s' in the record H is parked on
+  ASSERT_EQ(o2.phase(), Phase<Q>::kReadCur);
+
+  exec.step(h);  // grant the parked bind CAS of s
+  ASSERT_EQ(h.bind_tail_attempts(), 1u);
+
+  step_until(exec, h, [&] { return h.complete(); });
+  EXPECT_FALSE(h.ok()) << "E1's findOp helped H's dequeue to empty";
+  step_until(exec, o2, [&] { return o2.complete(); });
+  EXPECT_TRUE(o2.ok());
+}
+
+TEST(AdversaryOptimalTest, SequenceSentinelKillsStaleBindAcrossRecycling) {
+  GuardedOptimal q(/*capacity=*/2, /*slots=*/4);
+  ScheduledExecution exec;
+  GuardedOptimal::Op h(q, /*slot=*/1, OpKind::kDequeue);
+  run_stale_bind_schedule(q, exec, h);
+
+  EXPECT_FALSE(h.first_bind_tail_fired())
+      << "the bind CAS of s must miss once the record is s'";
+  EXPECT_EQ(q.bound_tail(0), 2u) << "s' bound the live tail";
+  EXPECT_EQ(q.cell(0), 30u) << "O' wrote its value";
+
+  GuardedOptimal::Op d1(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d1);
+  EXPECT_TRUE(d1.ok());
+  EXPECT_EQ(d1.value(), 20u);
+  GuardedOptimal::Op d2(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d2);
+  EXPECT_TRUE(d2.ok());
+  EXPECT_EQ(d2.value(), 30u);
+  GuardedOptimal::Op d3(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d3);
+  EXPECT_FALSE(d3.ok());
+
+  const auto res = check_bounded_queue(exec.history(), 2);
+  ASSERT_FALSE(res.history_too_large);
+  EXPECT_TRUE(res.linearizable);
+}
+
+TEST(AdversaryOptimalTest, SharedSentinelLetsStaleBindLoseAValue) {
+  SharedSentinelOptimal q(/*capacity=*/2, /*slots=*/4);
+  ScheduledExecution exec;
+  SharedSentinelOptimal::Op h(q, /*slot=*/1, OpKind::kDequeue);
+  run_stale_bind_schedule(q, exec, h);
+
+  EXPECT_TRUE(h.first_bind_tail_fired())
+      << "with one sentinel for every seq the stale bind lands";
+  EXPECT_EQ(q.bound_tail(0), 1u) << "s' bound the stale t0";
+  EXPECT_EQ(q.tail(), 2u) << "O' never moved tail: it wrote nothing";
+
+  SharedSentinelOptimal::Op d1(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d1);
+  EXPECT_TRUE(d1.ok());
+  EXPECT_EQ(d1.value(), 20u);
+  SharedSentinelOptimal::Op d2(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d2);
+  EXPECT_FALSE(d2.ok()) << "enq(30) completed, yet the queue is empty";
+
+  const auto res = check_bounded_queue(exec.history(), 2);
+  ASSERT_FALSE(res.history_too_large);
+  EXPECT_FALSE(res.linearizable);
 }
 
 }  // namespace

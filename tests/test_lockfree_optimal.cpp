@@ -1,10 +1,13 @@
-// Lock-free L5 specifics: announcement-record retirement (counting-
-// allocator leak check + ReclaimCounter backlog, mirroring
-// LockFreeSegmentTest), Wing–Gong linearizability over recorded real-
-// thread histories for both reclamation backends, handle-churn stress,
-// and the regression test for the combining queue's announce/result
-// ordering fix.
+// Lock-free L5 specifics: the record contract (no heap, no retired
+// backlog), lock-freedom with one thread frozen mid-operation, Wing–Gong
+// linearizability over recorded real-thread histories, handle-churn
+// stress, and the regression test for the combining queue's
+// announce/result ordering fix.
+#include <pthread.h>
+#include <signal.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -17,90 +20,190 @@
 #include "core/lockfree_optimal_queue.hpp"
 #include "core/optimal_queue.hpp"
 #include "model_checker.hpp"
-#include "reclaim/epoch.hpp"
-#include "reclaim/hazard.hpp"
-#include "reclaim/no_reclaim.hpp"
 #include "reclaim/reclaim.hpp"
+#include "sync/backoff.hpp"
 
 namespace {
 
-using membq::reclaim::EpochDomain;
-using membq::reclaim::HazardDomain;
-using membq::reclaim::NoReclaim;
+using membq::LockFreeOptimalQueue;
 using membq::reclaim::ReclaimCounter;
 
-template <class Q>
-void churn_queue(Q& q, std::size_t rounds) {
-  typename Q::Handle h(q);
-  std::uint64_t out = 0;
-  std::uint64_t seq = 1;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t i = 0; i < q.capacity(); ++i) {
-      ASSERT_TRUE(h.try_enqueue(seq++));
-    }
-    for (std::size_t i = 0; i < q.capacity(); ++i) {
-      ASSERT_TRUE(h.try_dequeue(out));
-    }
-  }
-}
-
-// ---- announcement-record retirement ---------------------------------------
+// ---- the record contract --------------------------------------------------
 //
-// Every operation allocates one announcement record and retires it through
-// the domain; churn must neither leak records nor let the global backlog
-// counter drift.
+// Each handle slot owns one announcement record for the queue's lifetime
+// and re-announces it by sequence, so operations allocate nothing and
+// retire nothing.
 
-TEST(LockFreeOptimalTest, LeakFreeAfterChurnEbr) {
+TEST(LockFreeOptimalTest, OpsAllocateAndRetireNothing) {
+  LockFreeOptimalQueue q(64, 4);
+  LockFreeOptimalQueue::Handle h(q);
+  std::uint64_t out = 0;
+  // Warm-up: first-use state outside the queue (telemetry, thread-locals).
+  ASSERT_TRUE(h.try_enqueue(1));
+  ASSERT_TRUE(h.try_dequeue(out));
+
   auto& alloc = membq::AllocCounter::instance();
-  const std::size_t live_before = alloc.live_bytes();
-  const std::size_t retired_before =
-      ReclaimCounter::instance().retired_bytes();
-  {
-    membq::LockFreeOptimalQueue<EpochDomain> q(64, 4);
-    churn_queue(q, 20);
+  const std::size_t total_before = alloc.total_bytes();
+  const std::size_t retired_before = ReclaimCounter::instance().retired_bytes();
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t len = 0;
+  for (int i = 0; i < 10000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    if ((x & 1) != 0) {
+      if (h.try_enqueue(1 + (x >> 40))) {
+        ++len;
+      } else {
+        EXPECT_EQ(len, q.capacity());
+      }
+    } else if (h.try_dequeue(out)) {
+      --len;
+    } else {
+      EXPECT_EQ(len, 0u);
+    }
   }
-  EXPECT_EQ(alloc.live_bytes(), live_before)
-      << "announcement-record churn must not leak through the EBR domain";
-  EXPECT_EQ(ReclaimCounter::instance().retired_bytes(), retired_before);
+  EXPECT_EQ(alloc.total_bytes(), total_before)
+      << "an operation allocated: records must be recycled, not renewed";
+  EXPECT_EQ(ReclaimCounter::instance().retired_bytes(), retired_before)
+      << "an operation retired memory";
 }
 
-TEST(LockFreeOptimalTest, LeakFreeAfterChurnHp) {
-  auto& alloc = membq::AllocCounter::instance();
-  const std::size_t live_before = alloc.live_bytes();
-  {
-    membq::LockFreeOptimalQueue<HazardDomain> q(64, 4);
-    churn_queue(q, 20);
-  }
-  EXPECT_EQ(alloc.live_bytes(), live_before)
-      << "announcement-record churn must not leak through the HP domain";
+// ---- lock-freedom with a frozen thread -----------------------------------
+//
+// Installer-first helping makes threads wait for the installer of the
+// operation in flight. That wait is bounded (kHelpPatience pauses): one
+// worker is frozen at arbitrary points — in the middle of applying an
+// installed operation, mid-scan, mid-wait — by a signal whose handler
+// spins on a flag, and every freeze must see the other workers complete
+// operations. With an unbounded wait they stall as soon as the frozen
+// worker is the installer. Capacity 2 makes every other op wrap the ring.
+
+std::atomic<bool> g_hold{false};
+std::atomic<int> g_parked{0};
+
+void freeze_handler(int) {
+  g_parked.store(1, std::memory_order_release);
+  while (g_hold.load(std::memory_order_acquire)) membq::detail::cpu_relax();
+  g_parked.store(0, std::memory_order_release);
 }
 
-TEST(LockFreeOptimalTest, LeakFreeAfterChurnNoReclaim) {
-  auto& alloc = membq::AllocCounter::instance();
-  const std::size_t live_before = alloc.live_bytes();
-  {
-    membq::LockFreeOptimalQueue<NoReclaim> q(64, 4);
-    churn_queue(q, 5);
+// Polls `g_parked` until it equals `want`, for at most 1 s: a signal the
+// kernel defers must not hang the test.
+bool await_parked(int want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (g_parked.load(std::memory_order_acquire) != want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
-  EXPECT_EQ(alloc.live_bytes(), live_before)
-      << "the NoReclaim control must free its parking lot at destruction";
+  return true;
 }
 
-TEST(LockFreeOptimalTest, RetiredBacklogVisibleDuringChurn) {
-  membq::LockFreeOptimalQueue<EpochDomain> q(256, 4);
-  {
-    typename membq::LockFreeOptimalQueue<EpochDomain>::Handle h(q);
-    std::uint64_t out = 0;
-    for (std::uint64_t i = 1; i <= 256; ++i) ASSERT_TRUE(h.try_enqueue(i));
-    for (std::uint64_t i = 1; i <= 256; ++i) ASSERT_TRUE(h.try_dequeue(out));
-    // 512 records retired; the EBR batch horizon keeps recent ones parked
-    // — exactly the backlog the E9 tables report in retired_B rather than
-    // as algorithmic overhead.
-    EXPECT_GT(q.retired_bytes(), 0u);
-    h.flush_reclamation();
+TEST(LockFreeOptimalTest, OthersCompleteOpsWhileOneWorkerIsFrozen) {
+  constexpr int kWorkers = 4;
+  constexpr int kFreezes = 100;
+  LockFreeOptimalQueue q(2, kWorkers + 1);
+
+  struct sigaction sa = {}, old = {};
+  sa.sa_handler = freeze_handler;
+  sigemptyset(&sa.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
+
+  struct alignas(64) Worker {
+    std::atomic<std::uint64_t> ops{0};  // completed calls, either outcome
+    std::uint64_t enq_ok = 0, deq_ok = 0, enq_sum = 0, deq_sum = 0;
+  };
+  std::vector<Worker> workers(kWorkers);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      LockFreeOptimalQueue::Handle h(q);
+      Worker& me = workers[w];
+      std::uint64_t out = 0;
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::uint64_t v = (static_cast<std::uint64_t>(w) << 32) | i;
+        if ((i & 1) == 0) {
+          if (h.try_enqueue(v)) {
+            ++me.enq_ok;
+            me.enq_sum += v;
+          }
+        } else if (h.try_dequeue(out)) {
+          ++me.deq_ok;
+          me.deq_sum += out;
+        }
+        me.ops.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
-  EXPECT_EQ(q.retired_bytes(), 0u)
-      << "flush with no concurrent pins must drain the whole backlog";
+  const auto total_ops = [&] {
+    std::uint64_t n = 0;
+    for (auto& wk : workers) n += wk.ops.load(std::memory_order_relaxed);
+    return n;
+  };
+  while (total_ops() < 1000) std::this_thread::yield();
+
+  // Failures below break out of the loop instead of returning, so the
+  // workers are always stopped and joined.
+  int frozen = 0, deferred = 0, stalled = 0;
+  std::uint64_t x = 12345;
+  for (int attempt = 0; frozen < kFreezes && attempt < 2 * kFreezes;
+       ++attempt) {
+    const int victim = attempt % kWorkers;
+    g_hold.store(true, std::memory_order_release);
+    if (pthread_kill(threads[victim].native_handle(), SIGUSR1) != 0) {
+      ADD_FAILURE() << "pthread_kill failed";
+      g_hold.store(false, std::memory_order_release);
+      break;
+    }
+    if (!await_parked(1)) {
+      // Deferred delivery: release the flag so the late handler returns
+      // at once, and try again.
+      g_hold.store(false, std::memory_order_release);
+      ++deferred;
+      continue;
+    }
+    ++frozen;
+    const std::uint64_t before = total_ops();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t during = total_ops() - before;
+    g_hold.store(false, std::memory_order_release);
+    if (during == 0) ++stalled;
+    if (!await_parked(0)) {
+      ADD_FAILURE() << "the frozen worker never left the handler";
+      break;
+    }
+    // Resume for a pseudo-random 0–2 ms, so the next freeze lands at an
+    // arbitrary point of some operation.
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::this_thread::sleep_for(std::chrono::microseconds((x >> 33) % 2000));
+  }
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(sigaction(SIGUSR1, &old, nullptr), 0);
+
+  EXPECT_EQ(frozen, kFreezes) << deferred << " freezes were deferred";
+  EXPECT_EQ(stalled, 0) << "of " << frozen
+                        << " freezes, these saw no other worker complete "
+                           "an operation";
+
+  // Conservation: everything dequeued was enqueued, the rest is still in.
+  std::uint64_t enq_ok = 0, deq_ok = 0, enq_sum = 0, deq_sum = 0;
+  for (auto& wk : workers) {
+    enq_ok += wk.enq_ok;
+    deq_ok += wk.deq_ok;
+    enq_sum += wk.enq_sum;
+    deq_sum += wk.deq_sum;
+  }
+  LockFreeOptimalQueue::Handle h(q);
+  std::uint64_t out = 0;
+  while (h.try_dequeue(out)) {
+    ++deq_ok;
+    deq_sum += out;
+  }
+  EXPECT_EQ(enq_ok, deq_ok);
+  EXPECT_EQ(enq_sum, deq_sum);
 }
 
 // ---- recorded real-thread histories ---------------------------------------
@@ -112,42 +215,33 @@ TEST(LockFreeOptimalTest, RetiredBacklogVisibleDuringChurn) {
 
 TEST(LockFreeOptimalTest, RecordedHistoriesLinearizableEbr) {
   membq::model::expect_linearizable_histories(
-      [] {
-        return std::make_unique<membq::LockFreeOptimalQueue<EpochDomain>>(
-            2, 8);
-      },
+      [] { return std::make_unique<membq::EbrOptimalQueue>(2, 8); },
       /*capacity=*/2, /*threads=*/3, /*ops_per_thread=*/6, {1, 2, 3, 4, 5});
 }
 
 TEST(LockFreeOptimalTest, RecordedHistoriesLinearizableHp) {
   membq::model::expect_linearizable_histories(
-      [] {
-        return std::make_unique<membq::LockFreeOptimalQueue<HazardDomain>>(
-            2, 8);
-      },
+      [] { return std::make_unique<membq::HpOptimalQueue>(2, 8); },
       /*capacity=*/2, /*threads=*/3, /*ops_per_thread=*/6,
       {11, 12, 13, 14, 15});
 }
 
 TEST(LockFreeOptimalTest, RecordedHistoriesLinearizableRepeatingValues) {
   membq::model::expect_linearizable_histories(
-      [] {
-        return std::make_unique<membq::LockFreeOptimalQueue<EpochDomain>>(
-            2, 8);
-      },
+      [] { return std::make_unique<LockFreeOptimalQueue>(2, 8); },
       /*capacity=*/2, /*threads=*/3, /*ops_per_thread=*/6, {21, 22, 23},
       membq::model::Values::kRepeating);
 }
 
 // ---- handle churn ---------------------------------------------------------
 //
-// Announcement slots and domain slots are acquired per handle; threads
-// that create and destroy handles around every operation recycle slots
-// while other threads' helpers may still hold protected pointers to the
-// previous occupant's record.
+// Announcement slots are acquired per handle; threads that create and
+// destroy handles around every operation hand a record to a new owner
+// while other threads' helpers may still be working on its previous
+// incarnations.
 
 TEST(LockFreeOptimalTest, HandleChurnUnderContention) {
-  membq::LockFreeOptimalQueue<HazardDomain> q(8, 8);
+  LockFreeOptimalQueue q(8, 8);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 2000;
   membq::SpinBarrier barrier(kThreads);
@@ -158,7 +252,7 @@ TEST(LockFreeOptimalTest, HandleChurnUnderContention) {
       barrier.arrive_and_wait();
       for (int i = 0; i < kOpsPerThread; ++i) {
         // A fresh handle per operation: maximum slot recycling.
-        typename membq::LockFreeOptimalQueue<HazardDomain>::Handle h(q);
+        LockFreeOptimalQueue::Handle h(q);
         if (((t + i) & 1) != 0) {
           if (h.try_enqueue(1 + (i % 3))) enq_ok.fetch_add(1);
         } else {
@@ -174,7 +268,7 @@ TEST(LockFreeOptimalTest, HandleChurnUnderContention) {
   }
   for (auto& th : threads) th.join();
   // Conservation: everything dequeued was enqueued, the rest is still in.
-  typename membq::LockFreeOptimalQueue<HazardDomain>::Handle h(q);
+  LockFreeOptimalQueue::Handle h(q);
   std::uint64_t out = 0;
   std::uint64_t residue = 0;
   while (h.try_dequeue(out)) ++residue;

@@ -144,16 +144,13 @@ std::vector<ModelRow> model_rows() {
       "optimal(L5)", [](std::size_t c) {
         return std::make_unique<membq::OptimalQueue>(c, kThreads);
       }));
-  rows.push_back(make_row<membq::LockFreeOptimalQueue<EpochDomain>>(
-      "optimal(L5,lf,ebr)", [](std::size_t c) {
-        return std::make_unique<membq::LockFreeOptimalQueue<EpochDomain>>(
-            c, kThreads);
-      }));
-  rows.push_back(make_row<membq::LockFreeOptimalQueue<HazardDomain>>(
-      "optimal(L5,lf,hp)", [](std::size_t c) {
-        return std::make_unique<membq::LockFreeOptimalQueue<HazardDomain>>(
-            c, kThreads);
-      }));
+  // One class under both registry spellings of the lock-free L5.
+  for (const char* name : {"optimal(L5,lf,ebr)", "optimal(L5,lf,hp)"}) {
+    rows.push_back(make_row<membq::LockFreeOptimalQueue>(
+        name, [](std::size_t c) {
+          return std::make_unique<membq::LockFreeOptimalQueue>(c, kThreads);
+        }));
+  }
   rows.push_back(make_row<membq::DistinctQueue>(
       "distinct(L2)",
       [](std::size_t c) { return std::make_unique<membq::DistinctQueue>(c); },

@@ -123,13 +123,14 @@ TEST(QueueConcurrentTest, OptimalQueueMpmc) {
   run_mpmc_audit(q, 2, 2, kPerProducer);
 }
 
+// The benchmark's two spellings of the one lock-free L5 class.
 TEST(QueueConcurrentTest, LockFreeOptimalEbrMpmc) {
-  membq::LockFreeOptimalQueue<membq::reclaim::EpochDomain> q(kCap, 8);
+  membq::EbrOptimalQueue q(kCap, 8);
   run_mpmc_audit(q, 2, 2, kPerProducer);
 }
 
 TEST(QueueConcurrentTest, LockFreeOptimalHpMpmc) {
-  membq::LockFreeOptimalQueue<membq::reclaim::HazardDomain> q(kCap, 8);
+  membq::HpOptimalQueue q(kCap, 8);
   run_mpmc_audit(q, 2, 2, kPerProducer);
 }
 
@@ -215,11 +216,7 @@ TEST(QueueConcurrentTest, TinyRingHighChurnAllPaperQueues) {
   {
     // Capacity 2 wraps the lock-free L5 ring constantly: every vacate is
     // one round away from the staleness window its DCSS guard closes.
-    membq::LockFreeOptimalQueue<membq::reclaim::EpochDomain> q(2, 8);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    membq::LockFreeOptimalQueue<membq::reclaim::HazardDomain> q(2, 8);
+    membq::LockFreeOptimalQueue q(2, 8);
     run_mpmc_audit(q, 2, 2, 1500);
   }
   {
