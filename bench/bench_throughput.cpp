@@ -108,15 +108,16 @@ int main(int argc, char** argv) {
               "publication amortization ===\n");
   {
     // Per-item and batched rows from ONE binary, over the queues with a
-    // native bulk path (one ticket-range reservation per batch). The
-    // claim: the B>1 row is never slower than its B=1 twin — publication
-    // cost amortizes (PR 5 measured it as the uncontended ceiling).
+    // native bulk path (one ticket-range reservation per batch; for the
+    // lock-free L5, one announcement per four items). The claim: the B>1
+    // row is never slower than its B=1 twin — publication cost amortizes
+    // (an earlier measurement put it at the uncontended ceiling).
     const std::size_t kBatch = harness.batch(8);
     const char* kBulkRows[] = {
         membq::VyukovQueue::kName,  membq::ScqRing::kName,
         membq::DistinctQueue::kName, membq::LlscQueue::kName,
         membq::DcssQueue::kName,    membq::EbrSegmentQueue::kName,
-        "sharded(vyukov,4)",
+        "sharded(vyukov,4)",        "optimal(L5,lf,ebr)",
     };
     RunConfig cfg;
     cfg.threads = 4;

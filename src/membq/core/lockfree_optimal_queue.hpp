@@ -15,29 +15,42 @@
 //   * `cur_` names the operation being applied as a packed {slot, seq}
 //     word (the DCSS-marker idiom).
 //
+// Batches. One announcement carries an operation on up to kBulk = 4
+// items: the operation word is kind|n, and the record's four `val` words
+// hold an enqueue's arguments or a dequeue's per-index result binds. The
+// whole announce → findOp → install → bind → decide → uninstall chain is
+// paid once per announcement, so a bulk call of n items pays it ⌈n/4⌉
+// times (the flat-combining idea of Hendler et al., SPAA'10, in the idle
+// words of the record), and a scalar op is a batch of one. The Handle
+// issues a call in announcements of at most four and stops at the first
+// short one: an announcement is cut only by the bound view (full or
+// empty), never by contention, so a short count means full or empty.
+//
 // Record lifecycle. A record's `state` word is seq<<2 | status, where seq
 // is the operation's announcement ticket (global, strictly increasing, so
 // a record's seq never repeats). To announce ticket s the owner stores
-// s|writing, issues a release fence, writes the operation word (kind and
-// argument) and resets `bt`, `bh` and `res` to the sentinel unbound(s) =
-// bit 63 | s, then publishes s|pending with a store. This is the seqlock
-// of `DcssDomain`'s descriptors: a helper that learned s from `cur_`
-// reads the operation word, then re-reads `state` behind an acquire fence
-// and drops the operation unless the seq is still s. The record is
-// decided by one CAS s|pending → s|done (or s|failed); the owner reads
-// the outcome and only then may announce its next ticket in the record.
+// s|writing, issues a release fence, writes the operation word, resets
+// `bt` and `bh` to the sentinel unbound(s) = bit 63 | s and writes `val`
+// (the arguments, or unbound(s) per item of a dequeue), then publishes
+// s|pending with a store. This is the seqlock of `DcssDomain`'s
+// descriptors: a helper that learned s from `cur_` reads the operation
+// word and an enqueue's arguments, then re-reads `state` behind an
+// acquire fence and drops the operation unless the seq is still s. The
+// record is decided by one CAS s|pending → s|done (or s|failed); the
+// owner reads the outcome and only then may announce its next ticket in
+// the record.
 //
 // Why a stale helper's CAS misses by sequence. Every one-shot field CAS
 // of incarnation s expects a word that names s: the view binds and the
-// result bind expect unbound(s), the decision expects s|pending. Once the
-// owner re-announces as s' > s, each field holds unbound(s') or a value
-// bound for s', never unbound(s) again, so a helper that read a field of
-// s, stalled through any number of incarnations and is then granted its
-// CAS, misses. (With one sentinel shared by every seq, a helper parked
-// between its `tail_` read and its bind CAS would bind s' to a stale tail
-// — tests/test_adversary_optimal.cpp replays that schedule.) A bound
-// value names no seq, so helpers re-read `state` after binding and drop
-// the operation if the record moved on.
+// result binds expect unbound(s), the decision expects s|pending. Once
+// the owner re-announces as s' > s, each field holds unbound(s'), an
+// argument of s' or a value bound for s', never unbound(s) again, so a
+// helper that read a field of s, stalled through any number of
+// incarnations and is then granted its CAS, misses. (With one sentinel
+// shared by every seq, a helper parked between its `tail_` read and its
+// bind CAS would bind s' to a stale tail — tests/test_adversary_optimal.cpp
+// replays that schedule.) A bound value names no seq, so helpers re-read
+// `state` after every bind and drop the operation if the record moved on.
 //
 // findOp: when `cur_` is empty, scan all T records for the pending one
 // with the smallest ticket and install it — the Θ(T) scan that is the
@@ -60,23 +73,30 @@
 //
 // readElem: helpers of an installed record first bind its view (tail,
 // head) with one-shot CASes, so every helper — including one that stalled
-// and woke up rounds later — computes the same full/empty verdict and
-// targets the same cell. A dequeue binds the element it read into the
-// record (one-shot CAS from the sentinel) before anything mutates the
-// cell; a stale read can never publish, because the cell is provably
-// stable until the result is bound.
+// and woke up rounds later — derives the same count k = min(n, room) (or
+// min(n, size)) and targets the same cells. A dequeue binds the element
+// it read from cell h+j into `val[j]` (one-shot CAS from the sentinel)
+// before anything mutates that cell; a stale read can never publish,
+// because the cell is provably stable until its result is bound.
 //
 // Exactly-once application under stale helpers:
-//   * enqueue cell write: CAS ⊥_r → v. Versioned bottoms never recur, so
-//     a helper that slept through any number of rounds misses cleanly.
-//   * dequeue vacate: the expected side is a *value*, and values may
+//   * enqueue cell writes: CAS ⊥_round(t+j) → v_j for j < k. Versioned
+//     bottoms never recur, so a helper that slept through any number of
+//     rounds misses cleanly.
+//   * dequeue vacates: the expected side is a *value*, and values may
 //     repeat — the one transition a version cannot protect (this is
-//     exactly the staleness Theorem 3.12 weaponizes). The vacate is
-//     therefore a DCSS whose second comparand is the head counter: once
-//     head moves past the bound index, a poised stale vacate is dead, the
-//     same shield the L4 queue uses for every slot write.
-//   * counter advances are CAS(bound → bound+1) on monotonic counters;
-//     record transitions are the sequence-named CASes above.
+//     exactly the staleness Theorem 3.12 weaponizes). Each vacate is
+//     therefore a DCSS whose second comparand is the head counter, and
+//     one comparand, head_ == h, guards every vacate of the batch: while
+//     the record is installed only its own helpers move a counter, and
+//     they advance head_ once, h → h+k, after the whole batch is vacated.
+//     So head_ == h holds from the bind of the view until the last vacate
+//     of the batch and never again, and the advance kills every poised
+//     stale vacate of the batch at once — the L4 queue's shield, taken
+//     per batch rather than per cell.
+//   * counter advances are one CAS(bound → bound+k) on monotonic counters
+//     (every helper derives the same k); record transitions are the
+//     sequence-named CASes above.
 //
 // Cost of the shield: the DCSS descriptor pool is Θ(T), which the design
 // already pays for the announcement array — the memory class is unchanged.
@@ -84,6 +104,7 @@
 // domain-wide contract of every DCSS-managed word in membq.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -107,6 +128,8 @@ class LockFreeOptimalQueue {
   // Pauses a thread that finds an installation in flight polls its own
   // record before it helps (CHANGES.md has the ablation of this bound).
   static constexpr std::uint32_t kHelpPatience = 256;
+  // Items one announcement carries: the record's idle words.
+  static constexpr std::size_t kBulk = 4;
 
   LockFreeOptimalQueue(
       std::size_t capacity, std::size_t max_threads,
@@ -147,14 +170,38 @@ class LockFreeOptimalQueue {
     Handle(const Handle&) = delete;
     Handle& operator=(const Handle&) = delete;
 
-    bool try_enqueue(std::uint64_t v) {
-      assert(v < kBotFlag && "bits 62/63 are reserved for ⊥ and markers");
-      std::uint64_t out;
-      return q_.run_op(*this, v, out);
+    // Scalar ops are bulk(n=1): each direction has exactly one body.
+    bool try_enqueue(std::uint64_t v) { return try_enqueue_bulk(&v, 1) == 1; }
+    bool try_dequeue(std::uint64_t& out) {
+      return try_dequeue_bulk(&out, 1) == 1;
     }
 
-    bool try_dequeue(std::uint64_t& out) {
-      return q_.run_op(*this, kDequeueOp, out);
+    // Announcements of at most kBulk items each; the first short one means
+    // full (or empty, below), so the call stops there.
+    std::size_t try_enqueue_bulk(const std::uint64_t* vs, std::size_t n) {
+      if (n == 0) return 0;
+      telemetry::count(telemetry::Counter::k_enq_attempt);
+      std::size_t done = 0;
+      while (done < n) {
+        const std::size_t m = std::min(n - done, kBulk);
+        const std::size_t k = q_.run_op(*this, m, vs + done, nullptr);
+        done += k;
+        if (k < m) break;
+      }
+      return done;
+    }
+
+    std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) {
+      if (n == 0) return 0;
+      telemetry::count(telemetry::Counter::k_deq_attempt);
+      std::size_t done = 0;
+      while (done < n) {
+        const std::size_t m = std::min(n - done, kBulk);
+        const std::size_t k = q_.run_op(*this, m, nullptr, out + done);
+        done += k;
+        if (k < m) break;
+      }
+      return done;
     }
 
    private:
@@ -173,7 +220,7 @@ class LockFreeOptimalQueue {
   static constexpr std::uint64_t kPending = 1;
   static constexpr std::uint64_t kDone = 2;
   static constexpr std::uint64_t kFailed = 3;
-  // Operation word of a dequeue; an enqueue's is its argument (< 2^62).
+  // Operation word: bit 63 flags a dequeue, the low bits carry n ≤ kBulk.
   static constexpr std::uint64_t kDequeueOp = std::uint64_t{1} << 63;
   // Sentinels: bit 63 set, the incarnation's seq below. Counter values and
   // elements keep bit 63 clear, so a sentinel is never a bound value.
@@ -188,11 +235,13 @@ class LockFreeOptimalQueue {
   // handle that holds the slot. Seq 0 decided: never installed.
   struct alignas(64) Rec {
     std::atomic<std::uint64_t> state{kDone};      // seq<<2 | status
-    std::atomic<std::uint64_t> op{0};             // argument or kDequeueOp
+    std::atomic<std::uint64_t> op{0};             // kind | n
     std::atomic<std::uint64_t> bt{kUnboundFlag};  // bound tail view
     std::atomic<std::uint64_t> bh{kUnboundFlag};  // bound head view
-    std::atomic<std::uint64_t> res{kUnboundFlag}; // dequeue: element read
+    // Enqueue: the n arguments. Dequeue: the element read from cell h+j.
+    std::atomic<std::uint64_t> val[kBulk] = {};
   };
+  static_assert(sizeof(Rec) == 64, "a record is one cache line");
 
   static std::uint64_t unbound(std::uint64_t seq) noexcept {
     return kUnboundFlag | seq;
@@ -214,59 +263,91 @@ class LockFreeOptimalQueue {
     return (w & kBotFlag) != 0;
   }
 
-  static void advance(std::atomic<std::uint64_t>& counter,
-                      std::uint64_t seen) noexcept {
+  // The count every helper and the owner derive from the bound view of an
+  // n-item announcement: the room (enqueue) or the size (dequeue).
+  std::uint64_t batch_size(std::uint64_t op, std::uint64_t t,
+                           std::uint64_t h) const noexcept {
+    const std::uint64_t n = op & ~kDequeueOp;
+    return std::min(n, (op & kDequeueOp) != 0 ? t - h : cap_ - (t - h));
+  }
+
+  // Move a counter from its bound value over the batch. One CAS suffices:
+  // only the installed record's helpers move counters, and all of them
+  // move it bound → bound+k.
+  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
+                      std::uint64_t k) noexcept {
     std::uint64_t expected = seen;
-    counter.compare_exchange_strong(expected, seen + 1,
+    counter.compare_exchange_strong(expected, seen + k,
                                     std::memory_order_acq_rel);
   }
 
-  // Bind a one-shot view field of incarnation `seq` from a live counter;
-  // all helpers then read the winning value. Counters are quiescent while
-  // a record is installed (only the installed record's helpers move
-  // them), so every candidate value is the same — the CAS exists to shut
-  // out helpers that stall before it and wake up rounds later. Returns
-  // the field's word, which the caller validates against `state`.
+  // Bind a one-shot field of incarnation `seq` (a view, or a dequeue's
+  // result) to `fresh`; all helpers then read the winning value. For the
+  // view, counters are quiescent while a record is installed (only the
+  // installed record's helpers move them), so every candidate value is
+  // the same — the CAS exists to shut out helpers that stall before it
+  // and wake up rounds later. Returns the field's word, which the caller
+  // validates against `state`.
   static std::uint64_t bind(std::atomic<std::uint64_t>& field,
-                            const std::atomic<std::uint64_t>& counter,
-                            std::uint64_t seq) {
-    std::uint64_t v = field.load(std::memory_order_acquire);
-    if (v == unbound(seq)) {
-      const std::uint64_t fresh = counter.load(std::memory_order_seq_cst);
-      // Expects the sentinel naming `seq`: after a re-announcement the
-      // field holds another seq's sentinel or value and this misses.
-      if (field.compare_exchange_strong(v, fresh, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        v = fresh;
-      }
+                            std::uint64_t seq, std::uint64_t fresh) {
+    std::uint64_t v = unbound(seq);
+    // Expects the sentinel naming `seq`: after a re-announcement the
+    // field holds another seq's sentinel or value and this misses.
+    if (field.compare_exchange_strong(v, fresh, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      v = fresh;
     }
     return v;
   }
 
-  bool run_op(Handle& hd, std::uint64_t op, std::uint64_t& out) {
-    telemetry::count(op == kDequeueOp ? telemetry::Counter::k_deq_attempt
-                                      : telemetry::Counter::k_enq_attempt);
+  // Bind a view field from its live counter, unless already bound.
+  static std::uint64_t bind_view(std::atomic<std::uint64_t>& field,
+                                 const std::atomic<std::uint64_t>& counter,
+                                 std::uint64_t seq) {
+    const std::uint64_t v = field.load(std::memory_order_acquire);
+    if (v != unbound(seq)) return v;
+    return bind(field, seq, counter.load(std::memory_order_seq_cst));
+  }
+
+  // Announce and run one operation on m ≤ kBulk items (`in` for an
+  // enqueue, `out` for a dequeue); returns the count k it was decided
+  // with.
+  std::size_t run_op(Handle& hd, std::size_t m, const std::uint64_t* in,
+                     std::uint64_t* out) {
     Rec& rec = recs_[hd.slot_];
     const std::uint64_t seq = ticket_.fetch_add(1, std::memory_order_acq_rel);
     // Seqlock publish: the writing state goes out before any field store
     // (release fence), the pending state after all of them.
     rec.state.store((seq << 2) | kWriting, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
+    const std::uint64_t op = (in == nullptr ? kDequeueOp : 0) | m;
     rec.op.store(op, std::memory_order_relaxed);
     rec.bt.store(unbound(seq), std::memory_order_relaxed);
     rec.bh.store(unbound(seq), std::memory_order_relaxed);
-    rec.res.store(unbound(seq), std::memory_order_relaxed);
+    for (std::size_t j = 0; j < m; ++j) {
+      assert((in == nullptr || in[j] < kBotFlag) &&
+             "bits 62/63 are reserved for ⊥ and markers");
+      rec.val[j].store(in == nullptr ? unbound(seq) : in[j],
+                       std::memory_order_relaxed);
+    }
     const std::uint64_t pending = (seq << 2) | kPending;
     rec.state.store(pending, std::memory_order_seq_cst);
     while (rec.state.load(std::memory_order_acquire) == pending) {
       help_round(hd, rec, pending);
     }
-    // Decided: only this thread re-announces the record, so the outcome
-    // stays put until the next call.
+    // Decided: only this thread re-announces the record, so the outcome,
+    // the bound view and the result binds stay put until the next call.
     const std::uint64_t st = rec.state.load(std::memory_order_acquire);
-    if ((st & 3) == kFailed) return false;
-    if (op == kDequeueOp) out = rec.res.load(std::memory_order_acquire);
-    return true;
+    if ((st & 3) == kFailed) return 0;
+    const std::uint64_t k =
+        batch_size(op, rec.bt.load(std::memory_order_acquire),
+                   rec.bh.load(std::memory_order_acquire));
+    if (out != nullptr) {
+      for (std::size_t j = 0; j < k; ++j) {
+        out[j] = rec.val[j].load(std::memory_order_acquire);
+      }
+    }
+    return static_cast<std::size_t>(k);
   }
 
   // One round for a thread whose record `mine` is still `pending`: wait
@@ -344,75 +425,76 @@ class LockFreeOptimalQueue {
   // returns with the incarnation decided, or having found it superseded.
   void apply(Handle& hd, Rec& rec, std::uint64_t pending) {
     const std::uint64_t seq = seq_of(pending);
-    // Seqlock read: the operation word is s's only if `state` still names
-    // s behind the acquire fence.
+    // Seqlock read: the operation word and the `val` words (an enqueue's
+    // arguments; a dequeue ignores them here) are s's only if `state`
+    // still names s behind the acquire fence. So the arguments are read
+    // before the check, never after it.
     const std::uint64_t op = rec.op.load(std::memory_order_relaxed);
+    std::uint64_t args[kBulk] = {};
+    for (std::size_t j = 0; j < kBulk; ++j) {
+      args[j] = rec.val[j].load(std::memory_order_relaxed);
+    }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_of(rec.state.load(std::memory_order_relaxed)) != seq) return;
-    const std::uint64_t t = bind(rec.bt, tail_, seq);
-    const std::uint64_t h = bind(rec.bh, head_, seq);
+    const std::uint64_t t = bind_view(rec.bt, tail_, seq);
+    const std::uint64_t h = bind_view(rec.bh, head_, seq);
     // A bound value names no seq: re-read `state` after the (acquire)
     // field loads. A word bound for a later incarnation, or its sentinel,
     // was written after that incarnation's writing state, which this
     // load then sees.
     if (seq_of(rec.state.load(std::memory_order_acquire)) != seq) return;
-    if (op != kDequeueOp) {
-      if (t - h >= cap_) {
-        decide(rec, pending, kFailed);
-        return;
-      }
-      // Cell write: CAS ⊥_round(t) → arg. The versioned bottom makes the
-      // CAS one-shot across all helpers and all rounds; the read helps
-      // any DCSS marker (a poised stale vacate) out of the way first.
-      std::atomic<std::uint64_t>& cell = cells_[t % cap_];
-      const std::uint64_t expected_bot = bot_for(t);
-      for (;;) {
-        const std::uint64_t x = dcss_.read(&cell);
-        if (x != expected_bot) break;  // a helper's write already landed
-        std::uint64_t e = expected_bot;
-        if (cell.compare_exchange_strong(e, op, std::memory_order_acq_rel)) {
-          break;
+    const std::uint64_t k = batch_size(op, t, h);
+    if (k == 0) {
+      decide(rec, pending, kFailed);  // full or empty at the bound view
+      return;
+    }
+    if ((op & kDequeueOp) == 0) {
+      // Cell writes: CAS ⊥_round(t+j) → v_j. The versioned bottom makes
+      // each CAS one-shot across all helpers and all rounds; the read
+      // helps any DCSS marker (a poised stale vacate) out of the way first.
+      for (std::uint64_t j = 0; j < k; ++j) {
+        std::atomic<std::uint64_t>& cell = cells_[(t + j) % cap_];
+        const std::uint64_t expected_bot = bot_for(t + j);
+        for (;;) {
+          const std::uint64_t x = dcss_.read(&cell);
+          if (x != expected_bot) break;  // a helper's write already landed
+          std::uint64_t e = expected_bot;
+          if (cell.compare_exchange_strong(e, args[j],
+                                           std::memory_order_acq_rel)) {
+            break;
+          }
+          telemetry::count(telemetry::Counter::k_cas_fail);
         }
-        telemetry::count(telemetry::Counter::k_cas_fail);
       }
-      advance(tail_, t);
+      advance(tail_, t, k);
       decide(rec, pending, kDone);
       return;
     }
-    if (t == h) {
-      decide(rec, pending, kFailed);
-      return;
-    }
-    // readElem: the cell is stable until the result is bound (the vacate
-    // below CASes *from* the bound result, so it cannot precede the
-    // binding), hence the value read here is the element — unless we are
-    // a late helper finding the cell already vacated, in which case the
-    // result is bound and the one-shot CAS misses cleanly.
-    std::atomic<std::uint64_t>& cell = cells_[h % cap_];
-    std::uint64_t res = rec.res.load(std::memory_order_acquire);
-    if (res == unbound(seq)) {
-      const std::uint64_t x = dcss_.read(&cell);
-      if (!is_bot(x) &&
-          rec.res.compare_exchange_strong(res, x, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        res = x;
-      } else {
-        res = rec.res.load(std::memory_order_acquire);
+    for (std::uint64_t j = 0; j < k; ++j) {
+      // readElem: cell h+j is stable until val[j] is bound (its vacate
+      // CASes *from* the bound result, so it cannot precede the binding),
+      // hence the value read here is the element — unless we are a late
+      // helper finding the cell already vacated, in which case val[j] is
+      // bound and the one-shot CAS misses cleanly.
+      std::atomic<std::uint64_t>& cell = cells_[(h + j) % cap_];
+      std::uint64_t res = rec.val[j].load(std::memory_order_acquire);
+      if (res == unbound(seq)) {
+        const std::uint64_t x = dcss_.read(&cell);
+        res = is_bot(x) ? rec.val[j].load(std::memory_order_acquire)
+                        : bind(rec.val[j], seq, x);
       }
+      // A sentinel here (ours while the cell read raced with completion,
+      // or a later incarnation's) or a word of a later incarnation:
+      // leave; the caller re-enters or finds the record decided.
+      if ((res & kUnboundFlag) != 0 ||
+          seq_of(rec.state.load(std::memory_order_acquire)) != seq) {
+        return;
+      }
+      // Vacate: value → ⊥_{round+1}, guarded by head_ == h for every j —
+      // head_ stays at h until the batch's advance (see the header).
+      hd.th_.dcss(&cell, res, bot_for(h + j + cap_), &head_, h);
     }
-    // A sentinel here (ours while the cell read raced with completion, or
-    // a later incarnation's) or a value bound for a later incarnation:
-    // leave; the caller re-enters or finds the record decided.
-    if ((res & kUnboundFlag) != 0 ||
-        seq_of(rec.state.load(std::memory_order_acquire)) != seq) {
-      return;
-    }
-    // Vacate: value → ⊥_{round+1}, guarded by the head counter. The
-    // expected side is a value and values may repeat, so an unguarded CAS
-    // from a stale helper could fire rounds later (Theorem 3.12's weapon);
-    // DCSS with head as the second comparand pins the window.
-    hd.th_.dcss(&cell, res, bot_for(h + cap_), &head_, h);
-    advance(head_, h);
+    advance(head_, h, k);
     decide(rec, pending, kDone);
   }
 

@@ -34,10 +34,12 @@ namespace telemetry {
 #define MEMBQ_TELEMETRY_COUNTERS(X)                                         \
   X(enq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
                         /* the workload/bulk.hpp fallback counts one    */  \
-                        /* per item                                     */  \
+                        /* per item; the lock-free L5 one per call, not */  \
+                        /* one per four-item announcement               */  \
   X(deq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
                         /* the workload/bulk.hpp fallback counts one    */  \
-                        /* per item                                     */  \
+                        /* per item; the lock-free L5 one per call, not */  \
+                        /* one per four-item announcement               */  \
   X(cas_fail)           /* failed slot/counter CAS inside a retry loop  */  \
   X(floor_reload)       /* ring handle reloaded a stale counter floor   */  \
   X(llsc_sc_fail)       /* LL/SC store-conditional (validation) misses  */  \

@@ -10,10 +10,10 @@
 // when it has them (detected at compile time) and otherwise run the
 // per-item prefix loop — so every queue in the registry supports bulk
 // callers, and the native paths keep their amortization. This loop is
-// membq's only per-item fallback, and it serves only the optimal(L5)
-// queues, michael-scott and the mutex ring: every other queue, L1–L4
-// included, has a native bulk body and runs its scalar ops through it
-// (bulk with n=1).
+// membq's only per-item fallback, and it serves only the combining
+// optimal(L5) queue, michael-scott and the mutex ring: every other queue,
+// L1–L4 and the lock-free L5 included, has a native bulk body and runs
+// its scalar ops through it (bulk with n=1).
 #pragma once
 
 #include <cstddef>

@@ -19,6 +19,7 @@
 #include "baselines/spsc_ring.hpp"
 #include "baselines/vyukov_queue.hpp"
 #include "common/barrier.hpp"
+#include "core/lockfree_optimal_queue.hpp"
 #include "litmus_harness.hpp"
 #include "queues/dcss_queue.hpp"
 #include "queues/distinct_queue.hpp"
@@ -359,6 +360,15 @@ TEST(LitmusTest, BulkWrapAcrossReservedRange) {
                                        4, 1200, /*pbatch=*/3, /*cbatch=*/3,
                                        seed);
   }
+  for (const std::uint64_t seed : kSeeds) {
+    // L5: one announcement writes or vacates up to three cells across the
+    // seam, at per-index rounds t+j and h+j, every vacate guarded by the
+    // batch's one head_ == h comparand.
+    membq::LockFreeOptimalQueue q(4, /*max_threads=*/9);
+    membq::litmus::stress_handoff_bulk("L5 bulk wrap per-index rounds", q, 4,
+                                       4, 1200, /*pbatch=*/3, /*cbatch=*/3,
+                                       seed);
+  }
 }
 
 // Both memory-order policies pinned, mirroring the scalar pinning tests:
@@ -432,6 +442,27 @@ TEST(LitmusTest, BulkOversubscribedL3L4Continuations) {
     membq::litmus::stress_handoff_bulk("oversubscribed L4 bulk", q, 8, 8,
                                        1200, /*pbatch=*/2, /*cbatch=*/2,
                                        seed);
+  }
+}
+
+// The lock-free L5's bulk body, oversubscribed: 16 threads on a 2-slot
+// ring, with calls of 5 and 9 items. Each call asks for two or three
+// four-item announcements; on two slots the first is already short, so
+// the call stops there with the one or two items that fit. A preempted
+// helper of a batch wakes up after its record was decided and
+// re-announced, so its binds, cell writes, vacates and counter advance
+// must all miss; one that lands delivers a value twice, loses one or
+// inverts FIFO in the ledger.
+TEST(LitmusTest, BulkOversubscribedL5) {
+  for (const std::uint64_t seed : kSeeds) {
+    membq::LockFreeOptimalQueue q(2, /*max_threads=*/16);
+    membq::litmus::stress_handoff_bulk("oversubscribed L5 bulk 5/9", q, 8, 8,
+                                       600, /*pbatch=*/5, /*cbatch=*/9, seed);
+  }
+  for (const std::uint64_t seed : kSeeds) {
+    membq::LockFreeOptimalQueue q(2, /*max_threads=*/16);
+    membq::litmus::stress_handoff_bulk("oversubscribed L5 bulk 9/5", q, 8, 8,
+                                       600, /*pbatch=*/9, /*cbatch=*/5, seed);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <pthread.h>
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -63,6 +64,24 @@ TEST(LockFreeOptimalTest, OpsAllocateAndRetireNothing) {
       EXPECT_EQ(len, 0u);
     }
   }
+  // Bulk calls of 1–9 items: one to three announcements each.
+  std::uint64_t buf[9];
+  for (int i = 0; i < 10000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::uint64_t n = 1 + (x >> 8) % 9;
+    if ((x & 1) != 0) {
+      for (std::uint64_t j = 0; j < n; ++j) buf[j] = 1 + ((x >> 40) ^ j);
+      const std::uint64_t got = h.try_enqueue_bulk(buf, n);
+      EXPECT_EQ(got, std::min(n, q.capacity() - len));
+      len += got;
+    } else {
+      const std::uint64_t got = h.try_dequeue_bulk(buf, n);
+      EXPECT_EQ(got, std::min(n, len));
+      len -= got;
+    }
+  }
   EXPECT_EQ(alloc.total_bytes(), total_before)
       << "an operation allocated: records must be recycled, not renewed";
   EXPECT_EQ(ReclaimCounter::instance().retired_bytes(), retired_before)
@@ -74,8 +93,8 @@ TEST(LockFreeOptimalTest, OpsAllocateAndRetireNothing) {
 // Installer-first helping makes threads wait for the installer of the
 // operation in flight. That wait is bounded (kHelpPatience pauses): one
 // worker is frozen at arbitrary points — in the middle of applying an
-// installed operation, mid-scan, mid-wait — by a signal whose handler
-// spins on a flag, and every freeze must see the other workers complete
+// installed batch, mid-scan, mid-wait — by a signal whose handler spins
+// on a flag, and every freeze must see the other workers complete
 // operations. With an unbounded wait they stall as soon as the frozen
 // worker is the installer. Capacity 2 makes every other op wrap the ring.
 
@@ -121,17 +140,26 @@ TEST(LockFreeOptimalTest, OthersCompleteOpsWhileOneWorkerIsFrozen) {
     threads.emplace_back([&, w] {
       LockFreeOptimalQueue::Handle h(q);
       Worker& me = workers[w];
-      std::uint64_t out = 0;
+      std::uint64_t buf[8];
+      std::uint64_t next = static_cast<std::uint64_t>(w) << 32;
+      std::uint64_t rng = 0x9e3779b97f4a7c15ULL * (w + 1);
       for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        const std::uint64_t v = (static_cast<std::uint64_t>(w) << 32) | i;
+        // Batches of 1–8 items (at most two fit), so a freeze can land
+        // between two cell writes or two vacates of one announcement.
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const std::size_t n = 1 + rng % 8;
         if ((i & 1) == 0) {
-          if (h.try_enqueue(v)) {
-            ++me.enq_ok;
-            me.enq_sum += v;
-          }
-        } else if (h.try_dequeue(out)) {
-          ++me.deq_ok;
-          me.deq_sum += out;
+          for (std::size_t j = 0; j < n; ++j) buf[j] = next + j;
+          const std::size_t got = h.try_enqueue_bulk(buf, n);
+          for (std::size_t j = 0; j < got; ++j) me.enq_sum += buf[j];
+          me.enq_ok += got;
+          next += got;
+        } else {
+          const std::size_t got = h.try_dequeue_bulk(buf, n);
+          for (std::size_t j = 0; j < got; ++j) me.deq_sum += buf[j];
+          me.deq_ok += got;
         }
         me.ops.fetch_add(1, std::memory_order_relaxed);
       }

@@ -171,7 +171,8 @@ TEST(NetServerTest, ContendedBatchesAreShortOnlyWhenFullOrEmpty) {
   constexpr int kConns = 4;
   constexpr int kFrames = 96;  // per connection and phase
   constexpr std::uint16_t kBatch = 8;
-  for (const char* queue : {"distinct(L2)", "llsc(L3)", "dcss(L4)"}) {
+  for (const char* queue :
+       {"distinct(L2)", "llsc(L3)", "dcss(L4)", "optimal(L5,lf,ebr)"}) {
     SCOPED_TRACE(queue);
     ServerConfig cfg;
     cfg.queue = queue;

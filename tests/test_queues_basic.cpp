@@ -246,7 +246,9 @@ TEST(QueueBasicTest, SegmentQueueElementBytesTracksSize) {
 // floors fall far behind the counters. Every verdict must still match a
 // std::deque model exactly: full exactly at size C, empty exactly at 0,
 // values in FIFO order, a bulk call's accepted count exactly the room
-// (or the size). A stale floor may cost a reload, never a verdict.
+// (or the size). A stale floor may cost a reload, never a verdict. The
+// lock-free L5 keeps no floors; it runs the same check for its bulk body,
+// whose calls of up to five items straddle its four-item announcement.
 template <class Q>
 void check_stale_floors(Q& q, std::size_t cap) {
   using membq::workload::detail::xorshift64;
@@ -305,6 +307,10 @@ TEST(QueueFloorTest, StaleFloorsKeepExactVerdicts) {
     }
     {
       membq::ScqRing q(cap);
+      check_stale_floors(q, cap);
+    }
+    {
+      membq::LockFreeOptimalQueue q(cap, 2);
       check_stale_floors(q, cap);
     }
   }

@@ -239,10 +239,11 @@ TEST(QueueConcurrentTest, TinyRingHighChurnAllPaperQueues) {
 // window within a few hundred items on a 4-CPU host. After the run the
 // drained ring must hold exactly what the counts say, with no value
 // twice, and still take one value and give it back. On one CPU the
-// window never opens; the test passes there.
-template <class Q>
-void run_bulk_then_check_counters() {
-  Q q(64);
+// window never opens; the test passes there. `args` follow the capacity
+// in the queue's constructor.
+template <class Q, class... Args>
+void run_bulk_then_check_counters(Args... args) {
+  Q q(64, args...);
   membq::workload::RunConfig cfg;
   cfg.threads = 4;
   cfg.ops_per_thread = 20000;
@@ -279,6 +280,14 @@ TEST(QueueConcurrentTest, LlscBulkRangeAdvanceNeverStrandsCounter) {
 
 TEST(QueueConcurrentTest, DcssBulkRangeAdvanceNeverStrandsCounter) {
   run_bulk_then_check_counters<membq::DcssQueue>();
+}
+
+// The lock-free L5 advances a counter once per four-item announcement,
+// by the count its bound view gives; a wrong count strands a counter or
+// skips a cell here.
+TEST(QueueConcurrentTest, LockFreeOptimalBulkRangeAdvanceNeverStrandsCounter) {
+  run_bulk_then_check_counters<membq::LockFreeOptimalQueue>(
+      std::size_t{5} /* max_threads */);
 }
 
 }  // namespace
