@@ -70,11 +70,7 @@ void record_rows(membq::bench::Harness& h, const char* sweep,
         .metric("overhead_bytes", static_cast<std::uint64_t>(r.overhead_bytes))
         .metric("aux_bytes", static_cast<std::uint64_t>(r.aux_bytes))
         .metric("retired_bytes",
-                static_cast<std::uint64_t>(r.retired_bytes))
-        // Locality column: -1 node = unknown (not topo-allocated or the
-        // kernel can't say); hugepage records the actual backing.
-        .metric("mem_node", static_cast<double>(r.mem_node))
-        .flag("hugepage", r.hugepage);
+                static_cast<std::uint64_t>(r.retired_bytes));
   }
 }
 

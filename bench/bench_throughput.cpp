@@ -1,13 +1,23 @@
-// E10 / E12 — throughput across every queue and thread count, balanced MPMC
-// mix plus the SPSC relaxation series. The paper's motivating shape: compact
-// (memory-friendly) queues beat node-per-element designs under contention,
-// the blocking queue falls behind scalable ones as T grows, and the SPSC
-// relaxation buys back everything when the application allows it.
+// E10 / E12 / E15 / E16 — throughput across every queue and thread count,
+// balanced MPMC mix plus the SPSC relaxation series. The paper's motivating
+// shape: compact (memory-friendly) queues beat node-per-element designs
+// under contention, the blocking queue falls behind scalable ones as T
+// grows, and the SPSC relaxation buys back everything when the
+// application allows it.
+//
+// E15 runs the same sweep under skewed and bursty mixes: enqueue-heavy
+// pushes every queue against its full path, dequeue-heavy against its
+// empty path, bursty against round transitions (segment boundaries, cycle
+// flips, versioned-⊥ round bumps). E16 samples per-operation latency
+// percentiles: the paper's memory-friendliness argument is ultimately a
+// tail-latency argument (fewer cache misses, no allocator excursions), and
+// node-per-element designs show it in p99/p999 first.
 //
 // Absolute numbers are machine-dependent; the series ORDER is the claim.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "baselines/role_rings.hpp"
 #include "baselines/scq_ring.hpp"
@@ -24,6 +34,70 @@
 #include "workload/registry.hpp"
 
 namespace {
+
+// One configuration of the registry sweep: `cfg` runs on every
+// all_queues() row, and each record is labelled
+// <experiment>/<queue><suffix>. A scenario whose header differs from the
+// previous one's starts a new table.
+struct Scenario {
+  std::string header;
+  std::string experiment;
+  std::string suffix;
+  std::size_t capacity;
+  membq::workload::RunConfig cfg;
+};
+
+// E10 (balanced MPMC across T), E15 (mixes at fixed T) and E16 (latency
+// percentiles across T): the registry sweeps that differ only in their
+// RunConfig.
+std::vector<Scenario> registry_scenarios(const membq::bench::Harness& h) {
+  using namespace membq::workload;
+  std::vector<Scenario> out;
+
+  const std::size_t c10 = h.capacity(4096);
+  const std::size_t ops10 = h.ops(200000);
+  const std::string e10 =
+      "=== E10: balanced MPMC throughput (C = " + std::to_string(c10) +
+      ", " + std::to_string(ops10) + " ops/thread, " +
+      std::to_string(membq::online_cpus()) + " cpu(s) online) ===";
+  for (std::size_t threads : h.threads({1, 2, 4, 8})) {
+    RunConfig cfg;
+    cfg.threads = threads;
+    cfg.ops_per_thread = ops10 / threads;
+    cfg.mix = h.mix(Mix::kBalanced);
+    cfg.prefill = c10 / 2;
+    out.push_back({e10, "e10", "/T=" + std::to_string(threads), c10, cfg});
+  }
+
+  const std::size_t c15 = h.capacity(1024);
+  const std::size_t t15 = h.threads({4}).front();
+  const std::string e15 = "=== E15: workload mixes (C = " +
+                          std::to_string(c15) + ", T = " +
+                          std::to_string(t15) + ") ===";
+  for (Mix mix : {Mix::kBalanced, Mix::kEnqueueHeavy, Mix::kDequeueHeavy,
+                  Mix::kPairwise, Mix::kBursty}) {
+    RunConfig cfg;
+    cfg.threads = t15;
+    cfg.ops_per_thread = h.ops(50000);
+    cfg.mix = mix;
+    cfg.prefill = c15 / 2;
+    out.push_back({e15, "e15", std::string("/") + to_string(mix), c15, cfg});
+  }
+
+  const std::size_t c16 = h.capacity(1024);
+  const std::string e16 =
+      "=== E16: op latency percentiles (C = " + std::to_string(c16) + ") ===";
+  for (std::size_t threads : h.threads({1, 4})) {
+    RunConfig cfg;
+    cfg.threads = threads;
+    cfg.ops_per_thread = h.ops(30000);
+    cfg.mix = h.mix(Mix::kBalanced);
+    cfg.prefill = c16 / 2;
+    cfg.sample_latency = true;
+    out.push_back({e16, "e16", "/T=" + std::to_string(threads), c16, cfg});
+  }
+  return out;
+}
 
 // One row of the E10b comparison: run `q` and tag the row with the
 // memory-order policy it was instantiated with.
@@ -61,21 +135,18 @@ int main(int argc, char** argv) {
   const std::size_t kCapacity = harness.capacity(4096);
   const std::size_t kOps = harness.ops(200000);
 
-  std::printf("=== E10: balanced MPMC throughput (C = %zu, %zu ops/thread, "
-              "%zu cpu(s) online) ===\n",
-              kCapacity, kOps, membq::online_cpus());
-  for (std::size_t threads : harness.threads({1, 2, 4, 8})) {
-    RunConfig cfg;
-    cfg.threads = threads;
-    cfg.ops_per_thread = kOps / threads;
-    cfg.mix = harness.mix(Mix::kBalanced);
-    cfg.prefill = kCapacity / 2;
+  std::string header;
+  for (const Scenario& s : registry_scenarios(harness)) {
+    if (s.header != header) {
+      header = s.header;
+      std::printf("%s\n", header.c_str());
+    }
     for (const auto& q : all_queues()) {
-      const RunResult r = q.run(kCapacity, cfg);
+      const RunResult r = q.run(s.capacity, s.cfg);
       std::printf("%s\n", r.format().c_str());
-      harness.record("e10/" + r.queue + "/T=" + std::to_string(threads))
+      harness.record(s.experiment + "/" + r.queue + s.suffix)
           .from(r)
-          .param("capacity", static_cast<std::uint64_t>(kCapacity));
+          .param("capacity", static_cast<std::uint64_t>(s.capacity));
     }
     std::printf("\n");
   }

@@ -25,7 +25,6 @@ constexpr std::size_t kShortDivisor = 8;
                "usage: bench_%s [--threads=1,2,4] [--capacity=N] [--ops=N]\n"
                "       [--mix=balanced|enq-heavy|deq-heavy|pairwise|bursty]\n"
                "       [--batch=N] [--pin-policy=none|cores-first|sequential]\n"
-               "       [--mem-policy=none|first-touch|interleave|bind[:N]]\n"
                "       [--short] [--out=PATH] [--out-dir=DIR]\n"
                "       [--no-json] [--profile-us=N]\n",
                name, bad, name);
@@ -122,13 +121,7 @@ Record& Record::from(const workload::RunResult& r) {
   param("threads", static_cast<std::uint64_t>(r.threads));
   param("mix", workload::to_string(r.mix));
   param("batch", static_cast<std::uint64_t>(r.batch));
-  // Locality column: pinning and where the hot array's pages live.
-  // mem_node is -1 when the kernel can't say (or the queue predates the
-  // topo allocator), so it rides as a signed metric, not a uint param.
   param("pin_policy", membq::to_string(r.pin));
-  param("mem_policy", topo::to_string(r.mem.policy));
-  metric("mem_node", static_cast<double>(r.mem.node));
-  flag("hugepage", r.mem.huge);
   metric("mops", r.mops);
   metric("seconds", r.seconds);
   metric("enq_ok", r.enq_ok);
@@ -170,10 +163,6 @@ Harness::Harness(const char* name, int argc, char** argv) : name_(name) {
       opts_.has_mix = true;
     } else if ((v = flag_value(arg, "--pin-policy")) != nullptr) {
       if (!pin_policy_from_string(v, opts_.pin)) usage_and_exit(name, arg);
-    } else if ((v = flag_value(arg, "--mem-policy")) != nullptr) {
-      if (!topo::mem_policy_from_string(v, opts_.mem)) {
-        usage_and_exit(name, arg);
-      }
     } else if ((v = flag_value(arg, "--out")) != nullptr) {
       opts_.out_path = v;
     } else if ((v = flag_value(arg, "--out-dir")) != nullptr) {
@@ -186,12 +175,10 @@ Harness::Harness(const char* name, int argc, char** argv) : name_(name) {
       usage_and_exit(name, arg);
     }
   }
-  // Install the placement axes process-wide: RunConfig's pin default and
-  // every queue constructor's mem-policy default read these, so the
-  // whole bench runs under the requested placement with no per-callsite
+  // Install the pin policy process-wide: RunConfig's pin default reads
+  // it, so the whole bench runs pinned as asked with no per-callsite
   // threading.
   set_default_pin_policy(opts_.pin);
-  topo::set_default_mem_policy(opts_.mem);
   mark_ = telemetry::snapshot();
   if (opts_.profile_period_us != 0) {
     profiler_.reset(new telemetry::Profiler(opts_.profile_period_us));
@@ -271,11 +258,10 @@ void Harness::write_json() {
   w.begin_object();
   w.kv("short", opts_.short_mode);
   w.kv("pin_policy", membq::to_string(opts_.pin));
-  w.kv("mem_policy", topo::to_string(opts_.mem));
   w.end_object();
 
-  // Machine shape, so a baseline diff can tell a policy regression from
-  // a different box.
+  // Machine shape, so a baseline diff can tell a regression from a
+  // different box.
   {
     const topo::Topology& t = topo::system();
     w.key("topology");

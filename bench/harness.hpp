@@ -20,8 +20,6 @@
 //   --mix=NAME         override the workload mix (balanced, enq-heavy, ...)
 //   --batch=N          override the bench's items-per-op batch size
 //   --pin-policy=P     worker pinning: none | cores-first | sequential
-//   --mem-policy=P     queue placement: none | first-touch | interleave |
-//                      bind[:node], optional :huge / :nohuge suffix
 //   --short            scale op counts down ~8x (CI smoke mode)
 //   --out=PATH         write the JSON to PATH
 //   --out-dir=DIR      write to DIR/BENCH_<name>.json (default ".")
@@ -57,12 +55,10 @@ struct Options {
   workload::Mix mix = workload::Mix::kBalanced;
   bool has_batch = false;
   std::size_t batch = 1;             // items per op (--batch override)
-  // Placement axes. The Harness constructor installs these as the
-  // process-wide defaults (set_default_pin_policy /
-  // set_default_mem_policy), which RunConfig and the queue constructors
-  // pick up — so a bench needs no per-run plumbing to honor them.
+  // Worker pinning. The Harness constructor installs it as the
+  // process-wide default (set_default_pin_policy), which RunConfig picks
+  // up — so a bench needs no per-run plumbing to honor it.
   PinPolicy pin = PinPolicy::kNone;
-  topo::MemPolicySpec mem;
   bool short_mode = false;
   bool json = true;
   std::string out_path;        // explicit --out

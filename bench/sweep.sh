@@ -5,8 +5,7 @@
 # BENCH_<name>.json). The collected artifacts are schema-validated with
 # compare_bench.py before the script reports success.
 #
-#   bench/sweep.sh [-b BENCH] [-t "1 2 4"] [-q "name1;name2"] \
-#                  [-p "policy1 policy2"] [-o DIR] \
+#   bench/sweep.sh [-b BENCH] [-t "1 2 4"] [-q "name1;name2"] [-o DIR] \
 #                  [-- extra harness flags, e.g. --short]
 #
 #   -b BENCH    bench binary name (default: bench_server)
@@ -14,10 +13,6 @@
 #   -q LIST     semicolon-separated registry queue names (they contain
 #               commas); passed as --queue=, which bench_server consumes.
 #               Empty string = no queue axis (for benches without one).
-#   -p LIST     space-separated memory-placement policies (passed as
-#               --mem-policy=, e.g. "none first-touch interleave" or
-#               "bind:0 bind:0:huge"). Empty string (the default) = no
-#               placement axis, no --mem-policy flag.
 #   -o DIR      output directory (default: sweep-out)
 #
 # Env: BUILD_DIR (default: build) locates the binaries.
@@ -32,7 +27,6 @@ BUILD_DIR=${BUILD_DIR:-build}
 BENCH=bench_server
 THREADS="1 2 4"
 QUEUES="sharded(vyukov,4)"
-PLACEMENTS=""
 OUT_DIR=sweep-out
 EXTRA=()
 
@@ -46,7 +40,6 @@ while [[ $# -gt 0 ]]; do
     -b) BENCH=$2; shift 2 ;;
     -t) THREADS=$2; shift 2 ;;
     -q) QUEUES=$2; shift 2 ;;
-    -p) PLACEMENTS=$2; shift 2 ;;
     -o) OUT_DIR=$2; shift 2 ;;
     --) shift; EXTRA=("$@"); break ;;
     -h|--help) usage; exit 0 ;;
@@ -62,27 +55,17 @@ mkdir -p "$OUT_DIR"
 IFS=';' read -r -a queue_list <<< "$QUEUES"
 [[ ${#queue_list[@]} -gt 0 ]] || queue_list=("")
 
-# Placement axis: empty -p means one pass with no --mem-policy flag.
-placement_list=()
-for p in $PLACEMENTS; do placement_list+=("$p"); done
-[[ ${#placement_list[@]} -gt 0 ]] || placement_list=("")
-
 wrote=()
 for q in "${queue_list[@]}"; do
   # Registry names carry (),, — slug them for the filename.
   slug=$(printf '%s' "$q" | sed 's/[^A-Za-z0-9._-]/_/g')
-  for p in "${placement_list[@]}"; do
-    # Policies carry : — same filename slugging.
-    pslug=$(printf '%s' "$p" | sed 's/[^A-Za-z0-9._-]/_/g')
-    for t in $THREADS; do
-      out="$OUT_DIR/BENCH_${BENCH#bench_}__${slug:-default}${pslug:+__$pslug}__t${t}.json"
-      args=(--threads="$t" --out="$out")
-      [[ -n $q ]] && args+=(--queue="$q")
-      [[ -n $p ]] && args+=(--mem-policy="$p")
-      echo "== $BENCH ${args[*]} ${EXTRA[*]:-}"
-      "$bin" "${args[@]}" ${EXTRA[@]+"${EXTRA[@]}"} > /dev/null
-      wrote+=("$out")
-    done
+  for t in $THREADS; do
+    out="$OUT_DIR/BENCH_${BENCH#bench_}__${slug:-default}__t${t}.json"
+    args=(--threads="$t" --out="$out")
+    [[ -n $q ]] && args+=(--queue="$q")
+    echo "== $BENCH ${args[*]} ${EXTRA[*]:-}"
+    "$bin" "${args[@]}" ${EXTRA[@]+"${EXTRA[@]}"} > /dev/null
+    wrote+=("$out")
   done
 done
 

@@ -18,12 +18,13 @@
 //   * entry load: acquire — observes the opposite role's CAS release;
 //     the cycle tag read decides help/full/empty, and the value is only
 //     trusted when the tag matches the ticket's round.
-//   * head_/tail_ load: acquire, paired with advance()'s release. Each
-//     role loads its own counter for its ticket; it loads the other
-//     role's counter only on its full/empty verdict path, after the entry
-//     read showed neither a ready nor a served state.
-//   * advance() CAS loop: release success / relaxed failure; moves a
-//     counter to at least seen+k (a helper's step, or a claimed range).
+//   * head_/tail_ load: acquire, paired with advance_counter()'s
+//     release. Each role loads its own counter for its ticket; it loads
+//     the other role's counter only on its full/empty verdict path,
+//     after the entry read showed neither a ready nor a served state.
+//   * advance_counter() CAS loop (sync/counter.hpp): release success /
+//     relaxed failure; moves a counter to at least seen+k (a helper's
+//     step, or a claimed range).
 //   * full/empty verdicts rely on counter/entry freshness beyond the
 //     pairings (per-location coherence; see sync/memory_order.hpp).
 #pragma once
@@ -31,11 +32,12 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 
-#include "common/topo_alloc.hpp"
 #include "sync/backoff.hpp"
-#include "telemetry/counters.hpp"
+#include "sync/counter.hpp"
 #include "sync/memory_order.hpp"
+#include "telemetry/counters.hpp"
 
 namespace membq {
 
@@ -44,19 +46,17 @@ class BasicScqRing {
  public:
   static constexpr char kName[] = "scq(faa-ring)";
 
-  explicit BasicScqRing(
-      std::size_t capacity,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
-      : cap_(capacity), cells_(capacity, pol) {
+  explicit BasicScqRing(std::size_t capacity)
+      : cap_(capacity),
+        cells_(std::make_unique<std::atomic<Entry>[]>(capacity)) {
     assert(capacity > 0);
     // Pre-publication initialization.
-    for (auto& c : cells_) c.store(Entry{0, 0}, O::init);
+    for (std::size_t i = 0; i < cap_; ++i) {
+      cells_[i].store(Entry{0, 0}, O::init);
+    }
   }
 
   std::size_t capacity() const noexcept { return cap_; }
-
-  // Where the slot array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return cells_.placement(); }
 
   // Scalar ops are bulk(n=1): each direction has exactly one body.
   bool try_enqueue(std::uint64_t v) noexcept {
@@ -81,7 +81,8 @@ class BasicScqRing {
     Backoff backoff;
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
-      // Acquire ticket loads paired with advance()'s release (header).
+      // Acquire ticket loads paired with advance_counter()'s release
+      // (header).
       const std::uint64_t t = tail_.load(O::acquire);
       Entry cur = cells_[t % cap_].load(O::acquire);
       if (t != tail_.load(O::acquire)) continue;
@@ -99,7 +100,7 @@ class BasicScqRing {
         continue;
       }
       if (cur.state == 2 * round + 1) {
-        advance(tail_, t, 1);  // ticket t already enqueued; help
+        advance_counter<O>(tail_, t, 1);  // ticket t already enqueued; help
         continue;
       }
       // Slot still carries an older cycle: full once head_, loaded here
@@ -123,7 +124,7 @@ class BasicScqRing {
       }
       ++k;
     }
-    advance(tail_, t0, k);
+    advance_counter<O>(tail_, t0, k);
     return k;
   }
 
@@ -154,7 +155,7 @@ class BasicScqRing {
         continue;
       }
       if (cur.state == 2 * (round + 1)) {
-        advance(head_, h, 1);  // ticket h already dequeued; help
+        advance_counter<O>(head_, h, 1);  // ticket h already dequeued; help
         continue;
       }
       // Empty verdict: entry still in round r's enqueue-ready state and
@@ -179,7 +180,7 @@ class BasicScqRing {
       out[k] = cur.value;
       ++k;
     }
-    advance(head_, h0, k);
+    advance_counter<O>(head_, h0, k);
     return k;
   }
 
@@ -208,20 +209,8 @@ class BasicScqRing {
     std::uint64_t value;
   };
 
-  // Move `counter` to at least seen+k, for a helper (k = 1) and for the
-  // range a bulk op claimed alike. Release success / relaxed failure;
-  // same contract as the L2 ring (queues/distinct_queue.hpp), including
-  // why a one-shot CAS seen → seen+k would strand the counter.
-  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
-                      std::uint64_t k) noexcept {
-    std::uint64_t cur = seen;
-    while (cur < seen + k && !counter.compare_exchange_weak(
-                                 cur, seen + k, O::release, O::relaxed)) {
-    }
-  }
-
   const std::size_t cap_;
-  topo::TopoArray<std::atomic<Entry>> cells_;
+  std::unique_ptr<std::atomic<Entry>[]> cells_;
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
 };

@@ -27,8 +27,9 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 
-#include "common/topo_alloc.hpp"
+#include "common/topology.hpp"
 #include "sync/memory_order.hpp"
 #include "telemetry/counters.hpp"
 
@@ -39,10 +40,11 @@ class BasicVyukovQueue {
  public:
   static constexpr char kName[] = "vyukov(perslot-seq)";
 
-  explicit BasicVyukovQueue(
-      std::size_t capacity,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
-      : cap_(capacity), cells_(capacity, pol) {
+  // The ignored topo::MemPolicySpec tag has one user,
+  // membq-bench/src/panel.hpp, whose sharded row passes it to every shard.
+  explicit BasicVyukovQueue(std::size_t capacity,
+                            const topo::MemPolicySpec& = {})
+      : cap_(capacity), cells_(std::make_unique<Cell[]>(capacity)) {
     assert(capacity > 0);
     for (std::size_t i = 0; i < capacity; ++i) {
       // Pre-publication initialization.
@@ -51,9 +53,6 @@ class BasicVyukovQueue {
   }
 
   std::size_t capacity() const noexcept { return cap_; }
-
-  // Where the slot array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return cells_.placement(); }
 
   // Scalar ops are bulk(n=1): each direction has exactly one body.
   bool try_enqueue(std::uint64_t v) noexcept {
@@ -193,7 +192,7 @@ class BasicVyukovQueue {
   }
 
   const std::size_t cap_;
-  topo::TopoArray<Cell> cells_;
+  std::unique_ptr<Cell[]> cells_;
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
 };

@@ -69,17 +69,6 @@ std::size_t AllocCounter::live_allocations() const noexcept {
   return g_live_allocs.load(std::memory_order_relaxed);
 }
 
-void AllocCounter::add_external(std::size_t bytes) noexcept {
-  g_live_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_total_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
-}
-
-void AllocCounter::sub_external(std::size_t bytes) noexcept {
-  g_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
-}
-
 AllocCounter& AllocCounter::instance() noexcept { return g_counter; }
 
 }  // namespace membq

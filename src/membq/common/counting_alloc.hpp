@@ -24,13 +24,6 @@ class AllocCounter {
   // Number of live allocations.
   std::size_t live_allocations() const noexcept;
 
-  // Accounting hooks for memory that bypasses operator new (the topo
-  // allocator's mmap path). Bytes are the *requested* size, mirroring
-  // what the operator-new path records, so the overhead tables measure
-  // the same quantity whichever backing a policy selected.
-  void add_external(std::size_t bytes) noexcept;
-  void sub_external(std::size_t bytes) noexcept;
-
   static AllocCounter& instance() noexcept;
 };
 

@@ -219,15 +219,5 @@ const Topology& system() {
   return t;
 }
 
-int current_node() noexcept {
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  if (cpu < 0) return -1;
-  return system().node_of(cpu);
-#else
-  return -1;
-#endif
-}
-
 }  // namespace topo
 }  // namespace membq

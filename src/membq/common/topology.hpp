@@ -1,10 +1,10 @@
 // CPU/NUMA topology discovery from sysfs, honoring the process cpuset.
 //
-// Everything placement-related starts here: which CPUs this process may
-// actually run on (`sched_getaffinity`, NOT `_SC_NPROCESSORS_ONLN` — the
-// two differ under taskset/cgroup cpusets and the difference is exactly
-// the pinning bug this layer fixes), which NUMA node each CPU belongs to,
-// and which CPUs are SMT siblings of one physical core.
+// Thread pinning starts here: which CPUs this process may actually run
+// on (`sched_getaffinity`, NOT `_SC_NPROCESSORS_ONLN` — the two differ
+// under taskset/cgroup cpusets and the difference is exactly the pinning
+// bug this layer fixes), which NUMA node each CPU belongs to, and which
+// CPUs are SMT siblings of one physical core.
 //
 // Discovery reads the standard sysfs files:
 //   <root>/devices/system/cpu/online                      (cpulist)
@@ -101,16 +101,18 @@ std::vector<int> allowed_cpus();
 Topology discover(const std::string& sysfs_root,
                   const std::vector<int>& allowed);
 
-// NUMA node of the CPU this thread is running on right now
-// (sched_getcpu mapped through system()); -1 when unknowable. Used by
-// the sharded router to home consumers near their shard's memory.
-int current_node() noexcept;
-
 // Process-wide topology: discover("/sys", allowed_cpus()) computed once
 // at first use. Static hardware facts only — callers that must honor a
 // mask changed *after* startup (the pinning layer) intersect with a
 // fresh allowed_cpus() themselves.
 const Topology& system();
+
+// Empty tag with no effect. Its only user is membq-bench/src/panel.hpp,
+// whose sharded row builds each shard through a
+// (per_shard, const MemPolicySpec&) factory; VyukovQueue's second
+// constructor parameter and ShardedQueue's two-argument factory
+// dispatch accept it for that file alone.
+struct MemPolicySpec {};
 
 }  // namespace topo
 }  // namespace membq

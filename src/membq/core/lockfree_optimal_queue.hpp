@@ -112,7 +112,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "common/topo_alloc.hpp"
 #include "sync/backoff.hpp"
 #include "sync/dcss.hpp"
 #include "telemetry/counters.hpp"
@@ -131,13 +130,11 @@ class LockFreeOptimalQueue {
   // Items one announcement carries: the record's idle words.
   static constexpr std::size_t kBulk = 4;
 
-  LockFreeOptimalQueue(
-      std::size_t capacity, std::size_t max_threads,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
+  LockFreeOptimalQueue(std::size_t capacity, std::size_t max_threads)
       : cap_(capacity),
         max_threads_(max_threads == 0 ? 1 : max_threads),
-        cells_(capacity, pol),
-        recs_(max_threads_, pol),
+        cells_(std::make_unique<std::atomic<std::uint64_t>[]>(capacity)),
+        recs_(std::make_unique<Rec[]>(max_threads_)),
         slot_used_(new std::atomic<bool>[max_threads_]),
         dcss_(max_threads_) {
     assert(capacity > 0);
@@ -154,9 +151,6 @@ class LockFreeOptimalQueue {
 
   std::size_t capacity() const noexcept { return cap_; }
   std::size_t max_threads() const noexcept { return max_threads_; }
-
-  // Where the element array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return cells_.placement(); }
 
   class Handle {
    public:
@@ -525,8 +519,8 @@ class LockFreeOptimalQueue {
 
   const std::size_t cap_;
   const std::size_t max_threads_;
-  topo::TopoArray<std::atomic<std::uint64_t>> cells_;  // the C words
-  topo::TopoArray<Rec> recs_;  // Θ(T) announcement records
+  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;  // the C words
+  std::unique_ptr<Rec[]> recs_;  // Θ(T) announcement records
   std::unique_ptr<std::atomic<bool>[]> slot_used_;
   DcssDomain dcss_;  // Θ(T) descriptor pool guarding the vacate
   alignas(64) std::atomic<std::uint64_t> ticket_{0};

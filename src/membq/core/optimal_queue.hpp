@@ -23,7 +23,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "common/topo_alloc.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
@@ -32,12 +31,11 @@ class OptimalQueue {
  public:
   static constexpr char kName[] = "optimal(L5)";
 
-  OptimalQueue(std::size_t capacity, std::size_t max_threads,
-               const topo::MemPolicySpec& pol = topo::default_mem_policy())
+  OptimalQueue(std::size_t capacity, std::size_t max_threads)
       : cap_(capacity),
         max_threads_(max_threads == 0 ? 1 : max_threads),
-        values_(capacity, pol),
-        slots_(max_threads_, pol),
+        values_(std::make_unique<std::uint64_t[]>(capacity)),
+        slots_(std::make_unique<Slot[]>(max_threads_)),
         slot_used_(new std::atomic<bool>[max_threads_]) {
     assert(capacity > 0);
     for (std::size_t i = 0; i < max_threads_; ++i) {
@@ -50,9 +48,6 @@ class OptimalQueue {
 
   std::size_t capacity() const noexcept { return cap_; }
   std::size_t max_threads() const noexcept { return max_threads_; }
-
-  // Where the element array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return values_.placement(); }
 
   class Handle {
    public:
@@ -169,8 +164,8 @@ class OptimalQueue {
 
   const std::size_t cap_;
   const std::size_t max_threads_;
-  topo::TopoArray<std::uint64_t> values_;  // the C element words
-  topo::TopoArray<Slot> slots_;            // Θ(T) announcement array
+  std::unique_ptr<std::uint64_t[]> values_;  // the C element words
+  std::unique_ptr<Slot[]> slots_;            // Θ(T) announcement array
   std::unique_ptr<std::atomic<bool>[]> slot_used_;
   std::atomic<bool> latch_{false};
   // Combiner-private ring indices (guarded by latch_).

@@ -55,17 +55,14 @@ ThetaClass classify(const std::vector<OverheadRow>& capacity_sweep,
 std::string format_table(const std::vector<OverheadRow>& rows) {
   std::string out;
   char buf[160];
-  int n = std::snprintf(buf, sizeof(buf),
-                        "%-24s %8s %6s %14s %14s %12s %5s %5s\n", "queue",
-                        "C", "T", "overhead_B", "aux_B(emul)", "retired_B",
-                        "node", "huge");
+  int n = std::snprintf(buf, sizeof(buf), "%-24s %8s %6s %14s %14s %12s\n",
+                        "queue", "C", "T", "overhead_B", "aux_B(emul)",
+                        "retired_B");
   out.append(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
   for (const OverheadRow& r : rows) {
-    n = std::snprintf(buf, sizeof(buf),
-                      "%-24s %8zu %6zu %14zu %14zu %12zu %5d %5s\n",
+    n = std::snprintf(buf, sizeof(buf), "%-24s %8zu %6zu %14zu %14zu %12zu\n",
                       r.queue.c_str(), r.capacity, r.threads,
-                      r.overhead_bytes, r.aux_bytes, r.retired_bytes,
-                      r.mem_node, r.hugepage ? "yes" : "no");
+                      r.overhead_bytes, r.aux_bytes, r.retired_bytes);
     out.append(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
   }
   return out;

@@ -26,10 +26,6 @@ struct OverheadRow {
   // backlog never masquerades as live algorithmic overhead in the Θ-class
   // inference.
   std::size_t retired_bytes = 0;
-  // Locality column: NUMA node the queue's hot array resides on (-1 =
-  // unknown / not topo-allocated) and whether 2 MB pages back it.
-  int mem_node = -1;
-  bool hugepage = false;
 };
 
 enum class ThetaClass {

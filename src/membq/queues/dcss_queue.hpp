@@ -33,7 +33,7 @@
 // resolves with a release, and the decision reads the counter inside the
 // marker window (pairings annotated in sync/dcss.cpp). The counters here
 // follow the same pairing as the other rings:
-//   * head_/tail_ load: acquire — pairs with advance()'s release.
+//   * head_/tail_ load: acquire — pairs with advance_counter()'s release.
 //   * counter floors: as in the L3 ring, each Handle keeps the last value
 //     it loaded of the other role's counter and reloads it (the acquire
 //     load above, same site) only when the floor fails its gate
@@ -42,9 +42,11 @@
 //     empty or help-tail verdict is taken on a fresh load. Floors are
 //     handle-local state, not shared memory: the Θ(T) is still the
 //     descriptor pool alone.
-//   * advance() CAS loop: release on success, relaxed on failure
-//     (helping race lost, nothing observed); it moves the counter to at
-//     least seen+k.
+//   * advance_counter() CAS loop (sync/counter.hpp): release on success,
+//     relaxed on failure (helping race lost, nothing observed); it moves
+//     the counter to at least seen+k. The DCSS decision load reads the
+//     counter with O::acquire inside the marker window; this release is
+//     what the window observes.
 //   * continuation comparands (above): τ and η are acquire loads made
 //     after the domain read of the cell. The DCSS compares the counter
 //     again inside its marker window, so a claim lands only if the
@@ -58,12 +60,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 
-#include "common/topo_alloc.hpp"
 #include "sync/backoff.hpp"
-#include "telemetry/counters.hpp"
+#include "sync/counter.hpp"
 #include "sync/dcss.hpp"
 #include "sync/memory_order.hpp"
+#include "telemetry/counters.hpp"
 
 namespace membq {
 
@@ -76,18 +79,16 @@ class BasicDcssQueue {
 
   explicit BasicDcssQueue(
       std::size_t capacity,
-      std::size_t max_threads = BasicDcssDomain<O>::kDefaultMaxThreads,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
-      : cap_(capacity), cells_(capacity, pol), domain_(max_threads) {
+      std::size_t max_threads = BasicDcssDomain<O>::kDefaultMaxThreads)
+      : cap_(capacity),
+        cells_(std::make_unique<std::atomic<std::uint64_t>[]>(capacity)),
+        domain_(max_threads) {
     assert(capacity > 0);
     // Pre-publication initialization.
-    for (auto& c : cells_) c.store(kBot, O::init);
+    for (std::size_t i = 0; i < cap_; ++i) cells_[i].store(kBot, O::init);
   }
 
   std::size_t capacity() const noexcept { return cap_; }
-
-  // Where the slot array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return cells_.placement(); }
   BasicDcssDomain<O>& domain() noexcept { return domain_; }
 
   class Handle {
@@ -115,9 +116,10 @@ class BasicDcssQueue {
       BasicDcssQueue& q = q_;
       std::uint64_t t0;
       for (;;) {  // first item: the whole protocol at n=1
-        // Acquire ticket loads paired with advance()'s release (header).
+        // Acquire ticket loads paired with advance_counter()'s release
+        // (header).
         const std::uint64_t t = q.tail_.load(O::acquire);
-        if (t - head_floor_ >= q.cap_) reload(q.head_, head_floor_);
+        if (t - head_floor_ >= q.cap_) reload_floor<O>(q.head_, head_floor_);
         const std::uint64_t cur = q.domain_.read(&q.cells_[t % q.cap_]);
         if (t != q.tail_.load(O::acquire)) continue;
         if (cur == kBot) {
@@ -134,13 +136,13 @@ class BasicDcssQueue {
           continue;
         }
         if (t - head_floor_ >= q.cap_) return 0;  // full
-        advance(q.tail_, t, 1);  // ticket t already written; help
+        advance_counter<O>(q.tail_, t, 1);  // ticket t already written; help
       }
       std::size_t k = 1;
       while (k < n && k < q.cap_) {
         const std::uint64_t t = t0 + k;
         if (t - head_floor_ >= q.cap_) {
-          reload(q.head_, head_floor_);
+          reload_floor<O>(q.head_, head_floor_);
           if (t - head_floor_ >= q.cap_) break;  // full
         }
         std::atomic<std::uint64_t>* cell = &q.cells_[t % q.cap_];
@@ -156,7 +158,7 @@ class BasicDcssQueue {
         }
         ++k;
       }
-      advance(q.tail_, t0, k);
+      advance_counter<O>(q.tail_, t0, k);
       return k;
     }
 
@@ -171,7 +173,7 @@ class BasicDcssQueue {
       std::uint64_t h0;
       for (;;) {  // first item: the whole protocol at n=1
         const std::uint64_t h = q.head_.load(O::acquire);
-        if (tail_floor_ <= h) reload(q.tail_, tail_floor_);
+        if (tail_floor_ <= h) reload_floor<O>(q.tail_, tail_floor_);
         const std::uint64_t cur = q.domain_.read(&q.cells_[h % q.cap_]);
         if (h != q.head_.load(O::acquire)) continue;
         if (cur != kBot) {
@@ -180,7 +182,7 @@ class BasicDcssQueue {
           // under a current ticket passes a second enqueuer's tail
           // comparand.
           if (tail_floor_ <= h) {
-            advance(q.tail_, tail_floor_, 1);
+            advance_counter<O>(q.tail_, tail_floor_, 1);
             continue;
           }
           if (th_.dcss(&q.cells_[h % q.cap_], cur, kBot, &q.head_, h)) {
@@ -195,13 +197,13 @@ class BasicDcssQueue {
         // Empty verdict: the domain read (acquire) saw ⊥ at the head
         // ticket and tail agrees (freshness argument).
         if (tail_floor_ <= h) return 0;  // empty
-        advance(q.head_, h, 1);          // ticket h already dequeued; help
+        advance_counter<O>(q.head_, h, 1);  // ticket h already dequeued; help
       }
       std::size_t k = 1;
       while (k < n && k < q.cap_) {
         const std::uint64_t h = h0 + k;
         if (tail_floor_ <= h) {
-          reload(q.tail_, tail_floor_);
+          reload_floor<O>(q.tail_, tail_floor_);
           // Empty, or ticket h's tail not yet advanced.
           if (tail_floor_ <= h) break;
         }
@@ -219,7 +221,7 @@ class BasicDcssQueue {
         out[k] = cur;
         ++k;
       }
-      advance(q.head_, h0, k);
+      advance_counter<O>(q.head_, h0, k);
       return k;
     }
 
@@ -233,30 +235,8 @@ class BasicDcssQueue {
  private:
   friend class Handle;
 
-  // Move `counter` to at least seen+k: one helping step (k = 1) or the
-  // range a bulk op claimed. Release on success / relaxed on failure;
-  // the same loop and contract as the L2 ring's advance() (see
-  // queues/distinct_queue.hpp for why a one-shot CAS strands the
-  // counter). NOTE: the DCSS decision load of this counter reads it
-  // through O::acquire inside the marker window; the release here is
-  // what the window observes.
-  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
-                      std::uint64_t k) noexcept {
-    std::uint64_t cur = seen;
-    while (cur < seen + k && !counter.compare_exchange_weak(
-                                 cur, seen + k, O::release, O::relaxed)) {
-    }
-  }
-  // Reload a handle's floor of `counter`: the acquire load a gate used to
-  // make on every call, now made only when the floor fails the gate.
-  static void reload(const std::atomic<std::uint64_t>& counter,
-                     std::uint64_t& floor) noexcept {
-    floor = counter.load(O::acquire);
-    telemetry::count(telemetry::Counter::k_floor_reload);
-  }
-
   const std::size_t cap_;
-  topo::TopoArray<std::atomic<std::uint64_t>> cells_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
   BasicDcssDomain<O> domain_;
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::uint64_t> tail_{0};

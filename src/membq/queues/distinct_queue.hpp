@@ -27,9 +27,9 @@
 //   * cell load: acquire — observes the slot CAS releases of both roles,
 //     so a thread that sees ⊥_{r+1} (resp. a value) also sees every write
 //     the vacating dequeuer (resp. publishing enqueuer) made before it.
-//   * head_/tail_ load: acquire — pairs with advance()'s release, so a
-//     ticket computed from tail ≥ x happens-after the cell transitions
-//     that let tail reach x.
+//   * head_/tail_ load: acquire — pairs with advance_counter()'s
+//     release, so a ticket computed from tail ≥ x happens-after the cell
+//     transitions that let tail reach x.
 //   * head floor: each Handle keeps the last head_ value it loaded. The
 //     enqueue gates test the floor and reload it (the acquire load
 //     above, at the same site) only when `t − floor ≥ C`. head_ is
@@ -39,11 +39,12 @@
 //     not shared memory, so the overhead stays Θ(1).
 //   * tail_ is read only on the dequeue's empty-verdict path, after the
 //     cell read showed ⊥_round.
-//   * advance() CAS loop: release on success — publishes the cell
-//     transitions completed below the new counter value to everyone who
-//     derives a ticket from it. Failure relaxed: losing to a helper
-//     observes nothing. It moves the counter to AT LEAST seen+k, so a
-//     bulk op's claimed range is never left behind a partial helper.
+//   * advance_counter() CAS loop (sync/counter.hpp): release on success
+//     — publishes the cell transitions completed below the new counter
+//     value to everyone who derives a ticket from it. Failure relaxed:
+//     losing to a helper observes nothing. It moves the counter to AT
+//     LEAST seen+k, so a bulk op's claimed range is never left behind a
+//     partial helper.
 //   * full/empty verdicts additionally rely on counter/cell freshness
 //     (per-location coherence), not just the pairings above; the litmus
 //     suite stresses exactly these gates.
@@ -52,11 +53,12 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 
-#include "common/topo_alloc.hpp"
 #include "sync/backoff.hpp"
-#include "telemetry/counters.hpp"
+#include "sync/counter.hpp"
 #include "sync/memory_order.hpp"
+#include "telemetry/counters.hpp"
 
 namespace membq {
 
@@ -66,20 +68,16 @@ class BasicDistinctQueue {
   static constexpr char kName[] = "distinct(L2)";
   static constexpr std::uint64_t kBotBit = std::uint64_t{1} << 63;
 
-  explicit BasicDistinctQueue(
-      std::size_t capacity,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
-      : cap_(capacity), cells_(capacity, pol) {
+  explicit BasicDistinctQueue(std::size_t capacity)
+      : cap_(capacity),
+        cells_(std::make_unique<std::atomic<std::uint64_t>[]>(capacity)) {
     assert(capacity > 0);
     // Pre-publication: the constructor finishes before any other thread
     // can hold a reference.
-    for (auto& c : cells_) c.store(bot(0), O::init);
+    for (std::size_t i = 0; i < cap_; ++i) cells_[i].store(bot(0), O::init);
   }
 
   std::size_t capacity() const noexcept { return cap_; }
-
-  // Where the slot array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return cells_.placement(); }
 
   // The per-thread access point and the only entry point: it carries the
   // enqueue role's head floor (see the header comment).
@@ -122,11 +120,11 @@ class BasicDistinctQueue {
     Backoff backoff;
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
-      // Ticket/limit loads: acquire, paired with advance()'s release (see
-      // header comment) — the cell state read below is at least as new as
-      // the transitions that produced this tail/head.
+      // Ticket/limit loads: acquire, paired with advance_counter()'s
+      // release (see header comment) — the cell state read below is at
+      // least as new as the transitions that produced this tail/head.
       const std::uint64_t t = tail_.load(O::acquire);
-      if (t - hf >= cap_) reload(head_, hf);
+      if (t - hf >= cap_) reload_floor<O>(head_, hf);
       std::uint64_t cur = cells_[t % cap_].load(O::acquire);
       // Confirm ticket t was still current around the cell read (tail_ is
       // monotone, so re-reading t bounds the cell read's round).
@@ -153,7 +151,7 @@ class BasicDistinctQueue {
       }
       // Cell holds a value: ring full, or ticket t already written.
       if (t - hf >= cap_) return 0;
-      advance(tail_, t, 1);
+      advance_counter<O>(tail_, t, 1);
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
@@ -162,7 +160,7 @@ class BasicDistinctQueue {
       // Fullness gate per step — the same hazard as the first claim's
       // empty-cell gate (a wrapped write under a served ticket).
       if (t - hf >= cap_) {
-        reload(head_, hf);
+        reload_floor<O>(head_, hf);
         if (t - hf >= cap_) break;
       }
       std::uint64_t cur = cells_[t % cap_].load(O::acquire);
@@ -176,7 +174,7 @@ class BasicDistinctQueue {
       }
       ++k;
     }
-    advance(tail_, t0, k);
+    advance_counter<O>(tail_, t0, k);
     return k;
   }
 
@@ -199,7 +197,7 @@ class BasicDistinctQueue {
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
       // Same pairing as the enqueue: acquire counter load against
-      // advance()'s release.
+      // advance_counter()'s release.
       const std::uint64_t h = head_.load(O::acquire);
       std::uint64_t cur = cells_[h % cap_].load(O::acquire);
       if (h != head_.load(O::acquire)) continue;
@@ -219,7 +217,7 @@ class BasicDistinctQueue {
         continue;
       }
       if (bot_round(cur) == round + 1) {
-        advance(head_, h, 1);  // ticket h already dequeued; help
+        advance_counter<O>(head_, h, 1);  // ticket h already dequeued; help
         continue;
       }
       // Empty verdict: cell still holds ⊥_round (the acquire cell load is
@@ -247,7 +245,7 @@ class BasicDistinctQueue {
       out[k] = cur;
       ++k;
     }
-    advance(head_, h0, k);
+    advance_counter<O>(head_, h0, k);
     return k;
   }
 
@@ -258,32 +256,9 @@ class BasicDistinctQueue {
   static std::uint64_t bot_round(std::uint64_t w) noexcept {
     return w & ~kBotBit;
   }
-  // Reload a handle's floor of `counter`: the acquire load a gate used to
-  // make on every call, now made only when the floor fails the gate.
-  static void reload(const std::atomic<std::uint64_t>& counter,
-                     std::uint64_t& floor) noexcept {
-    floor = counter.load(O::acquire);
-    telemetry::count(telemetry::Counter::k_floor_reload);
-  }
-  // Move `counter` to at least seen+k: one helping step (k = 1) or the
-  // range a bulk op claimed. Release on success publishes the cell
-  // transitions below seen+k to the acquire counter loads above; relaxed
-  // on failure, where nothing is read. The loop stops once the counter
-  // is there. A one-shot CAS seen → seen+k would fail after a helper
-  // stepped the counter to seen+1 and leave it stranded below our
-  // claimed tickets: once those cells are dequeued, nothing steps it
-  // again (enqueue helps only past a cell holding a value, and the
-  // `t - h` fullness gate wraps when head_ passes tail_).
-  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
-                      std::uint64_t k) noexcept {
-    std::uint64_t cur = seen;
-    while (cur < seen + k && !counter.compare_exchange_weak(
-                                 cur, seen + k, O::release, O::relaxed)) {
-    }
-  }
 
   const std::size_t cap_;
-  topo::TopoArray<std::atomic<std::uint64_t>> cells_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
 };

@@ -34,9 +34,9 @@
 // are ll()/sc() on BasicLLSCCell<O> — acquire link loads against acq_rel
 // publishing sc()s, annotated in sync/llsc.hpp. The positioning counters
 // follow the same pairing as the L2 ring:
-//   * head_/tail_ load: acquire — pairs with advance()'s release, so a
-//     ticket derived from an advanced counter happens-after the cell
-//     transition that let the counter advance.
+//   * head_/tail_ load: acquire — pairs with advance_counter()'s
+//     release, so a ticket derived from an advanced counter
+//     happens-after the cell transition that let the counter advance.
 //   * counter floors: each Handle keeps the last value it loaded of the
 //     other role's counter (head_ when enqueuing, tail_ when dequeuing)
 //     and reloads it, with the acquire load above at the same site, only
@@ -45,9 +45,10 @@
 //     gate stricter, never looser, and every full, empty or help-tail
 //     verdict is taken on a fresh load. Floors are handle-local, like the
 //     tickets t and h, not shared memory.
-//   * advance() CAS loop: release on success (publishes the transitions
-//     below the new counter value), relaxed on failure (lost the helping
-//     race, nothing observed). It moves the counter to at least seen+k.
+//   * advance_counter() CAS loop (sync/counter.hpp): release on success
+//     (publishes the transitions below the new counter value), relaxed
+//     on failure (lost the helping race, nothing observed). It moves the
+//     counter to at least seen+k.
 //   * continuation checks (above): the tail_ load after an enqueue's ll()
 //     and the head_ load after a dequeue's ll() are acquire loads, each
 //     made after the cell read it judges.
@@ -59,12 +60,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 
-#include "common/topo_alloc.hpp"
 #include "sync/backoff.hpp"
-#include "telemetry/counters.hpp"
+#include "sync/counter.hpp"
 #include "sync/llsc.hpp"
 #include "sync/memory_order.hpp"
+#include "telemetry/counters.hpp"
 
 namespace membq {
 
@@ -74,21 +76,17 @@ class BasicLlscQueue {
   static constexpr char kName[] = "llsc(L3)";
   static constexpr std::uint64_t kBot = ~std::uint64_t{0};
 
-  explicit BasicLlscQueue(
-      std::size_t capacity,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
-      : cap_(capacity), cells_(capacity, pol) {
+  explicit BasicLlscQueue(std::size_t capacity)
+      : cap_(capacity),
+        cells_(std::make_unique<BasicLLSCCell<O>[]>(capacity)) {
     assert(capacity > 0);
-    for (auto& c : cells_) {
-      const auto link = c.ll();
-      c.sc(link, kBot);
+    for (std::size_t i = 0; i < cap_; ++i) {
+      const auto link = cells_[i].ll();
+      cells_[i].sc(link, kBot);
     }
   }
 
   std::size_t capacity() const noexcept { return cap_; }
-
-  // Where the slot array actually landed (policy, hugepage, node).
-  topo::Placement placement() const noexcept { return cells_.placement(); }
 
   // The per-thread access point and the only entry point: it carries the
   // two counter floors (see the header comment).
@@ -134,9 +132,9 @@ class BasicLlscQueue {
     Backoff backoff;
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
-      // Acquire ticket loads paired with advance()'s release (header).
+      // Acquire ticket loads paired with advance_counter()'s release (header).
       const std::uint64_t t = tail_.load(O::acquire);
-      if (t - hf >= cap_) reload(head_, hf);
+      if (t - hf >= cap_) reload_floor<O>(head_, hf);
       const typename BasicLLSCCell<O>::Link link = cells_[t % cap_].ll();
       if (t != tail_.load(O::acquire)) continue;
       if (link.value == kBot) {
@@ -154,14 +152,14 @@ class BasicLlscQueue {
         continue;
       }
       if (t - hf >= cap_) return 0;  // full
-      advance(tail_, t, 1);          // ticket t already written; help
+      advance_counter<O>(tail_, t, 1);  // ticket t already written; help
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
       assert(vs[k] != kBot && "kBot is reserved");
       const std::uint64_t t = t0 + k;
       if (t - hf >= cap_) {
-        reload(head_, hf);
+        reload_floor<O>(head_, hf);
         if (t - hf >= cap_) break;  // full
       }
       const typename BasicLLSCCell<O>::Link link = cells_[t % cap_].ll();
@@ -172,7 +170,7 @@ class BasicLlscQueue {
       if (!cells_[t % cap_].sc(link, vs[k])) break;
       ++k;
     }
-    advance(tail_, t0, k);
+    advance_counter<O>(tail_, t0, k);
     return k;
   }
 
@@ -188,7 +186,7 @@ class BasicLlscQueue {
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
       const std::uint64_t h = head_.load(O::acquire);
-      if (tf <= h) reload(tail_, tf);
+      if (tf <= h) reload_floor<O>(tail_, tf);
       const typename BasicLLSCCell<O>::Link link = cells_[h % cap_].ll();
       if (h != head_.load(O::acquire)) continue;
       if (link.value != kBot) {
@@ -197,7 +195,7 @@ class BasicLlscQueue {
         // under a current ticket lets a second enqueuer fill the cell,
         // a round behind head.
         if (tf <= h) {
-          advance(tail_, tf, 1);
+          advance_counter<O>(tail_, tf, 1);
           continue;
         }
         if (cells_[h % cap_].sc(link, kBot)) {
@@ -212,13 +210,13 @@ class BasicLlscQueue {
       // enqueue of ticket h had published) and tail agrees (freshness
       // argument on the monotone counter).
       if (tf <= h) return 0;  // empty
-      advance(head_, h, 1);   // ticket h already dequeued; help
+      advance_counter<O>(head_, h, 1);  // ticket h already dequeued; help
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
       const std::uint64_t h = h0 + k;
       if (tf <= h) {
-        reload(tail_, tf);
+        reload_floor<O>(tail_, tf);
         if (tf <= h) break;  // empty, or ticket h's tail not yet advanced
       }
       const typename BasicLLSCCell<O>::Link link = cells_[h % cap_].ll();
@@ -228,32 +226,12 @@ class BasicLlscQueue {
       out[k] = link.value;
       ++k;
     }
-    advance(head_, h0, k);
+    advance_counter<O>(head_, h0, k);
     return k;
   }
 
-  // Move `counter` to at least seen+k: one helping step (k = 1) or the
-  // range a bulk op claimed. Release on success / relaxed on failure;
-  // the same loop and contract as the L2 ring's advance() (see
-  // queues/distinct_queue.hpp for why a one-shot CAS strands the
-  // counter).
-  static void advance(std::atomic<std::uint64_t>& counter, std::uint64_t seen,
-                      std::uint64_t k) noexcept {
-    std::uint64_t cur = seen;
-    while (cur < seen + k && !counter.compare_exchange_weak(
-                                 cur, seen + k, O::release, O::relaxed)) {
-    }
-  }
-  // Reload a handle's floor of `counter`: the acquire load a gate used to
-  // make on every call, now made only when the floor fails the gate.
-  static void reload(const std::atomic<std::uint64_t>& counter,
-                     std::uint64_t& floor) noexcept {
-    floor = counter.load(O::acquire);
-    telemetry::count(telemetry::Counter::k_floor_reload);
-  }
-
   const std::size_t cap_;
-  topo::TopoArray<BasicLLSCCell<O>> cells_;
+  std::unique_ptr<BasicLLSCCell<O>[]> cells_;
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
 };

@@ -31,7 +31,6 @@
 #include <new>
 #include <thread>
 
-#include "common/topo_alloc.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/no_reclaim.hpp"
@@ -68,12 +67,10 @@ class LockFreeSegmentQueue {
   // seg_size == 0 picks the paper's K = floor(sqrt(capacity)).
   explicit LockFreeSegmentQueue(
       std::size_t capacity, std::size_t seg_size = 0,
-      std::size_t max_threads = Domain::kDefaultMaxThreads,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
+      std::size_t max_threads = Domain::kDefaultMaxThreads)
       : cap_(capacity),
         seg_size_(seg_size != 0 ? seg_size : default_seg_size(capacity)),
-        domain_(max_threads),
-        pol_(pol) {
+        domain_(max_threads) {
     assert(capacity > 0);
     Segment* s = alloc_segment();
     // Pre-publication: the constructor finishes before any Handle exists.
@@ -110,19 +107,6 @@ class LockFreeSegmentQueue {
 
   const Domain& domain() const noexcept { return domain_; }
 
-  // Where the head segment currently resides (policy, hugepage, node);
-  // segments are short-lived, so this samples the live chain. Callers
-  // measure from a quiescent point (no concurrent retirement of head).
-  topo::Placement placement() const noexcept {
-    topo::Placement p;
-    Segment* hd = head_.load(std::memory_order_acquire);
-    if (hd == nullptr) return p;
-    p.policy = hd->region.policy;
-    p.huge = hd->region.huge;
-    p.node = topo::node_of_page(hd);
-    return p;
-  }
-
   // Retired-but-unreclaimed backlog: live heap the overhead accounting
   // must not charge as algorithmic overhead.
   std::size_t retired_bytes() const noexcept {
@@ -158,10 +142,6 @@ class LockFreeSegmentQueue {
 
   struct Segment {
     std::atomic<Segment*> next{nullptr};
-    // Backing-store record, written before publication and read only at
-    // destroy time: the deleter is a bare void(*)(void*), so the segment
-    // itself must remember whether topo::alloc chose heap or mmap.
-    topo::Region region{};
     alignas(64) std::atomic<std::uint64_t> enq{0};  // next write ticket
     alignas(64) std::atomic<std::uint64_t> deq{0};  // next read ticket
 
@@ -170,12 +150,9 @@ class LockFreeSegmentQueue {
     }
 
     static void destroy(void* p) noexcept {
-      // Slots are trivially destructible; hand the block back through
-      // whichever path allocated it.
-      Segment* s = static_cast<Segment*>(p);
-      const topo::Region r = s->region;
-      s->~Segment();
-      topo::release(r);
+      // Slots are trivially destructible.
+      static_cast<Segment*>(p)->~Segment();
+      ::operator delete(p, std::align_val_t{alignof(Segment)});
     }
   };
 
@@ -188,13 +165,12 @@ class LockFreeSegmentQueue {
   }
 
   Segment* alloc_segment() const {
-    // The cache-line alignas on the ticket counters over-aligns Segment
-    // past the default allocator guarantee; topo::alloc honors it on
-    // both the heap and the (page-aligned) mmap path.
-    const topo::Region r =
-        topo::alloc(segment_bytes(), alignof(Segment), pol_);
-    Segment* s = new (r.base) Segment();
-    s->region = r;
+    // One block per segment: the header, then its K slots. The
+    // cache-line alignas on the ticket counters over-aligns Segment past
+    // the default allocator guarantee, so the block asks for it.
+    Segment* s = new (::operator new(segment_bytes(),
+                                     std::align_val_t{alignof(Segment)}))
+        Segment();
     auto* sl = s->slots();
     for (std::size_t i = 0; i < seg_size_; ++i) {
       new (&sl[i]) std::atomic<std::uint64_t>(kEmpty);
@@ -369,7 +345,6 @@ class LockFreeSegmentQueue {
   const std::size_t cap_;
   const std::size_t seg_size_;
   Domain domain_;
-  const topo::MemPolicySpec pol_;
   alignas(64) std::atomic<Segment*> head_{nullptr};
   alignas(64) std::atomic<Segment*> tail_{nullptr};
   alignas(64) std::atomic<std::uint64_t> size_{0};

@@ -17,7 +17,6 @@
 #include <mutex>
 #include <new>
 
-#include "common/topo_alloc.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
@@ -27,14 +26,11 @@ class SegmentQueue {
   static constexpr char kName[] = "segment(L1)";
 
   // seg_size == 0 picks the paper's K = floor(sqrt(capacity)).
-  explicit SegmentQueue(
-      std::size_t capacity, std::size_t seg_size = 0,
-      std::size_t pool_segments = 4,
-      const topo::MemPolicySpec& pol = topo::default_mem_policy())
+  explicit SegmentQueue(std::size_t capacity, std::size_t seg_size = 0,
+                        std::size_t pool_segments = 4)
       : cap_(capacity),
         seg_size_(seg_size != 0 ? seg_size : default_seg_size(capacity)),
-        pool_cap_(pool_segments),
-        pol_(pol) {
+        pool_cap_(pool_segments) {
     assert(capacity > 0);
     head_seg_ = tail_seg_ = alloc_segment();
   }
@@ -59,18 +55,6 @@ class SegmentQueue {
 
   std::size_t capacity() const noexcept { return cap_; }
   std::size_t seg_size() const noexcept { return seg_size_; }
-
-  // Where the head segment currently resides (policy, hugepage, node);
-  // segments are short-lived, so this samples the live chain.
-  topo::Placement placement() const noexcept {
-    std::lock_guard<std::mutex> lock(mu_);
-    topo::Placement p;
-    if (head_seg_ == nullptr) return p;
-    p.policy = head_seg_->region.policy;
-    p.huge = head_seg_->region.huge;
-    p.node = topo::node_of_page(head_seg_);
-    return p;
-  }
 
   std::size_t size() const noexcept {
     std::lock_guard<std::mutex> lock(mu_);
@@ -157,9 +141,6 @@ class SegmentQueue {
  private:
   struct Segment {
     Segment* next = nullptr;
-    // Backing-store record so free_segment can undo whichever path
-    // (heap or mmap) topo::alloc chose for this segment.
-    topo::Region region{};
     std::uint64_t* slots() noexcept {
       return reinterpret_cast<std::uint64_t*>(this + 1);
     }
@@ -171,19 +152,16 @@ class SegmentQueue {
     return k;
   }
 
+  // One block per segment: the header, then its K slots.
   Segment* alloc_segment() const {
-    const topo::Region r = topo::alloc(
-        sizeof(Segment) + seg_size_ * sizeof(std::uint64_t),
-        alignof(Segment), pol_);
-    Segment* s = new (r.base) Segment();
-    s->region = r;
-    return s;
+    return new (::operator new(sizeof(Segment) +
+                               seg_size_ * sizeof(std::uint64_t)))
+        Segment();
   }
 
   static void free_segment(Segment* s) noexcept {
-    const topo::Region r = s->region;
     s->~Segment();
-    topo::release(r);
+    ::operator delete(s);
   }
 
   Segment* take_segment() {
@@ -210,7 +188,6 @@ class SegmentQueue {
   const std::size_t cap_;
   const std::size_t seg_size_;
   const std::size_t pool_cap_;
-  const topo::MemPolicySpec pol_;
 
   mutable std::mutex mu_;
   Segment* head_seg_ = nullptr;

@@ -57,10 +57,8 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "common/topo_alloc.hpp"
 #include "common/topology.hpp"
 #include "telemetry/counters.hpp"
 #include "workload/bulk.hpp"
@@ -88,38 +86,18 @@ class ShardedQueue {
   // and a full ring accepts. Provision capacity ≥ 2N over such bases.
   template <class MakeShard>
   ShardedQueue(std::size_t capacity, std::size_t shards, MakeShard make)
-      : ShardedQueue(capacity, shards, std::move(make),
-                     topo::default_mem_policy()) {}
-
-  // Placement-aware construction: shard i is bound to allowed node
-  // i mod #nodes when the policy is an unpinned bind (`bind` with no
-  // node), so a multi-node box stripes its shards across the nodes; an
-  // explicit bind:<node> or interleave passes through unchanged. The
-  // per-shard spec reaches the base queue only when `make` accepts it
-  // (make(per_shard, spec)); a legacy make(per_shard) callback keeps
-  // working and allocates under the process default policy.
-  template <class MakeShard>
-  ShardedQueue(std::size_t capacity, std::size_t shards, MakeShard make,
-               const topo::MemPolicySpec& pol)
       : per_shard_(std::max<std::size_t>(
             1, (capacity + std::max<std::size_t>(1, shards) - 1) /
                    std::max<std::size_t>(1, shards))) {
     const std::size_t n = std::max<std::size_t>(1, shards);
     lens_ = std::make_unique<PaddedLen[]>(n);
     shards_.reserve(n);
-    shard_nodes_.reserve(n);
-    const auto& nodes = topo::system().nodes();
     for (std::size_t i = 0; i < n; ++i) {
-      topo::MemPolicySpec spec = pol;
-      if (spec.policy == topo::MemPolicy::kBind && spec.node < 0 &&
-          !nodes.empty()) {
-        spec.node = nodes[i % nodes.size()];
-      }
-      shard_nodes_.push_back(
-          spec.policy == topo::MemPolicy::kBind ? spec.node : -1);
+      // make(per_shard, spec) has one user, membq-bench/src/panel.hpp;
+      // the topo::MemPolicySpec it receives is an empty tag.
       if constexpr (std::is_invocable_v<MakeShard, std::size_t,
                                         const topo::MemPolicySpec&>) {
-        shards_.push_back(make(per_shard_, spec));
+        shards_.push_back(make(per_shard_, topo::MemPolicySpec{}));
       } else {
         shards_.push_back(make(per_shard_));
       }
@@ -130,17 +108,6 @@ class ShardedQueue {
   std::size_t per_shard_capacity() const noexcept { return per_shard_; }
   std::size_t capacity() const noexcept {
     return per_shard_ * shards_.size();
-  }
-
-  // Node shard `s` was bound to at construction; -1 = unbound.
-  int shard_node(std::size_t s) const noexcept { return shard_nodes_[s]; }
-
-  // Locality of shard 0's backing store — representative because every
-  // shard is built from the same policy (bind stripes the node, nothing
-  // else varies). Default placement when the base queue predates the
-  // topo allocator.
-  topo::Placement placement() const noexcept {
-    return topo::placement_of(*shards_[0]);
   }
 
   // Cheap length estimate: a relaxed counter bumped after each successful
@@ -155,10 +122,9 @@ class ShardedQueue {
   class Handle {
    public:
     // Round-robin home assignment: consecutive handles (one per worker
-    // thread in the driver) spread across the shards — restricted to the
-    // shards bound to the caller's NUMA node when placement created such
-    // an affinity (see pick_home; identity round-robin otherwise).
-    explicit Handle(ShardedQueue& q) : Handle(q, q.pick_home()) {}
+    // thread in the driver) spread across the shards.
+    explicit Handle(ShardedQueue& q)
+        : Handle(q, q.next_home_.fetch_add(1, std::memory_order_relaxed)) {}
 
     // Explicit home, for tests that pin consumers onto one shard
     // (steal-storm) or pin a producer/consumer pair apart.
@@ -287,34 +253,8 @@ class ShardedQueue {
     std::atomic<std::int64_t> n{0};
   };
 
-  // Home selection for the default Handle constructor. When some (but
-  // not all) shards are bound to the caller's current node, round-robin
-  // among those, so a consumer's home dequeues stay node-local; when the
-  // shards are unbound, all-local, or the node is unknowable (the
-  // 1-node/1-CPU case), this is exactly the historical global
-  // round-robin.
-  std::size_t pick_home() noexcept {
-    const std::size_t idx = next_home_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t n = shards_.size();
-    const int node = topo::current_node();
-    if (node >= 0) {
-      std::size_t local = 0;
-      for (int sn : shard_nodes_) {
-        if (sn == node) ++local;
-      }
-      if (local > 0 && local < n) {
-        std::size_t k = idx % local;
-        for (std::size_t s = 0; s < n; ++s) {
-          if (shard_nodes_[s] == node && k-- == 0) return s;
-        }
-      }
-    }
-    return idx % n;
-  }
-
   const std::size_t per_shard_;
   std::vector<std::unique_ptr<Q>> shards_;
-  std::vector<int> shard_nodes_;
   std::unique_ptr<PaddedLen[]> lens_;
   std::atomic<std::size_t> next_home_{0};
 };

@@ -1,0 +1,44 @@
+// Positioning-counter steps of the ticket rings: distinct(L2), llsc(L3),
+// dcss(L4) and the SCQ baseline. Each ring instantiates them with its own
+// memory-order policy `O` (sync/memory_order.hpp).
+//
+// The lock-free L5 keeps its own one-shot advance: only the installed
+// announcement's helpers move its counters, all from the same bound value,
+// so the at-least loop below is not its contract.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+
+#include "telemetry/counters.hpp"
+
+namespace membq {
+
+// Move `counter` to at least seen+k: one helping step (k = 1) or the
+// range a bulk op claimed. Release on success publishes the cell
+// transitions below seen+k to the rings' acquire counter loads; relaxed
+// on failure, where nothing is read. The loop stops once the counter is
+// there. A one-shot CAS seen → seen+k would fail after a helper stepped
+// the counter to seen+1 and leave it stranded below our claimed tickets:
+// once those cells are dequeued, nothing steps it again (enqueue helps
+// only past a cell holding a value, and the `t - h` fullness gate wraps
+// when head_ passes tail_).
+template <class O>
+inline void advance_counter(std::atomic<std::uint64_t>& counter,
+                            std::uint64_t seen, std::uint64_t k) noexcept {
+  std::uint64_t cur = seen;
+  while (cur < seen + k && !counter.compare_exchange_weak(
+                               cur, seen + k, O::release, O::relaxed)) {
+  }
+}
+
+// Reload a ring handle's floor of `counter`: the acquire load a gate used
+// to make on every call, now made only when the floor fails the gate.
+template <class O>
+inline void reload_floor(const std::atomic<std::uint64_t>& counter,
+                         std::uint64_t& floor) noexcept {
+  floor = counter.load(O::acquire);
+  telemetry::count(telemetry::Counter::k_floor_reload);
+}
+
+}  // namespace membq

@@ -57,10 +57,7 @@ namespace telemetry {
   X(shard_steal)        /* sharded dequeues served by a non-home shard  */  \
   X(net_frames_rx)      /* complete protocol frames parsed by a server  */  \
   X(net_would_block)    /* server responses sent with WOULD_BLOCK       */  \
-  X(net_batch_items)    /* total ENQ/DEQ values; mean = /net_frames_rx  */  \
-  X(topo_huge_alloc)    /* placements actually backed by 2 MB pages     */  \
-  X(topo_huge_fallback) /* wanted huge pages, downgraded to 4 KB pages  */  \
-  X(topo_bind_fallback) /* mbind unavailable/refused; placement unbound */
+  X(net_batch_items)    /* total ENQ/DEQ values; mean = /net_frames_rx  */
 
 enum class Counter : unsigned {
 #define MEMBQ_TELEMETRY_ENUM(name) k_##name,

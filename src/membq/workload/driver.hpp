@@ -22,7 +22,6 @@
 #include "common/barrier.hpp"
 #include "common/clock.hpp"
 #include "common/pinning.hpp"
-#include "common/topo_alloc.hpp"
 #include "workload/bulk.hpp"
 #include "workload/histogram.hpp"
 
@@ -86,10 +85,8 @@ struct RunResult {
   double p999_ns = 0.0;
   double max_ns = 0.0;
 
-  // Locality column: how workers were pinned and where the queue's hot
-  // array landed (topo::placement_of on the queue under test).
+  // How workers were pinned.
   PinPolicy pin = PinPolicy::kNone;
-  topo::Placement mem;
 
   // Merged across all worker threads; callers can keep merging results
   // from further runs and re-derive composed percentiles.
@@ -243,9 +240,6 @@ RunResult run_workload(Q& q, const RunConfig& cfg) {
   barrier.arrive_and_wait();
   for (auto& w : workers) w.join();
   detail::finalize(r, stats);
-  // Sampled after the run so the pages behind the hot array have been
-  // touched and node_of_page reports residency, not just intent.
-  r.mem = topo::placement_of(q);
   return r;
 }
 

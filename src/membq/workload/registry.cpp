@@ -9,7 +9,6 @@
 #include "baselines/scq_ring.hpp"
 #include "baselines/vyukov_queue.hpp"
 #include "common/counting_alloc.hpp"
-#include "common/topo_alloc.hpp"
 #include "core/lockfree_optimal_queue.hpp"
 #include "core/optimal_queue.hpp"
 #include "queues/dcss_queue.hpp"
@@ -86,7 +85,6 @@ QueueSpec make_spec(std::string name, std::size_t max_threads, MakeFn make,
     const std::size_t retired_before =
         reclaim::ReclaimCounter::instance().retired_bytes();
     ChurnMeasurement m;
-    topo::Placement where;
     {
       auto q = make(capacity, threads);
       // SMR-backed queues still hold drained segments/nodes in their
@@ -94,9 +92,6 @@ QueueSpec make_spec(std::string name, std::size_t max_threads, MakeFn make,
       // but not algorithmic overhead, so it gets its own column and is
       // subtracted below.
       m = churn_full(*q, capacity, before, retired_before);
-      // Sampled after the churn so the pages have been touched and the
-      // node column reports residency.
-      where = topo::placement_of(*q);
     }
     const std::size_t live = m.live_bytes;
     const std::size_t retired = m.retired_bytes;
@@ -111,8 +106,6 @@ QueueSpec make_spec(std::string name, std::size_t max_threads, MakeFn make,
     row.aux_bytes = aux_bytes;
     row.retired_bytes = retired;
     row.overhead_bytes = gross > deductions ? gross - deductions : 0;
-    row.mem_node = where.node;
-    row.hugepage = where.huge;
     return row;
   };
   return spec;
@@ -218,15 +211,11 @@ void enumerate_queues(Visitor&& visit) {
   // so every bench measures the sharding win and its routing overhead.
   // NOT globally linearizable: these rows carry the relaxed-FIFO contract
   // (docs/sharding.md) and the model checker applies its relaxed mode.
-  // The make-callbacks take (per_shard, spec): the router stripes an
-  // unpinned bind policy across the NUMA nodes, so shard i's slot array
-  // lands on node i mod #nodes (identity on a 1-node box).
   visit("sharded(vyukov,4)",
         [](std::size_t c, std::size_t) {
           return std::make_unique<sharded::ShardedQueue<VyukovQueue>>(
-              c, kShards,
-              [](std::size_t per_shard, const topo::MemPolicySpec& spec) {
-                return std::make_unique<VyukovQueue>(per_shard, spec);
+              c, kShards, [](std::size_t per_shard) {
+                return std::make_unique<VyukovQueue>(per_shard);
               });
         },
         no_aux);
@@ -235,11 +224,10 @@ void enumerate_queues(Visitor&& visit) {
         [](std::size_t c, std::size_t t) {
           return std::make_unique<
               sharded::ShardedQueue<LockFreeSegmentQueue<reclaim::EpochDomain>>>(
-              c, kShards,
-              [t](std::size_t per_shard, const topo::MemPolicySpec& spec) {
+              c, kShards, [t](std::size_t per_shard) {
                 return std::make_unique<
                     LockFreeSegmentQueue<reclaim::EpochDomain>>(
-                    per_shard, /*seg_size=*/0, /*max_threads=*/t, spec);
+                    per_shard, /*seg_size=*/0, /*max_threads=*/t);
               });
         },
         no_aux);

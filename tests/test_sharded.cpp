@@ -100,6 +100,25 @@ TEST(ShardedTest, AffinityKeepsAProducerOnItsHomeShardUntilFull) {
   EXPECT_NE(h.last_enqueue_shard(), 2u);
 }
 
+// Default Handles take their homes round-robin: 0, 1, 2, 3, then 0 again.
+// The queue is built with the two-argument shard factory exactly as
+// membq-bench/src/panel.hpp writes its sharded row, so the
+// topo::MemPolicySpec tag, VyukovQueue's second parameter and the
+// router's two-argument dispatch must keep compiling until that file
+// drops the parameter.
+TEST(ShardedTest, DefaultHandlesTakeHomesRoundRobin) {
+  using namespace membq;
+  const std::size_t c = 4096;
+  auto q = std::make_unique<sharded::ShardedQueue<VyukovQueue>>(
+      c, 4, [](std::size_t per_shard, const topo::MemPolicySpec& spec) {
+        return std::make_unique<VyukovQueue>(per_shard, spec);
+      });
+  for (std::size_t want : {0u, 1u, 2u, 3u, 0u}) {
+    const ShardedVyukov::Handle h(*q);
+    EXPECT_EQ(h.home_shard(), want);
+  }
+}
+
 TEST(ShardedTest, DequeueStealsFromNonHomeShardBeforeReportingEmpty) {
   auto q = make_vyukov(16, 4);
   typename ShardedVyukov::Handle producer(*q, /*home=*/3);
