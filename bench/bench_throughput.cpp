@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   {
     // Per-item and batched rows from ONE binary, over the queues with a
     // native bulk path (one ticket-range reservation per batch; for the
-    // lock-free L5, one announcement per four items). The claim: the B>1
+    // lock-free L5, one announcement per twelve items). The claim: the B>1
     // row is never slower than its B=1 twin — publication cost amortizes
     // (an earlier measurement put it at the uncontended ceiling).
     const std::size_t kBatch = harness.batch(8);

@@ -39,9 +39,14 @@
 // The machine follows the real protocol's structure: a packed {slot, seq}
 // `cur_` word, installer-first helping (a thread that finds an
 // installation in flight polls its own record once and only then helps),
-// one-shot view binding validated against the record's seq, versioned
-// bottoms on the enqueue side. Announcing is one atomic step here, so the
-// real queue's seqlock writing state has no counterpart.
+// the hand-off (a thread that finds the installation decided while its own
+// operation is pending scans and CASes `cur_` from the decided word
+// straight to the oldest pending record; it clears `cur_` only once its
+// own operation is decided), one-shot view binding validated against the
+// record's seq, versioned bottoms on the enqueue side. Announcing is one
+// atomic step here, so the real queue's seqlock writing state has no
+// counterpart. The scan covers every slot: the real queue's bound on it,
+// the high-water mark of handed-out slots, is not mirrored.
 #pragma once
 
 #include <cassert>
@@ -111,6 +116,7 @@ class InstrumentedOptimal {
   std::size_t capacity() const noexcept { return cap_; }
   std::uint64_t head() const noexcept { return head_; }
   std::uint64_t tail() const noexcept { return tail_; }
+  std::uint64_t cur() const noexcept { return cur_; }
   std::uint64_t cell(std::size_t i) const noexcept { return cells_[i]; }
   // The tail view bound in slot `slot`'s record (or its sentinel).
   std::uint64_t bound_tail(std::size_t slot) const noexcept {
@@ -129,7 +135,8 @@ class InstrumentedOptimal {
     kWait,        // an installation is in flight: poll our own record
     kRecheckCur,  // the wait expired: read the installed-op word again
     kScan,        // findOp: examine one announcement slot
-    kInstall,     // (*) CAS cur_ from kNone to the oldest pending op
+    kInstall,     // (*) CAS cur_ from kNone, or on a hand-off from the
+                  //     decided installation, to the oldest pending op
     kLookup,      // resolve the installed word to a record incarnation
     kReadTail,    // read the tail view field and, if unbound, `tail_`
     kBindTail,    // (*) one-shot bind of the record's tail view
@@ -146,7 +153,9 @@ class InstrumentedOptimal {
     kVacate,      // (*) dequeue: value → ⊥, per the VacatePolicy
     kAdvHead,     // (*) advance head past the bound index
     kDecide,      // (*) one-shot state transition (done / failed)
-    kUninstall,   // (*) CAS cur_ back to kNone
+    kUninstall,   // (*) leave a decided installation: start the hand-off
+                  //     scan while our op is pending, else CAS cur_ back
+                  //     to kNone
     kCheckSelf,   // has our own record been decided?
     kDone,
   };
@@ -169,6 +178,9 @@ class InstrumentedOptimal {
     bool helping_other() const noexcept {
       return target_slot_ != kNoTarget && target_slot_ != slot_;
     }
+    // True while the scan and install phases hand `cur_` on from a
+    // decided installation rather than install into an empty `cur_`.
+    bool handing_off() const noexcept { return from_ != kNone; }
     // Tail-bind instrumentation: how often the bind CAS was granted, and
     // whether the *first* granted attempt wrote the field. For a parked
     // helper that first attempt is the poised, stale bind.
@@ -211,7 +223,8 @@ class InstrumentedOptimal {
 
     Phase phase_ = Phase::kAnnounce;
     std::uint64_t w_ = kNone;  // installed word being worked on
-    std::size_t scan_i_ = 0;   // findOp cursor
+    std::uint64_t from_ = kNone;  // the word kInstall expects in cur_
+    std::size_t scan_i_ = 0;      // findOp cursor
     std::uint64_t best_seq_ = kNone;
     std::size_t best_slot_ = 0;
     // The target incarnation and the operation read from it.
@@ -322,20 +335,33 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
         ++scan_i_;
         return;
       }
-      phase_ = best_seq_ == kNone ? Phase::kCheckSelf : Phase::kInstall;
+      // Nothing pending: a fresh findOp has nothing to install, a
+      // hand-off still clears the decided word.
+      phase_ = best_seq_ == kNone && from_ == kNone ? Phase::kCheckSelf
+                                                    : Phase::kInstall;
       return;
     }
 
-    case Phase::kInstall:
+    case Phase::kInstall: {
       // The installer applies its installation at once; a lost CAS sends
-      // us back to wait on the winner's.
-      if (q.cur_ == kNone) {
-        q.cur_ = w_ = pack(best_slot_, best_seq_);
-        phase_ = Phase::kLookup;
-      } else {
-        phase_ = Phase::kCheckSelf;
+      // us back to wait on the winner's. The expected word names the
+      // decided incarnation on a hand-off, so a helper that wakes up after
+      // `cur_` moved on misses.
+      const std::uint64_t next =
+          best_seq_ == kNone ? kNone : pack(best_slot_, best_seq_);
+      if (q.cur_ == from_) {
+        q.cur_ = next;
+        if (next != kNone) {
+          w_ = next;
+          from_ = kNone;
+          phase_ = Phase::kLookup;
+          return;
+        }
       }
+      from_ = kNone;
+      phase_ = Phase::kCheckSelf;
       return;
+    }
 
     case Phase::kLookup: {
       const std::size_t slot = static_cast<std::size_t>(w_ >> 48);
@@ -485,13 +511,24 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
     }
 
     case Phase::kUninstall:
-      // Never uninstall a still-pending incarnation (mirrors the real
+      // Never move cur_ off a still-pending incarnation (mirrors the real
       // queue's installed-until-decided invariant).
-      if (tr == nullptr ||
-          tr->state != ((target_seq_ << 2) | kPending)) {
-        if (q.cur_ == w_) q.cur_ = kNone;
+      if (tr != nullptr && tr->state == ((target_seq_ << 2) | kPending)) {
+        target_slot_ = kNoTarget;
+        phase_ = Phase::kCheckSelf;
+        return;
       }
       target_slot_ = kNoTarget;
+      if (own.state == ((seq_ << 2) | kPending)) {
+        // Hand-off: findOp from the decided word, then kInstall CASes
+        // cur_ from it.
+        from_ = w_;
+        scan_i_ = 0;
+        best_seq_ = kNone;
+        phase_ = Phase::kScan;
+        return;
+      }
+      if (q.cur_ == w_) q.cur_ = kNone;
       phase_ = Phase::kCheckSelf;
       return;
 

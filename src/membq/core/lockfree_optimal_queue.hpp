@@ -8,23 +8,26 @@
 //     versioned bottom ⊥_r (bit 62 set, r = index/C in the low bits), the
 //     L2 trick: an expected-⊥ CAS can never fire a round late, because a
 //     given ⊥_r appears in a given cell exactly once, ever.
-//   * `recs_` is the Θ(T) announcement array: one 64-byte record per
+//   * `recs_` is the Θ(T) announcement array: one 128-byte record per
 //     handle slot, owned by the slot for the queue's lifetime. Nothing is
 //     allocated per operation and nothing is retired, so the queue needs
 //     no reclamation domain and has no backlog outside its Θ(T) words.
 //   * `cur_` names the operation being applied as a packed {slot, seq}
 //     word (the DCSS-marker idiom).
 //
-// Batches. One announcement carries an operation on up to kBulk = 4
-// items: the operation word is kind|n, and the record's four `val` words
-// hold an enqueue's arguments or a dequeue's per-index result binds. The
-// whole announce → findOp → install → bind → decide → uninstall chain is
-// paid once per announcement, so a bulk call of n items pays it ⌈n/4⌉
-// times (the flat-combining idea of Hendler et al., SPAA'10, in the idle
-// words of the record), and a scalar op is a batch of one. The Handle
-// issues a call in announcements of at most four and stops at the first
-// short one: an announcement is cut only by the bound view (full or
-// empty), never by contention, so a short count means full or empty.
+// Batches. One announcement carries an operation on up to kBulk = 12
+// items: the operation word is kind|n, and the record's `val` words, which
+// fill the rest of its two cache lines, hold an enqueue's arguments or a
+// dequeue's per-index result binds. Helpers touch only the n words the
+// operation names, so an announcement of at most four items stays in the
+// record's first line. The whole announce → findOp → install → bind →
+// decide chain is paid once per announcement, so a bulk call of n items
+// pays it ⌈n/12⌉ times (the flat-combining idea of Hendler et al.,
+// SPAA'10, in the record's spare words), and a scalar op is a batch of
+// one. The Handle issues a call in announcements of at most kBulk and
+// stops at the first short one: an announcement is cut only by the bound
+// view (full or empty), never by contention, so a short count means full
+// or empty.
 //
 // Record lifecycle. A record's `state` word is seq<<2 | status, where seq
 // is the operation's announcement ticket (global, strictly increasing, so
@@ -52,24 +55,34 @@
 // replays that schedule.) A bound value names no seq, so helpers re-read
 // `state` after every bind and drop the operation if the record moved on.
 //
-// findOp: when `cur_` is empty, scan all T records for the pending one
-// with the smallest ticket and install it — the Θ(T) scan that is the
-// paper's time/memory trade-off (bench_optimal_scaling measures it).
-// Helping the *oldest* op first means an announced operation completes
-// after at most T installations: the protocol is not just lock-free but
-// starvation-free as long as any thread takes steps.
+// findOp: scan the records of the handed-out slots for the pending one
+// with the smallest ticket — the Θ(T) scan that is the paper's
+// time/memory trade-off (bench_optimal_scaling measures it). The scan
+// covers [0, mark), where `mark_` is the high-water mark of the slot
+// indices ever handed out: a slot raises it before its first
+// announcement, so an owner's own scan always covers its record, and a
+// queue provisioned for T slots but driven by fewer handles scans only
+// the slots they hold. Helping the *oldest* op first means an announced
+// operation completes after at most T installations: the protocol is not
+// just lock-free but starvation-free as long as any thread takes steps.
 //
-// Installer first. A thread that finds `cur_` empty scans and installs at
-// once, and the thread whose CAS installed `cur_` applies that operation
-// at once. A thread that finds an installation in flight polls its own
-// record for kHelpPatience pauses and helps only if its operation is
-// still pending when the bound expires (Kogan & Petrank's fast path/slow
-// path, the "patience" of Yang & Mellor-Crummey's queue). The wait is
-// bounded, so a stalled installer delays the others by kHelpPatience
-// pauses and is then helped exactly as before: lock-freedom holds. What
-// gets installed is unchanged (always the oldest pending record), so the
-// T-installation bound holds too; the rule only decides who applies an
-// installed operation, and stops T threads from applying it at once.
+// Installer first, then hand-off. A thread that finds `cur_` empty scans
+// and installs at once, and the thread whose CAS installed `cur_` applies
+// that operation at once. A thread that finds an installation in flight
+// polls its own record for kHelpPatience pauses and helps only if its
+// operation is still pending when the bound expires (Kogan & Petrank's
+// fast path/slow path, the "patience" of Yang & Mellor-Crummey's queue).
+// The wait is bounded, so a stalled installer delays the others by
+// kHelpPatience pauses and is then helped exactly as before: lock-freedom
+// holds. A thread that sees the installed record decided while its own is
+// still pending does not clear `cur_`: it scans and CASes `cur_` from the
+// decided word straight to the oldest pending record, which it then
+// applies as that record's installer. It clears `cur_` to empty only once
+// its own record is decided. The hand-off is the uninstall and the next
+// findOp install in one CAS, so what gets installed is unchanged (always
+// the oldest pending record) and the T-installation bound holds; the
+// rules only decide who applies an installed operation, and stop T
+// threads from applying it at once.
 //
 // readElem: helpers of an installed record first bind its view (tail,
 // head) with one-shot CASes, so every helper — including one that stalled
@@ -127,8 +140,9 @@ class LockFreeOptimalQueue {
   // Pauses a thread that finds an installation in flight polls its own
   // record before it helps (CHANGES.md has the ablation of this bound).
   static constexpr std::uint32_t kHelpPatience = 256;
-  // Items one announcement carries: the record's idle words.
-  static constexpr std::size_t kBulk = 4;
+  // Items one announcement carries: the `val` words of a two-line record
+  // after its four control words (state, op, bt, bh).
+  static constexpr std::size_t kBulk = 2 * 64 / sizeof(std::uint64_t) - 4;
 
   LockFreeOptimalQueue(std::size_t capacity, std::size_t max_threads)
       : cap_(capacity),
@@ -233,9 +247,10 @@ class LockFreeOptimalQueue {
     std::atomic<std::uint64_t> bt{kUnboundFlag};  // bound tail view
     std::atomic<std::uint64_t> bh{kUnboundFlag};  // bound head view
     // Enqueue: the n arguments. Dequeue: the element read from cell h+j.
+    // val[0..4) share the first line with the control words.
     std::atomic<std::uint64_t> val[kBulk] = {};
   };
-  static_assert(sizeof(Rec) == 64, "a record is one cache line");
+  static_assert(sizeof(Rec) == 128, "a record is two cache lines");
 
   static std::uint64_t unbound(std::uint64_t seq) noexcept {
     return kUnboundFlag | seq;
@@ -346,7 +361,8 @@ class LockFreeOptimalQueue {
 
   // One round for a thread whose record `mine` is still `pending`: wait
   // out an installation in flight, then finish the installed operation,
-  // or findOp and install one if none is.
+  // or findOp and install one if none is; then keep handing `cur_` on to
+  // the oldest pending record, and applying it, while ours is pending.
   void help_round(Handle& hd, Rec& mine, std::uint64_t pending) {
     std::uint64_t w = cur_.load(std::memory_order_seq_cst);
     if (w != kNone) {
@@ -358,60 +374,66 @@ class LockFreeOptimalQueue {
       }
       w = cur_.load(std::memory_order_seq_cst);
     }
-    if (w == kNone) {
-      w = find_and_install();
-      if (w == kNone) return;  // another thread installed first: wait on it
+    for (;;) {
+      // Never move `cur_` off a record that is still pending: an installed
+      // record stays installed until decided, which is what keeps the
+      // head/tail counters quiescent for the view-binding CASes.
+      if (w != kNone && !settle(hd, w)) return;
+      // `cur_` is empty or names a decided record: install the oldest
+      // pending one while ours is pending, clear it once ours is decided.
+      const std::uint64_t next =
+          mine.state.load(std::memory_order_acquire) == pending ? find_op()
+                                                                 : kNone;
+      if (next == w) return;  // nothing installed and nothing pending
+      // The seq in a non-empty `w` makes this CAS specific to that one
+      // operation, so a helper that lost the race to move it on misses.
+      std::uint64_t expected = w;
+      if (!cur_.compare_exchange_strong(expected, next,
+                                        std::memory_order_acq_rel)) {
+        if (next != kNone) telemetry::count(telemetry::Counter::k_cas_fail);
+        return;  // another thread moved `cur_` on: wait on its installer
+      }
+      if (next == kNone) return;
+      w = next;  // we installed it, so we apply it at once
     }
-    finish(hd, w);
   }
 
-  // Scan the T records for the oldest pending one and install it. Returns
-  // the installed word, or kNone if nothing is pending or the CAS lost.
-  std::uint64_t find_and_install() {
+  // findOp: scan the handed-out slots for the oldest pending record.
+  // Returns its {slot, seq} word, or kNone if none is pending.
+  std::uint64_t find_op() const {
+    const std::size_t mark = mark_.load(std::memory_order_seq_cst);
     std::uint64_t best_seq = kNone;
     std::size_t best_slot = 0;
-    for (std::size_t i = 0; i < max_threads_; ++i) {
+    for (std::size_t i = 0; i < mark; ++i) {
       const std::uint64_t st = recs_[i].state.load(std::memory_order_acquire);
       if ((st & 3) == kPending && seq_of(st) < best_seq) {
         best_seq = seq_of(st);
         best_slot = i;
       }
     }
-    if (best_seq == kNone) return kNone;  // our own op completed meanwhile
     // Installing only {slot, seq} bits: if the record completes (or is
-    // even re-announced) before this CAS lands, helpers detect the stale
-    // installation by the seq/state check and uninstall it.
-    std::uint64_t expected = kNone;
-    const std::uint64_t w = pack(best_slot, best_seq);
-    if (cur_.compare_exchange_strong(expected, w, std::memory_order_acq_rel)) {
-      return w;
-    }
-    telemetry::count(telemetry::Counter::k_cas_fail);
-    return kNone;
+    // even re-announced) before the install CAS lands, helpers detect the
+    // stale installation by the seq/state check and move `cur_` on.
+    return best_seq == kNone ? kNone : pack(best_slot, best_seq);
   }
 
-  // Apply the installed operation `w` if it is still pending, then clear
-  // `cur_` for the next findOp.
-  void finish(Handle& hd, std::uint64_t w) {
+  // Apply the installed operation `w` if it is still pending. Returns
+  // false while it stays pending, true once it is decided (or its record
+  // was re-announced since).
+  bool settle(Handle& hd, std::uint64_t w) {
     const std::size_t slot = static_cast<std::size_t>(w >> 48);
     Rec& rec = recs_[slot];
     const std::uint64_t st = rec.state.load(std::memory_order_acquire);
-    if ((seq_of(st) & kSeqMask) == (w & kSeqMask) && (st & 3) == kPending) {
-      // Applying another thread's announced op is the findOp cost the
-      // telemetry attributes; finishing one's own record is not a help.
-      if (slot != hd.slot_) {
-        telemetry::count(telemetry::Counter::k_findop_help);
-      }
-      apply(hd, rec, st);
-      // Never uninstall a record that is still pending: an installed
-      // record stays installed until decided, which is what keeps the
-      // head/tail counters quiescent for the view-binding CASes.
-      if (rec.state.load(std::memory_order_acquire) == st) return;
+    if ((seq_of(st) & kSeqMask) != (w & kSeqMask) || (st & 3) != kPending) {
+      return true;
     }
-    // The installed record is decided (or re-announced since); the seq in
-    // the word makes this CAS specific to that one operation.
-    std::uint64_t expected = w;
-    cur_.compare_exchange_strong(expected, kNone, std::memory_order_acq_rel);
+    // Applying another thread's announced op is the findOp cost the
+    // telemetry attributes; finishing one's own record is not a help.
+    if (slot != hd.slot_) {
+      telemetry::count(telemetry::Counter::k_findop_help);
+    }
+    apply(hd, rec, st);
+    return rec.state.load(std::memory_order_acquire) != st;
   }
 
   // Apply incarnation `pending` (s|pending) of an installed record to the
@@ -419,14 +441,18 @@ class LockFreeOptimalQueue {
   // returns with the incarnation decided, or having found it superseded.
   void apply(Handle& hd, Rec& rec, std::uint64_t pending) {
     const std::uint64_t seq = seq_of(pending);
-    // Seqlock read: the operation word and the `val` words (an enqueue's
-    // arguments; a dequeue ignores them here) are s's only if `state`
-    // still names s behind the acquire fence. So the arguments are read
-    // before the check, never after it.
+    // Seqlock read: the operation word and an enqueue's n arguments are
+    // s's only if `state` still names s behind the acquire fence. So the
+    // arguments are read before the check, never after it. A torn read
+    // may pair the word of another incarnation with s's, so n is clamped
+    // before it indexes `val`.
     const std::uint64_t op = rec.op.load(std::memory_order_relaxed);
     std::uint64_t args[kBulk] = {};
-    for (std::size_t j = 0; j < kBulk; ++j) {
-      args[j] = rec.val[j].load(std::memory_order_relaxed);
+    if ((op & kDequeueOp) == 0) {
+      const std::uint64_t n = std::min<std::uint64_t>(op, kBulk);  // op = n
+      for (std::size_t j = 0; j < n; ++j) {
+        args[j] = rec.val[j].load(std::memory_order_relaxed);
+      }
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_of(rec.state.load(std::memory_order_relaxed)) != seq) return;
@@ -506,6 +532,14 @@ class LockFreeOptimalQueue {
       bool expected = false;
       if (slot_used_[i].compare_exchange_strong(expected, true,
                                                 std::memory_order_acq_rel)) {
+        // Raise the findOp bound over slot i before its first announcement:
+        // a seq_cst RMW, sequenced before every seq_cst pending store of
+        // the slot, so a scan that loads the mark after such a store
+        // covers the slot, and the owner's own scans always do.
+        std::size_t m = mark_.load(std::memory_order_relaxed);
+        while (!mark_.compare_exchange_weak(m, std::max(m, i + 1),
+                                            std::memory_order_seq_cst)) {
+        }
         return i;
       }
     }
@@ -522,6 +556,9 @@ class LockFreeOptimalQueue {
   std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;  // the C words
   std::unique_ptr<Rec[]> recs_;  // Θ(T) announcement records
   std::unique_ptr<std::atomic<bool>[]> slot_used_;
+  // One past the highest slot index ever handed out; never lowered. Read
+  // by every findOp, written only when a handle takes a slot.
+  std::atomic<std::size_t> mark_{0};
   DcssDomain dcss_;  // Θ(T) descriptor pool guarding the vacate
   alignas(64) std::atomic<std::uint64_t> ticket_{0};
   alignas(64) std::atomic<std::uint64_t> cur_{kNone};

@@ -4,7 +4,9 @@
 // segments of K slots; the live chain carries ceil(size/K)+1 segments and
 // drained segments are recycled through a small pool (capped at one spare
 // per thread, the "segments in flight" term). Overhead is therefore
-// ~ (C/K) segment headers + T·K pooled slots, minimized near K = √C.
+// ~ (C/K) segment headers + T·K pooled slots. A header is one word here,
+// like a slot, so the sum is minimized near K = √(C/T), the paper's
+// K = √C at a fixed T.
 //
 // This realization serializes with an internal mutex: the paper's memory
 // trade-off is the reproduction target here, and a GC-free lock-free
@@ -68,12 +70,13 @@ class SegmentQueue {
   }
 
   // Closed-form Θ(C/K + T·K) model from §2.1: chain headers plus one
-  // pooled segment per thread. Constants mirror this implementation
-  // (header + allocator bookkeeping ≈ 48 bytes per segment).
+  // pooled segment per thread, in the bytes the counting allocator sees
+  // (requested bytes: a header is sizeof(Segment), no allocator
+  // bookkeeping). Its minimum lies near K = √(C/T).
   static std::size_t predicted_overhead_bytes(std::size_t capacity,
                                               std::size_t seg_size,
                                               std::size_t threads) noexcept {
-    const std::size_t header = 48;
+    const std::size_t header = sizeof(Segment);
     const std::size_t chain_segments = (capacity + seg_size - 1) / seg_size + 1;
     return chain_segments * header +
            threads * (seg_size * sizeof(std::uint64_t) + header);

@@ -35,11 +35,11 @@ namespace telemetry {
   X(enq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
                         /* the workload/bulk.hpp fallback counts one    */  \
                         /* per item; the lock-free L5 one per call, not */  \
-                        /* one per four-item announcement               */  \
+                        /* one per announcement of up to kBulk items    */  \
   X(deq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
                         /* the workload/bulk.hpp fallback counts one    */  \
                         /* per item; the lock-free L5 one per call, not */  \
-                        /* one per four-item announcement               */  \
+                        /* one per announcement of up to kBulk items    */  \
   X(cas_fail)           /* failed slot/counter CAS inside a retry loop  */  \
   X(floor_reload)       /* ring handle reloaded a stale counter floor   */  \
   X(llsc_sc_fail)       /* LL/SC store-conditional (validation) misses  */  \

@@ -15,7 +15,9 @@
 // The record-recycling schedule parks a helper across a re-announcement
 // of the record it helps: its bind CAS must miss by sequence, and with
 // one sentinel for every sequence (the control) it corrupts the next
-// operation in the record.
+// operation in the record. The stale hand-off schedule parks a helper at
+// the CAS that moves `cur_` from a decided record to the next one: it must
+// miss once `cur_` has moved on.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -301,6 +303,86 @@ TEST(AdversaryOptimalTest, FindOpInstallsTheOldestAnnouncement) {
   EXPECT_EQ(d2.value(), 6u);
 
   const auto res = check_bounded_queue(exec.history(), 2);
+  ASSERT_FALSE(res.history_too_large);
+  EXPECT_TRUE(res.linearizable);
+}
+
+// ---- a stale hand-off -----------------------------------------------------
+//
+// A thread that finds the installed record decided while its own is
+// pending hands `cur_` on with one CAS from the decided word to the oldest
+// pending record. Park a helper poised at that CAS, move the world on
+// until the same slot's next incarnation is installed, and grant it: the
+// expected word names the decided incarnation's seq, so the CAS misses
+// and the new installation stays put.
+//
+//   O  = enq(5)  slot 0, ticket 0: steps until it has installed itself.
+//   H  = enq(6)  slot 1, ticket 1: finds O installed, waits once, helps O
+//                to done, scans, and parks poised at its hand-off CAS from
+//                {0, 0} to its own record {1, 1}.
+//   O completes  finds its record decided and clears cur_.
+//   X  = deq     slot 2, ticket 2, runs solo: installs H's record (the
+//                oldest), writes 6, hands cur_ on to its own record,
+//                dequeues 5 and clears cur_.
+//   O2 = enq(7)  slot 0, ticket 3: steps until it has installed itself, so
+//                cur_ names slot 0 again, at ticket 3.
+//   grant H's hand-off CAS: it expects {0, 0} and must miss.
+
+TEST(AdversaryOptimalTest, StaleHandOffMissesOnceCurMovedOn) {
+  GuardedOptimal q(/*capacity=*/4, /*slots=*/3);
+  ScheduledExecution exec;
+
+  GuardedOptimal::Op o(q, /*slot=*/0, OpKind::kEnqueue, 5);
+  exec.invoke(0, o);
+  step_until(exec, o, [&] {
+    return o.phase() == Phase<GuardedOptimal>::kLookup;
+  });
+
+  GuardedOptimal::Op h(q, /*slot=*/1, OpKind::kEnqueue, 6);
+  exec.invoke(1, h);
+  step_until(exec, h, [&] {
+    return h.phase() == Phase<GuardedOptimal>::kInstall && h.handing_off();
+  });
+  ASSERT_EQ(q.cell(0), 5u) << "H helped O's enqueue in before the hand-off";
+
+  step_until(exec, o, [&] { return o.complete(); });
+  ASSERT_TRUE(o.ok());
+
+  GuardedOptimal::Op x(q, /*slot=*/2, OpKind::kDequeue);
+  exec.run(2, x);
+  ASSERT_TRUE(x.ok());
+  ASSERT_EQ(x.value(), 5u);
+  ASSERT_EQ(q.cell(1), 6u) << "X installed and applied H's record";
+
+  GuardedOptimal::Op o2(q, /*slot=*/0, OpKind::kEnqueue, 7);
+  exec.invoke(0, o2);
+  step_until(exec, o2, [&] {
+    return o2.phase() == Phase<GuardedOptimal>::kLookup;
+  });
+  const std::uint64_t installed = q.cur();
+  ASSERT_EQ(installed >> 48, 0u) << "slot 0's next incarnation is installed";
+
+  // Grant the poised hand-off CAS of the decided {0, 0}.
+  exec.step(h);
+  EXPECT_EQ(q.cur(), installed)
+      << "a stale hand-off displaced a pending installation";
+
+  step_until(exec, h, [&] { return h.complete(); });
+  EXPECT_TRUE(h.ok()) << "X applied H's enqueue";
+  step_until(exec, o2, [&] { return o2.complete(); });
+  EXPECT_TRUE(o2.ok());
+
+  for (const std::uint64_t want : {6u, 7u}) {
+    GuardedOptimal::Op d(q, /*slot=*/2, OpKind::kDequeue);
+    exec.run(2, d);
+    EXPECT_TRUE(d.ok());
+    EXPECT_EQ(d.value(), want);
+  }
+  GuardedOptimal::Op d_empty(q, /*slot=*/2, OpKind::kDequeue);
+  exec.run(2, d_empty);
+  EXPECT_FALSE(d_empty.ok());
+
+  const auto res = check_bounded_queue(exec.history(), 4);
   ASSERT_FALSE(res.history_too_large);
   EXPECT_TRUE(res.linearizable);
 }

@@ -446,23 +446,29 @@ TEST(LitmusTest, BulkOversubscribedL3L4Continuations) {
 }
 
 // The lock-free L5's bulk body, oversubscribed: 16 threads on a 2-slot
-// ring, with calls of 5 and 9 items. Each call asks for two or three
-// four-item announcements; on two slots the first is already short, so
-// the call stops there with the one or two items that fit. A preempted
-// helper of a batch wakes up after its record was decided and
+// ring, with calls of kBulk+1 and 2·kBulk+1 items. Each call asks for two
+// or three kBulk-item announcements; on two slots the first is already
+// short, so the call stops there with the one or two items that fit. A
+// preempted helper of a batch wakes up after its record was decided and
 // re-announced, so its binds, cell writes, vacates and counter advance
 // must all miss; one that lands delivers a value twice, loses one or
 // inverts FIFO in the ledger.
 TEST(LitmusTest, BulkOversubscribedL5) {
+  using membq::LockFreeOptimalQueue;
+  constexpr std::size_t kTwoAnnouncements = LockFreeOptimalQueue::kBulk + 1;
+  constexpr std::size_t kThreeAnnouncements =
+      2 * LockFreeOptimalQueue::kBulk + 1;
   for (const std::uint64_t seed : kSeeds) {
-    membq::LockFreeOptimalQueue q(2, /*max_threads=*/16);
-    membq::litmus::stress_handoff_bulk("oversubscribed L5 bulk 5/9", q, 8, 8,
-                                       600, /*pbatch=*/5, /*cbatch=*/9, seed);
+    LockFreeOptimalQueue q(2, /*max_threads=*/16);
+    membq::litmus::stress_handoff_bulk(
+        "oversubscribed L5 bulk 2/3 announcements", q, 8, 8, 600,
+        /*pbatch=*/kTwoAnnouncements, /*cbatch=*/kThreeAnnouncements, seed);
   }
   for (const std::uint64_t seed : kSeeds) {
-    membq::LockFreeOptimalQueue q(2, /*max_threads=*/16);
-    membq::litmus::stress_handoff_bulk("oversubscribed L5 bulk 9/5", q, 8, 8,
-                                       600, /*pbatch=*/9, /*cbatch=*/5, seed);
+    LockFreeOptimalQueue q(2, /*max_threads=*/16);
+    membq::litmus::stress_handoff_bulk(
+        "oversubscribed L5 bulk 3/2 announcements", q, 8, 8, 600,
+        /*pbatch=*/kThreeAnnouncements, /*cbatch=*/kTwoAnnouncements, seed);
   }
 }
 

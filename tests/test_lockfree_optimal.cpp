@@ -64,13 +64,14 @@ TEST(LockFreeOptimalTest, OpsAllocateAndRetireNothing) {
       EXPECT_EQ(len, 0u);
     }
   }
-  // Bulk calls of 1–9 items: one to three announcements each.
-  std::uint64_t buf[9];
+  // Bulk calls of 1 to 2·kBulk+1 items: one to three announcements each.
+  constexpr std::uint64_t kMaxCall = 2 * LockFreeOptimalQueue::kBulk + 1;
+  std::uint64_t buf[kMaxCall];
   for (int i = 0; i < 10000; ++i) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    const std::uint64_t n = 1 + (x >> 8) % 9;
+    const std::uint64_t n = 1 + (x >> 8) % kMaxCall;
     if ((x & 1) != 0) {
       for (std::uint64_t j = 0; j < n; ++j) buf[j] = 1 + ((x >> 40) ^ j);
       const std::uint64_t got = h.try_enqueue_bulk(buf, n);
@@ -301,6 +302,55 @@ TEST(LockFreeOptimalTest, HandleChurnUnderContention) {
   std::uint64_t residue = 0;
   while (h.try_dequeue(out)) ++residue;
   EXPECT_EQ(enq_ok.load(), deq_ok.load() + residue);
+}
+
+// ---- the findOp scan bound -------------------------------------------------
+//
+// findOp scans the slots below the high-water mark of handed-out slot
+// indices, not a count of live handles. Here the only live handles sit in
+// slots 7 and 0: eight handles are taken and the first seven released, and
+// a new handle then reuses slot 0. Each pushes through its own records
+// while the other must find them, so a bound of two (the live count)
+// would never scan slot 7, and its owner would wait forever on a record
+// no scan installs.
+
+TEST(LockFreeOptimalTest, FindOpScansHighSlotsAfterLowOnesAreReleased) {
+  LockFreeOptimalQueue q(4, 8);
+  std::vector<std::unique_ptr<LockFreeOptimalQueue::Handle>> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(std::make_unique<LockFreeOptimalQueue::Handle>(q));
+  }
+  std::unique_ptr<LockFreeOptimalQueue::Handle> high = std::move(handles[7]);
+  handles.clear();  // releases slots 0–6
+  LockFreeOptimalQueue::Handle low(q);  // takes slot 0 again
+
+  constexpr std::uint64_t kItems = 20000;
+  std::thread producer([&] {
+    for (std::uint64_t v = 1; v <= kItems;) {
+      if (high->try_enqueue(v)) {
+        ++v;
+      } else {
+        membq::detail::cpu_relax();
+      }
+    }
+  });
+  std::uint64_t expect = 1;
+  std::uint64_t out_of_order = 0;
+  for (std::uint64_t got = 0; got < kItems;) {
+    std::uint64_t out = 0;
+    if (low.try_dequeue(out)) {
+      out_of_order += out != expect ? 1 : 0;
+      expect = out + 1;
+      ++got;
+    } else {
+      membq::detail::cpu_relax();
+    }
+  }
+  producer.join();
+  EXPECT_EQ(out_of_order, 0u) << "FIFO order from one producer";
+  EXPECT_EQ(expect, kItems + 1);
+  std::uint64_t out = 0;
+  EXPECT_FALSE(low.try_dequeue(out));
 }
 
 // ---- combining-queue regression -------------------------------------------

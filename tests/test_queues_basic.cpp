@@ -13,6 +13,7 @@
 #include "baselines/scq_ring.hpp"
 #include "baselines/spsc_ring.hpp"
 #include "baselines/vyukov_queue.hpp"
+#include "common/counting_alloc.hpp"
 #include "core/lockfree_optimal_queue.hpp"
 #include "core/optimal_queue.hpp"
 #include "queues/dcss_queue.hpp"
@@ -219,16 +220,48 @@ TEST(QueueBasicTest, WraparoundAllQueues) {
 
 TEST(QueueBasicTest, SegmentQueuePredictedOverheadModelShape) {
   // The Θ(C/K + T·K) model must be convex in K with an interior minimum
-  // near sqrt(C).
+  // near sqrt(C/T).
   const std::size_t c = 4096, t = 4;
   const std::size_t at_small = membq::SegmentQueue::predicted_overhead_bytes(
       c, 2, t);
   const std::size_t at_sqrt = membq::SegmentQueue::predicted_overhead_bytes(
-      c, 64, t);
+      c, 32, t);
   const std::size_t at_large = membq::SegmentQueue::predicted_overhead_bytes(
       c, c, t);
   EXPECT_LT(at_sqrt, at_small);
   EXPECT_LT(at_sqrt, at_large);
+}
+
+// The model in counted bytes: fill a segment queue to C on one thread and
+// turn one segment over (K dequeues, K enqueues), so the full chain also
+// holds the drained head segment, the one segment a single thread keeps
+// in flight. The counting allocator's overhead (live bytes minus the
+// elements) must match the model at T = 1 to within one segment header,
+// the header the model charges for that segment twice.
+TEST(QueueBasicTest, SegmentQueuePredictedOverheadMatchesCountedBytes) {
+  const std::size_t c = 1024, k = 32;
+  {
+    membq::SegmentQueue warm(4, 2);  // first-use state outside the queue
+    std::uint64_t out = 0;
+    ASSERT_TRUE(warm.try_enqueue(1));
+    ASSERT_TRUE(warm.try_dequeue(out));
+  }
+  auto& alloc = membq::AllocCounter::instance();
+  const std::size_t before = alloc.live_bytes();
+  membq::SegmentQueue q(c, k);
+  std::uint64_t next = 1;
+  for (std::size_t i = 0; i < c; ++i) ASSERT_TRUE(q.try_enqueue(next++));
+  for (std::size_t i = 0; i < k; ++i) {
+    std::uint64_t out = 0;
+    ASSERT_TRUE(q.try_dequeue(out));
+  }
+  for (std::size_t i = 0; i < k; ++i) ASSERT_TRUE(q.try_enqueue(next++));
+  const std::size_t counted = alloc.live_bytes() - before - q.element_bytes();
+  const std::size_t predicted =
+      membq::SegmentQueue::predicted_overhead_bytes(c, k, 1);
+  const std::size_t header = sizeof(void*);  // a segment's `next` pointer
+  EXPECT_LE(counted, predicted + header);
+  EXPECT_GE(counted + header, predicted);
 }
 
 TEST(QueueBasicTest, SegmentQueueElementBytesTracksSize) {
@@ -248,9 +281,9 @@ TEST(QueueBasicTest, SegmentQueueElementBytesTracksSize) {
 // values in FIFO order, a bulk call's accepted count exactly the room
 // (or the size). A stale floor may cost a reload, never a verdict. The
 // lock-free L5 keeps no floors; it runs the same check for its bulk body,
-// whose calls of up to five items straddle its four-item announcement.
+// with calls of up to kBulk+1 items, so the longest span two announcements.
 template <class Q>
-void check_stale_floors(Q& q, std::size_t cap) {
+void check_stale_floors(Q& q, std::size_t cap, std::size_t max_call = 5) {
   using membq::workload::detail::xorshift64;
   SCOPED_TRACE(std::string(Q::kName) + " C=" + std::to_string(cap));
   typename Q::Handle a(q), b(q);
@@ -258,7 +291,7 @@ void check_stale_floors(Q& q, std::size_t cap) {
   std::deque<std::uint64_t> model;
   std::uint64_t rng = 0x5eed0000 + cap;
   std::uint64_t next = 1;
-  std::vector<std::uint64_t> buf(5);
+  std::vector<std::uint64_t> buf(max_call);
   for (std::size_t calls = 0; calls < 60000;) {
     auto& h = *handles[xorshift64(rng) & 1];
     const std::size_t run = 1 + xorshift64(rng) % 4000;
@@ -267,7 +300,7 @@ void check_stale_floors(Q& q, std::size_t cap) {
     for (std::size_t i = 0; i < run; ++i, ++calls) {
       const std::uint64_t r = xorshift64(rng);
       const bool enq = (r & 7) < enq_eighths;
-      // Half the calls take one item; the rest up to five, through the
+      // Half the calls take one item; the rest up to max_call, through the
       // native bulk body where the ring has one (its continuation steps
       // test the same floor).
       const std::size_t n = (r >> 3) % 2 == 0 ? 1 : 1 + (r >> 4) % buf.size();
@@ -311,7 +344,7 @@ TEST(QueueFloorTest, StaleFloorsKeepExactVerdicts) {
     }
     {
       membq::LockFreeOptimalQueue q(cap, 2);
-      check_stale_floors(q, cap);
+      check_stale_floors(q, cap, membq::LockFreeOptimalQueue::kBulk + 1);
     }
   }
 }

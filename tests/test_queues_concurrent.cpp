@@ -282,9 +282,9 @@ TEST(QueueConcurrentTest, DcssBulkRangeAdvanceNeverStrandsCounter) {
   run_bulk_then_check_counters<membq::DcssQueue>();
 }
 
-// The lock-free L5 advances a counter once per four-item announcement,
-// by the count its bound view gives; a wrong count strands a counter or
-// skips a cell here.
+// The lock-free L5 advances a counter once per announcement (here one per
+// eight-item call), by the count its bound view gives; a wrong count
+// strands a counter or skips a cell here.
 TEST(QueueConcurrentTest, LockFreeOptimalBulkRangeAdvanceNeverStrandsCounter) {
   run_bulk_then_check_counters<membq::LockFreeOptimalQueue>(
       std::size_t{5} /* max_threads */);
