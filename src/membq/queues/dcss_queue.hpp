@@ -30,7 +30,7 @@
 //
 // Memory orders (policy `O`, default RingOrders): the cell transitions go
 // through BasicDcssDomain<O> — read() is an acquire of the cell, dcss()
-// resolves with a release, and the decision reads the counter inside the
+// resolves with a release, and its verdict reads the counter inside the
 // marker window (pairings annotated in sync/dcss.cpp). The counters here
 // follow the same pairing as the other rings:
 //   * head_/tail_ load: acquire — pairs with advance_counter()'s release.
@@ -44,7 +44,7 @@
 //     descriptor pool alone.
 //   * advance_counter() CAS loop (sync/counter.hpp): release on success,
 //     relaxed on failure (helping race lost, nothing observed); it moves
-//     the counter to at least seen+k. The DCSS decision load reads the
+//     the counter to at least seen+k. The DCSS verdict load reads the
 //     counter with O::acquire inside the marker window; this release is
 //     what the window observes.
 //   * continuation comparands (above): τ and η are acquire loads made

@@ -91,30 +91,36 @@ void BasicDcssDomain<O>::help(std::uint64_t marker) noexcept {
   std::uint64_t decision = d.decision.load(O::acquire);
   if ((decision >> 2) != seq) return;  // recycled
   if ((decision & 3) == kUndecided) {
-    // Pairing (b), the decision read. This helper observed the marker in
-    // *a1 via an acquire load before arriving here, so this *a2 load is
-    // ordered after the marker install; the marker is removed only after
-    // a decision lands, so a winning decider's read lies inside the
-    // marker window (freshness of *a2 within the window is the coherence
-    // argument from sync/memory_order.hpp).
+    // Pairing (b), the helper's verdict read. This helper observed the
+    // marker in *a1 via an acquire load before arriving here, so this *a2
+    // load is ordered after the marker install. Only helpers write
+    // `decision`, and a helper resolves only once it is settled, so the
+    // verdict a helper's resolution carries was read while the marker was
+    // in place (freshness of *a2 within the window is the coherence
+    // argument from sync/memory_order.hpp). If the owner resolved first,
+    // the verdict recorded here is never applied: every helper's
+    // resolution CAS below then misses.
     const std::uint64_t want =
         (seq << 2) |
         ((a2->load(O::acquire) == e2) ? kSucceeded : kFailed);
     std::uint64_t expected = (seq << 2) | kUndecided;
     // Release publishes the verdict (paired with the acquire decision
-    // loads here and in the owner); acquire orders the final CAS below
-    // after the verdict settles. Only the first decider wins.
+    // loads here and in an owner whose resolution CAS failed); acquire
+    // orders the final CAS below after the verdict settles. Only the
+    // first helper's verdict is recorded.
     d.decision.compare_exchange_strong(expected, want, O::acq_rel,
                                        O::acquire);
     decision = d.decision.load(O::acquire);
     if ((decision >> 2) != seq) return;  // recycled under us
   }
 
-  // Pairing (c), resolution. If the descriptor was recycled after the
-  // decision read, this CAS expects a marker that was removed before
-  // recycling and is never reissued, so it fails harmlessly. Release on
-  // success publishes the resolved value to acquire read()s of *a1;
-  // relaxed on failure (someone else resolved first, nothing observed).
+  // Pairing (c), resolution. If the owner (or another helper) resolved
+  // first, or the descriptor was recycled after the decision read, this
+  // CAS expects a marker that is gone and never reissued, so it fails
+  // harmlessly. Release on success publishes the resolved value to
+  // acquire read()s of *a1 and, through the owner's failed resolution
+  // CAS, the decision this helper loaded; relaxed on failure (someone
+  // else resolved first, nothing observed).
   std::uint64_t expected = marker;
   a1->compare_exchange_strong(expected,
                               (decision & 3) == kSucceeded ? n1 : e1,
@@ -170,14 +176,14 @@ bool BasicDcssDomain<O>::ThreadHandle::dcss(
   for (;;) {
     // Marker install: the release half makes the install ordered after
     // the activation store (helpers that bail on a stale seq retry via
-    // read()'s loop); the acquire half orders the decision's *a2 load
-    // below after the install — the start of the marker window (pairing
-    // (b)). Failure must be acquire, not relaxed: a marker value read
-    // here is passed to help(), whose decision path relies on the helper
-    // having observed the marker through an acquire edge (the seqlock
-    // acquire inside help() only synchronizes with the activation store,
-    // which precedes the install — it cannot order the helper's *a2 read
-    // after the marker landed in *a1).
+    // read()'s loop); the acquire half orders the owner's *a2 load below
+    // after the install — the start of the marker window (pairing (b)).
+    // Failure must be acquire, not relaxed: a marker value read here is
+    // passed to help(), whose decision path relies on the helper having
+    // observed the marker through an acquire edge (the seqlock acquire
+    // inside help() only synchronizes with the activation store, which
+    // precedes the install — it cannot order the helper's *a2 read after
+    // the marker landed in *a1).
     if (a1->compare_exchange_strong(expected, marker, O::acq_rel,
                                     O::acquire)) {
       published = true;
@@ -194,18 +200,28 @@ bool BasicDcssDomain<O>::ThreadHandle::dcss(
   bool ok = false;
   if (published) {
     telemetry::count(telemetry::Counter::k_dcss_owner_resolve);
-    // Pairing (b), owner-side decision read: ordered after our own
+    // Pairing (b), owner-side verdict read: ordered after our own
     // marker-install CAS (acq_rel above), i.e. inside the marker window.
-    const std::uint64_t want =
-        (seq << 2) |
-        ((a2->load(O::acquire) == e2) ? kSucceeded : kFailed);
-    std::uint64_t undecided = (seq << 2) | kUndecided;
-    d.decision.compare_exchange_strong(undecided, want, O::acq_rel,
-                                       O::acquire);
-    ok = d.decision.load(O::acquire) == ((seq << 2) | kSucceeded);
-    // Pairing (c), resolution: release the decided value to read()s.
+    const bool matched = a2->load(O::acquire) == e2;
+    // Pairing (c), resolution. The first CAS that replaces the marker
+    // decides the operation, so the owner records no verdict: if this CAS
+    // lands, the marker was still in place, and `matched` is the verdict.
+    // Release publishes n1 (or e1) to read()s; the acquire half matters
+    // only on failure (below), since a success reads our own marker.
     std::uint64_t m = marker;
-    a1->compare_exchange_strong(m, ok ? n1 : e1, O::release, O::relaxed);
+    if (a1->compare_exchange_strong(m, matched ? n1 : e1, O::acq_rel,
+                                    O::acquire)) {
+      ok = matched;
+    } else {
+      // Only a helper removes our marker otherwise, and it resolves from
+      // the `decision` word once a helper's decision CAS settled it (the
+      // owner never writes it). Acquire on failure: the value read is
+      // that helper's release resolution or a later CAS on *a1 (every
+      // write to a DCSS-managed word is a CAS, so it extends the release
+      // sequence), which makes the verdict the helper carried visible to
+      // this load.
+      ok = d.decision.load(O::acquire) == ((seq << 2) | kSucceeded);
+    }
   }
 
   // Retire: the marker is guaranteed out of *a1 by now (our final CAS or

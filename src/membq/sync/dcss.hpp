@@ -9,9 +9,14 @@
 // to a fixed-size per-thread descriptor pool:
 //   1. the owner publishes a marker (bit 63 set, encoding slot + sequence)
 //     into *a1 by CAS from e1;
-//   2. whoever sees the marker — owner or helper — decides the operation
-//     by reading *a2, records the verdict in the descriptor with a CAS,
-//     and replaces the marker with n1 (success) or e1 (failure).
+//   2. the owner reads *a2 and CASes its marker straight to n1 (match) or
+//     e1 (mismatch). A helper that sees the marker reads *a2, records its
+//     verdict in the descriptor's `decision` word with a CAS (the first
+//     helper's verdict sticks), and replaces the marker with the value
+//     that recorded verdict names. As in Harris, Fraser and Pratt's RDCSS
+//     (DISC 2002), the first CAS that replaces the marker decides the
+//     operation: an owner whose CAS lands returns its own verdict, and an
+//     owner whose CAS fails reads the verdict from `decision`.
 // Descriptors are recycled via a per-slot sequence number: a marker whose
 // sequence no longer matches its descriptor is dead and can only fail its
 // final CAS, so helpers never act on reused state.
@@ -27,14 +32,20 @@
 //   (a) descriptor activation: the owner's field stores are published by
 //       the seqlock-style release store of `seq` (odd), observed by every
 //       helper's acquire `seq` loads bracketing its field snapshot;
-//   (b) the decision: whoever decides read *a2 after observing the marker
-//       in *a1 (owner: its own acq_rel install CAS; helper: the acquire
-//       load that surfaced the marker), so the winning decider's *a2 read
-//       lies inside the marker window — the operation's linearization
-//       point. The decision value travels through the `decision` word
-//       (release CAS, acquire loads).
-//   (c) resolution: the final CAS replacing the marker releases n1 (or
-//       e1) to every acquire read() of *a1.
+//   (b) the verdict: each decider reads *a2 after observing the marker in
+//       *a1 (owner: its own acq_rel install CAS; helper: the acquire load
+//       that surfaced the marker). A resolution CAS lands only while the
+//       marker is in place, and a helper resolves only from a verdict
+//       already recorded in `decision` (acq_rel CAS, acquire loads), so
+//       the read that decides — the owner's own or the recorded one —
+//       lies inside the marker window: the operation's linearization
+//       point.
+//   (c) resolution: the CAS replacing the marker releases n1 (or e1) to
+//       every acquire read() of *a1. The owner's verdict travels by its
+//       own resolution CAS (acq_rel, acquire on failure); a helper's by
+//       `decision`. An owner whose CAS fails acquires the helper's
+//       resolution, after which its `decision` load sees the verdict that
+//       resolution carried.
 // The window argument in (b) leans on per-location coherence for the *a2
 // freshness (exact on multi-copy-atomic hardware; see
 // sync/memory_order.hpp) — MEMBQ_SEQCST_RINGS restores the formally
@@ -99,7 +110,8 @@ class BasicDcssDomain {
 
   struct alignas(64) Descriptor {
     std::atomic<std::uint64_t> seq{0};  // even = quiescent, odd = active
-    // (seq << 2) | Verdict. Carrying the sequence in the decision word
+    // (seq << 2) | Verdict, recorded by helpers only (the owner resets it
+    // when it activates the descriptor). Carrying the sequence in the word
     // makes a stale helper's decision CAS fail once the descriptor is
     // recycled, instead of corrupting the next operation's verdict.
     std::atomic<std::uint64_t> decision{0};

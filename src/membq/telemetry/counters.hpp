@@ -43,8 +43,9 @@ namespace telemetry {
   X(cas_fail)           /* failed slot/counter CAS inside a retry loop  */  \
   X(floor_reload)       /* ring handle reloaded a stale counter floor   */  \
   X(llsc_sc_fail)       /* LL/SC store-conditional (validation) misses  */  \
-  X(dcss_help)          /* DCSS descriptors driven by a helper thread   */  \
-  X(dcss_owner_resolve) /* DCSS descriptors resolved by their owner     */  \
+  X(dcss_help)          /* helper passes over a live DCSS descriptor    */  \
+  X(dcss_owner_resolve) /* DCSSes whose owner installed its marker,     */  \
+                        /* whoever then resolved it                     */  \
   X(findop_help)        /* L5 findOp/readElem announcement helps        */  \
   X(backoff_spin)       /* Backoff::pause() spin episodes               */  \
   X(backoff_yield)      /* pause() episodes that fell back to yield     */  \

@@ -1,6 +1,7 @@
 #include "sync/dcss.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -132,6 +133,58 @@ TEST(DcssTest, ConcurrentReadersSeeMonotoneCommittedValues) {
   for (auto& r : readers) r.join();
   EXPECT_FALSE(violation.load());
   EXPECT_EQ(domain.read(&counter), kWriters * kPerWriter);
+}
+
+// The first CAS that replaces an owner's marker decides its DCSS. An owner
+// whose resolution CAS loses to a helper's must return the verdict that
+// helper resolved with, not its own *a2 read. Readers here both help (the
+// read() of the counter) and flip the control word between reads, so a
+// helper's *a2 read and the owner's can disagree: an owner that trusted
+// its own would count an increment the counter never received, or miss
+// one it did. Owners lose that race only about once per round, so rounds
+// repeat until a one-second budget is spent (at least one round; a
+// sanitizer build, many times slower, runs few).
+TEST(DcssTest, OwnerThatLosesItsResolutionReturnsTheHelpersVerdict) {
+  constexpr std::size_t kOwners = 3;
+  constexpr std::size_t kReaders = 3;
+  constexpr std::uint64_t kPerOwner = 200000;  // DCSS attempts per round
+  constexpr int kMaxRounds = 25;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  membq::DcssDomain domain(kOwners);
+  int round = 0;
+  do {
+    std::atomic<std::uint64_t> counter{0};
+    std::atomic<std::uint64_t> ctrl{0};
+    std::atomic<std::uint64_t> wins{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> readers;
+    for (std::size_t r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        while (!stop.load()) {
+          domain.read(&counter);
+          ctrl.fetch_xor(1);
+        }
+      });
+    }
+    std::vector<std::thread> owners;
+    for (std::size_t t = 0; t < kOwners; ++t) {
+      owners.emplace_back([&] {
+        membq::DcssDomain::ThreadHandle th(domain);
+        std::uint64_t won = 0;
+        for (std::uint64_t i = 0; i < kPerOwner; ++i) {
+          const std::uint64_t cur = domain.read(&counter);
+          if (th.dcss(&counter, cur, cur + 1, &ctrl, 0)) ++won;
+        }
+        wins.fetch_add(won);
+      });
+    }
+    for (auto& o : owners) o.join();
+    stop.store(true);
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(domain.read(&counter), wins.load()) << "round " << round;
+  } while (++round < kMaxRounds &&
+           std::chrono::steady_clock::now() < deadline);
 }
 
 TEST(DcssTest, RejectsDomainsBeyondMarkerSlotField) {
