@@ -9,6 +9,13 @@
 // The explicit cycle is what distinguishes this family from Vyukov's
 // store-published sequence (and like it, costs Θ(C) metadata).
 //
+// A thread that finds its ticket served under a lagging counter helps the
+// counter past it: an enqueuer on state 2r+1, a dequeuer on any state
+// from 2(r+1) on (the cell may already be refilled for round r+1). Help
+// is patient, as in the paper's rings: it polls the counter for up to
+// kHelpPatience pauses per call (help_advance, sync/counter.hpp) before
+// it steps it, so a bulk claim still in flight is not cut.
+//
 // Memory orders (policy `O`, default RingOrders):
 //   * entry CAS: acq_rel on success — the release half hands the
 //     (state, value) pair across the role boundary (enqueue publishes
@@ -25,6 +32,11 @@
 //   * advance_counter() CAS loop (sync/counter.hpp): release success /
 //     relaxed failure; moves a counter to at least seen+k (a helper's
 //     step, or a claimed range).
+//   * help_advance() poll (sync/counter.hpp): relaxed loads of the
+//     lagging counter while it still reads the served ticket. They only
+//     decide whether to keep waiting: the step taken once the budget is
+//     spent is advance_counter() above, and a counter seen to move is
+//     re-read by the acquire load above before it is used.
 //   * full/empty verdicts rely on counter/entry freshness beyond the
 //     pairings (per-location coherence; see sync/memory_order.hpp).
 #pragma once
@@ -79,6 +91,7 @@ class BasicScqRing {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_enq_attempt);
     Backoff backoff;
+    std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
       // Acquire ticket loads paired with advance_counter()'s release
@@ -100,7 +113,7 @@ class BasicScqRing {
         continue;
       }
       if (cur.state == 2 * round + 1) {
-        advance_counter<O>(tail_, t, 1);  // ticket t already enqueued; help
+        help_advance<O>(tail_, t, patience);  // ticket t already enqueued; help
         continue;
       }
       // Slot still carries an older cycle: full once head_, loaded here
@@ -134,6 +147,7 @@ class BasicScqRing {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
+    std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
       const std::uint64_t h = head_.load(O::acquire);
@@ -154,8 +168,12 @@ class BasicScqRing {
         backoff.pause();
         continue;
       }
-      if (cur.state == 2 * (round + 1)) {
-        advance_counter<O>(head_, h, 1);  // ticket h already dequeued; help
+      // Ticket h served: its owner vacated the cell (state 2(r+1)) and
+      // has not yet advanced head_, and an enqueuer may since have
+      // refilled the cell for round r+1. States only grow, so any state
+      // from 2(r+1) on says h is done; help head_ past it.
+      if (cur.state >= 2 * (round + 1)) {
+        help_advance<O>(head_, h, patience);
         continue;
       }
       // Empty verdict: entry still in round r's enqueue-ready state and

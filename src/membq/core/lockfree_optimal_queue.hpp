@@ -71,7 +71,8 @@
 // that operation at once. A thread that finds an installation in flight
 // polls its own record for kHelpPatience pauses and helps only if its
 // operation is still pending when the bound expires (Kogan & Petrank's
-// fast path/slow path, the "patience" of Yang & Mellor-Crummey's queue).
+// fast path/slow path, the "patience" of Yang & Mellor-Crummey's queue;
+// sync/backoff.hpp holds the bound, which the ticket rings share).
 // The wait is bounded, so a stalled installer delays the others by
 // kHelpPatience pauses and is then helped exactly as before: lock-freedom
 // holds. A thread that sees the installed record decided while its own is
@@ -137,9 +138,6 @@ class LockFreeOptimalQueue {
   // Empty-cell encoding: bit 62 flags a bottom, the low bits carry the
   // round (index / capacity). Bit 63 stays reserved for DCSS markers.
   static constexpr std::uint64_t kBotFlag = std::uint64_t{1} << 62;
-  // Pauses a thread that finds an installation in flight polls its own
-  // record before it helps (CHANGES.md has the ablation of this bound).
-  static constexpr std::uint32_t kHelpPatience = 256;
   // Items one announcement carries: the `val` words of a two-line record
   // after its four control words (state, op, bt, bh).
   static constexpr std::size_t kBulk = 2 * 64 / sizeof(std::uint64_t) - 4;

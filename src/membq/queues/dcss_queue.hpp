@@ -28,6 +28,13 @@
 // Each claim past the first is one attempt, as in L2 and L3: a failed
 // check or DCSS cuts the batch.
 //
+// Help is patient, as in L2 and L3: a thread that finds a served ticket
+// under a lagging counter polls the counter for up to kHelpPatience
+// pauses per call (help_advance, sync/counter.hpp) before it steps it.
+// The lag is usually a bulk claim still in flight. Stepping past it at
+// once moves the counter off the comparand τ or η of its owner's next
+// DCSS, which then fails and cuts the batch.
+//
 // Memory orders (policy `O`, default RingOrders): the cell transitions go
 // through BasicDcssDomain<O> — read() is an acquire of the cell, dcss()
 // resolves with a release, and its verdict reads the counter inside the
@@ -47,6 +54,11 @@
 //     the counter to at least seen+k. The DCSS verdict load reads the
 //     counter with O::acquire inside the marker window; this release is
 //     what the window observes.
+//   * help_advance() poll (sync/counter.hpp): relaxed loads of the
+//     lagging counter while it still reads the served ticket. They only
+//     decide whether to keep waiting: the step taken once the budget is
+//     spent is advance_counter() above, and a counter seen to move is
+//     re-read by the acquire load above before it is used.
 //   * continuation comparands (above): τ and η are acquire loads made
 //     after the domain read of the cell. The DCSS compares the counter
 //     again inside its marker window, so a claim lands only if the
@@ -113,6 +125,7 @@ class BasicDcssQueue {
       assert(vs[0] < kBot && "values must stay below the reserved range");
       telemetry::count(telemetry::Counter::k_enq_attempt);
       Backoff backoff;
+      std::uint32_t patience = kHelpPatience;  // help_advance budget
       BasicDcssQueue& q = q_;
       std::uint64_t t0;
       for (;;) {  // first item: the whole protocol at n=1
@@ -136,7 +149,8 @@ class BasicDcssQueue {
           continue;
         }
         if (t - head_floor_ >= q.cap_) return 0;  // full
-        advance_counter<O>(q.tail_, t, 1);  // ticket t already written; help
+        // Ticket t already written: help tail_ past it.
+        help_advance<O>(q.tail_, t, patience);
       }
       std::size_t k = 1;
       while (k < n && k < q.cap_) {
@@ -169,6 +183,7 @@ class BasicDcssQueue {
       if (n == 0) return 0;
       telemetry::count(telemetry::Counter::k_deq_attempt);
       Backoff backoff;
+      std::uint32_t patience = kHelpPatience;  // help_advance budget
       BasicDcssQueue& q = q_;
       std::uint64_t h0;
       for (;;) {  // first item: the whole protocol at n=1
@@ -182,7 +197,7 @@ class BasicDcssQueue {
           // under a current ticket passes a second enqueuer's tail
           // comparand.
           if (tail_floor_ <= h) {
-            advance_counter<O>(q.tail_, tail_floor_, 1);
+            help_advance<O>(q.tail_, tail_floor_, patience);
             continue;
           }
           if (th_.dcss(&q.cells_[h % q.cap_], cur, kBot, &q.head_, h)) {
@@ -197,7 +212,8 @@ class BasicDcssQueue {
         // Empty verdict: the domain read (acquire) saw ⊥ at the head
         // ticket and tail agrees (freshness argument).
         if (tail_floor_ <= h) return 0;  // empty
-        advance_counter<O>(q.head_, h, 1);  // ticket h already dequeued; help
+        // Ticket h already dequeued: help head_ past it.
+        help_advance<O>(q.head_, h, patience);
       }
       std::size_t k = 1;
       while (k < n && k < q.cap_) {

@@ -16,6 +16,11 @@
 //            served (help head); ⊥_round with tail ≤ h means empty.
 //   A bulk op claims further consecutive cells the same way before its
 //   one counter advance; a scalar op is a bulk op of one.
+//   Help is patient: a thread that finds a served ticket under a lagging
+//   counter polls the counter for up to kHelpPatience pauses per call
+//   (help_advance, sync/counter.hpp) before it steps it. The lag is
+//   usually a bulk claim still in flight, and stepping past it at once
+//   would race its owner for the next cell and cut its batch.
 //
 // Memory orders (policy `O`, default RingOrders; see sync/memory_order.hpp
 // for the policy contract and the freshness-argument caveat):
@@ -39,6 +44,11 @@
 //     not shared memory, so the overhead stays Θ(1).
 //   * tail_ is read only on the dequeue's empty-verdict path, after the
 //     cell read showed ⊥_round.
+//   * help_advance() poll (sync/counter.hpp): relaxed loads of the
+//     lagging counter while it still reads the served ticket. They only
+//     decide whether to keep waiting: the step taken once the budget is
+//     spent is advance_counter() below, and a counter seen to move is
+//     re-read by the acquire load above before it is used.
 //   * advance_counter() CAS loop (sync/counter.hpp): release on success
 //     — publishes the cell transitions completed below the new counter
 //     value to everyone who derives a ticket from it. Failure relaxed:
@@ -118,6 +128,7 @@ class BasicDistinctQueue {
     assert((vs[0] & kBotBit) == 0 && "values must keep bit 63 clear");
     telemetry::count(telemetry::Counter::k_enq_attempt);
     Backoff backoff;
+    std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
       // Ticket/limit loads: acquire, paired with advance_counter()'s
@@ -151,7 +162,7 @@ class BasicDistinctQueue {
       }
       // Cell holds a value: ring full, or ticket t already written.
       if (t - hf >= cap_) return 0;
-      advance_counter<O>(tail_, t, 1);
+      help_advance<O>(tail_, t, patience);
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
@@ -194,6 +205,7 @@ class BasicDistinctQueue {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
+    std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
       // Same pairing as the enqueue: acquire counter load against
@@ -217,7 +229,7 @@ class BasicDistinctQueue {
         continue;
       }
       if (bot_round(cur) == round + 1) {
-        advance_counter<O>(head_, h, 1);  // ticket h already dequeued; help
+        help_advance<O>(head_, h, patience);  // ticket h already dequeued; help
         continue;
       }
       // Empty verdict: cell still holds ⊥_round (the acquire cell load is

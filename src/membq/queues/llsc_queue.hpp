@@ -30,6 +30,14 @@
 // The batch is cut only when another thread holds the next cell or a
 // gate says full or empty.
 //
+// Help is patient. A thread that finds a served ticket under a lagging
+// counter (tail_ still at a written cell, or head_ still at a vacated
+// one; a dequeuer also needs tail_ past the written cell it is about to
+// vacate) polls the counter for up to kHelpPatience pauses per call
+// (help_advance, sync/counter.hpp) before it steps it. The lag is
+// usually a bulk claim still in flight, and stepping past it at once
+// would race its owner for the next cell and cut its batch.
+//
 // Memory orders (policy `O`, default RingOrders): the cell transitions
 // are ll()/sc() on BasicLLSCCell<O> — acquire link loads against acq_rel
 // publishing sc()s, annotated in sync/llsc.hpp. The positioning counters
@@ -49,6 +57,11 @@
 //     (publishes the transitions below the new counter value), relaxed
 //     on failure (lost the helping race, nothing observed). It moves the
 //     counter to at least seen+k.
+//   * help_advance() poll (sync/counter.hpp): relaxed loads of the
+//     lagging counter while it still reads the served ticket. They only
+//     decide whether to keep waiting: the step taken once the budget is
+//     spent is advance_counter() above, and a counter seen to move is
+//     re-read by the acquire load above before it is used.
 //   * continuation checks (above): the tail_ load after an enqueue's ll()
 //     and the head_ load after a dequeue's ll() are acquire loads, each
 //     made after the cell read it judges.
@@ -130,6 +143,7 @@ class BasicLlscQueue {
     // this queue contributes attempts here and retries there.
     telemetry::count(telemetry::Counter::k_enq_attempt);
     Backoff backoff;
+    std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
       // Acquire ticket loads paired with advance_counter()'s release (header).
@@ -152,7 +166,7 @@ class BasicLlscQueue {
         continue;
       }
       if (t - hf >= cap_) return 0;  // full
-      advance_counter<O>(tail_, t, 1);  // ticket t already written; help
+      help_advance<O>(tail_, t, patience);  // ticket t already written; help
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
@@ -183,6 +197,7 @@ class BasicLlscQueue {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
+    std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
       const std::uint64_t h = head_.load(O::acquire);
@@ -195,7 +210,7 @@ class BasicLlscQueue {
         // under a current ticket lets a second enqueuer fill the cell,
         // a round behind head.
         if (tf <= h) {
-          advance_counter<O>(tail_, tf, 1);
+          help_advance<O>(tail_, tf, patience);
           continue;
         }
         if (cells_[h % cap_].sc(link, kBot)) {
@@ -210,7 +225,7 @@ class BasicLlscQueue {
       // enqueue of ticket h had published) and tail agrees (freshness
       // argument on the monotone counter).
       if (tf <= h) return 0;  // empty
-      advance_counter<O>(head_, h, 1);  // ticket h already dequeued; help
+      help_advance<O>(head_, h, patience);  // ticket h already dequeued; help
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {

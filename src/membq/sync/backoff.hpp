@@ -1,10 +1,13 @@
-// Contention-management policies for CAS retry loops.
+// Contention-management policies for CAS retry loops, and the bound on
+// waiting for another thread before helping it.
 //
 // Every ring queue in membq retries a CAS on a positioning counter or a
 // slot; what a failed attempt should do before retrying is a policy:
 //   Backoff   — truncated exponential spin, falling back to yield once the
 //               spin budget is large (FLeeC-style ExpBackoffCAS shape).
 //   NoBackoff — bare scheduler yield, the ablation baseline.
+// kHelpPatience is not a retry policy: it bounds how long a thread that
+// could help another one waits for it to finish on its own first.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +27,15 @@ inline void cpu_relax() noexcept {
 #endif
 }
 }  // namespace detail
+
+// Pauses a thread waits for another thread's operation in flight before
+// it helps (Kogan & Petrank's fast path/slow path patience): the lock-free
+// L5 polls its own record this long before joining an installation, and
+// a ticket ring polls a lagging counter this long, once per bulk body,
+// before stepping it (help_advance, sync/counter.hpp). Polls are loads
+// and pauses, and the wait is not a Backoff episode. CHANGES.md has the
+// ablation of this bound for both.
+inline constexpr std::uint32_t kHelpPatience = 256;
 
 class Backoff {
  public:

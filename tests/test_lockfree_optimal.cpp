@@ -3,12 +3,8 @@
 // linearizability over recorded real-thread histories, handle-churn
 // stress, and the regression test for the combining queue's
 // announce/result ordering fix.
-#include <pthread.h>
-#include <signal.h>
-
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -20,6 +16,7 @@
 #include "common/counting_alloc.hpp"
 #include "core/lockfree_optimal_queue.hpp"
 #include "core/optimal_queue.hpp"
+#include "frozen_worker.hpp"
 #include "model_checker.hpp"
 #include "reclaim/reclaim.hpp"
 #include "sync/backoff.hpp"
@@ -94,145 +91,13 @@ TEST(LockFreeOptimalTest, OpsAllocateAndRetireNothing) {
 // Installer-first helping makes threads wait for the installer of the
 // operation in flight. That wait is bounded (kHelpPatience pauses): one
 // worker is frozen at arbitrary points — in the middle of applying an
-// installed batch, mid-scan, mid-wait — by a signal whose handler spins
-// on a flag, and every freeze must see the other workers complete
-// operations. With an unbounded wait they stall as soon as the frozen
-// worker is the installer. Capacity 2 makes every other op wrap the ring.
-
-std::atomic<bool> g_hold{false};
-std::atomic<int> g_parked{0};
-
-void freeze_handler(int) {
-  g_parked.store(1, std::memory_order_release);
-  while (g_hold.load(std::memory_order_acquire)) membq::detail::cpu_relax();
-  g_parked.store(0, std::memory_order_release);
-}
-
-// Polls `g_parked` until it equals `want`, for at most 1 s: a signal the
-// kernel defers must not hang the test.
-bool await_parked(int want) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(1);
-  while (g_parked.load(std::memory_order_acquire) != want) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
+// installed batch, mid-scan, mid-wait — and every freeze must see the
+// other workers complete operations (tests/frozen_worker.hpp). With an
+// unbounded wait they stall as soon as the frozen worker is the installer.
 
 TEST(LockFreeOptimalTest, OthersCompleteOpsWhileOneWorkerIsFrozen) {
-  constexpr int kWorkers = 4;
-  constexpr int kFreezes = 100;
-  LockFreeOptimalQueue q(2, kWorkers + 1);
-
-  struct sigaction sa = {}, old = {};
-  sa.sa_handler = freeze_handler;
-  sigemptyset(&sa.sa_mask);
-  ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
-
-  struct alignas(64) Worker {
-    std::atomic<std::uint64_t> ops{0};  // completed calls, either outcome
-    std::uint64_t enq_ok = 0, deq_ok = 0, enq_sum = 0, deq_sum = 0;
-  };
-  std::vector<Worker> workers(kWorkers);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&, w] {
-      LockFreeOptimalQueue::Handle h(q);
-      Worker& me = workers[w];
-      std::uint64_t buf[8];
-      std::uint64_t next = static_cast<std::uint64_t>(w) << 32;
-      std::uint64_t rng = 0x9e3779b97f4a7c15ULL * (w + 1);
-      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        // Batches of 1–8 items (at most two fit), so a freeze can land
-        // between two cell writes or two vacates of one announcement.
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        const std::size_t n = 1 + rng % 8;
-        if ((i & 1) == 0) {
-          for (std::size_t j = 0; j < n; ++j) buf[j] = next + j;
-          const std::size_t got = h.try_enqueue_bulk(buf, n);
-          for (std::size_t j = 0; j < got; ++j) me.enq_sum += buf[j];
-          me.enq_ok += got;
-          next += got;
-        } else {
-          const std::size_t got = h.try_dequeue_bulk(buf, n);
-          for (std::size_t j = 0; j < got; ++j) me.deq_sum += buf[j];
-          me.deq_ok += got;
-        }
-        me.ops.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  const auto total_ops = [&] {
-    std::uint64_t n = 0;
-    for (auto& wk : workers) n += wk.ops.load(std::memory_order_relaxed);
-    return n;
-  };
-  while (total_ops() < 1000) std::this_thread::yield();
-
-  // Failures below break out of the loop instead of returning, so the
-  // workers are always stopped and joined.
-  int frozen = 0, deferred = 0, stalled = 0;
-  std::uint64_t x = 12345;
-  for (int attempt = 0; frozen < kFreezes && attempt < 2 * kFreezes;
-       ++attempt) {
-    const int victim = attempt % kWorkers;
-    g_hold.store(true, std::memory_order_release);
-    if (pthread_kill(threads[victim].native_handle(), SIGUSR1) != 0) {
-      ADD_FAILURE() << "pthread_kill failed";
-      g_hold.store(false, std::memory_order_release);
-      break;
-    }
-    if (!await_parked(1)) {
-      // Deferred delivery: release the flag so the late handler returns
-      // at once, and try again.
-      g_hold.store(false, std::memory_order_release);
-      ++deferred;
-      continue;
-    }
-    ++frozen;
-    const std::uint64_t before = total_ops();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const std::uint64_t during = total_ops() - before;
-    g_hold.store(false, std::memory_order_release);
-    if (during == 0) ++stalled;
-    if (!await_parked(0)) {
-      ADD_FAILURE() << "the frozen worker never left the handler";
-      break;
-    }
-    // Resume for a pseudo-random 0–2 ms, so the next freeze lands at an
-    // arbitrary point of some operation.
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    std::this_thread::sleep_for(std::chrono::microseconds((x >> 33) % 2000));
-  }
-  stop.store(true);
-  for (auto& th : threads) th.join();
-  ASSERT_EQ(sigaction(SIGUSR1, &old, nullptr), 0);
-
-  EXPECT_EQ(frozen, kFreezes) << deferred << " freezes were deferred";
-  EXPECT_EQ(stalled, 0) << "of " << frozen
-                        << " freezes, these saw no other worker complete "
-                           "an operation";
-
-  // Conservation: everything dequeued was enqueued, the rest is still in.
-  std::uint64_t enq_ok = 0, deq_ok = 0, enq_sum = 0, deq_sum = 0;
-  for (auto& wk : workers) {
-    enq_ok += wk.enq_ok;
-    deq_ok += wk.deq_ok;
-    enq_sum += wk.enq_sum;
-    deq_sum += wk.deq_sum;
-  }
-  LockFreeOptimalQueue::Handle h(q);
-  std::uint64_t out = 0;
-  while (h.try_dequeue(out)) {
-    ++deq_ok;
-    deq_sum += out;
-  }
-  EXPECT_EQ(enq_ok, deq_ok);
-  EXPECT_EQ(enq_sum, deq_sum);
+  membq::frozen::expect_progress_while_one_worker_is_frozen(
+      [] { return std::make_unique<LockFreeOptimalQueue>(2, 5); });
 }
 
 // ---- recorded real-thread histories ---------------------------------------
