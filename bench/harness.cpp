@@ -24,7 +24,7 @@ constexpr std::size_t kShortDivisor = 8;
                "%s: bad argument '%s'\n"
                "usage: bench_%s [--threads=1,2,4] [--capacity=N] [--ops=N]\n"
                "       [--mix=balanced|enq-heavy|deq-heavy|pairwise|bursty]\n"
-               "       [--batch=N] [--pin-policy=none|cores-first|sequential]\n"
+               "       [--batch=N] [--pin-policy=none|cores-first]\n"
                "       [--short] [--out=PATH] [--out-dir=DIR]\n"
                "       [--no-json] [--profile-us=N]\n",
                name, bad, name);

@@ -19,7 +19,7 @@
 //   --ops=N            override the bench's per-thread op count
 //   --mix=NAME         override the workload mix (balanced, enq-heavy, ...)
 //   --batch=N          override the bench's items-per-op batch size
-//   --pin-policy=P     worker pinning: none | cores-first | sequential
+//   --pin-policy=P     worker pinning: none | cores-first
 //   --short            scale op counts down ~8x (CI smoke mode)
 //   --out=PATH         write the JSON to PATH
 //   --out-dir=DIR      write to DIR/BENCH_<name>.json (default ".")

@@ -5,16 +5,10 @@
 // here by an approximate size counter so it fits the try_enqueue/
 // try_dequeue harness.
 //
-// Until the reclaim/ subsystem existed this file handled ABA and
-// use-after-free the 1996 way (128-bit counted pointers plus a Treiber
-// freelist that never returned nodes to the allocator). It now runs on
-// the same ReclaimDomain concept as the lock-free L1 queue: plain 64-bit
-// head/tail CASes, dequeued dummies retired to the domain, and the
-// backend (EBR, HP, or the NoReclaim control) chosen by template
-// parameter. Dequeue follows Michael (2004): hazard slot 0 holds head,
-// slot 1 holds next, each validated by re-reading head_ — a node is
-// retired only after head_ moves past it, so "head_ still equals hd"
-// certifies both pointers.
+// Plain 64-bit head/tail CASes: dequeued dummies are retired to an
+// EpochDomain (reclaim/epoch.hpp, the registry's `ebr` backend), which
+// frees a node only once no thread can still hold a pointer to it, so
+// neither ABA nor use-after-free needs counted pointers.
 #pragma once
 
 #include <atomic>
@@ -22,36 +16,17 @@
 #include <cstdint>
 
 #include "reclaim/epoch.hpp"
-#include "reclaim/hazard.hpp"
-#include "reclaim/no_reclaim.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
 
-template <class Domain>
-struct MichaelScottQueueName;
-
-template <>
-struct MichaelScottQueueName<reclaim::EpochDomain> {
-  static constexpr char value[] = "michael-scott";
-};
-template <>
-struct MichaelScottQueueName<reclaim::HazardDomain> {
-  static constexpr char value[] = "michael-scott(hp)";
-};
-template <>
-struct MichaelScottQueueName<reclaim::NoReclaim> {
-  static constexpr char value[] = "michael-scott(none)";
-};
-
-template <class Domain = reclaim::EpochDomain>
-class MichaelScottQueueT {
+class MichaelScottQueue {
  public:
-  static constexpr const char* kName = MichaelScottQueueName<Domain>::value;
+  static constexpr char kName[] = "michael-scott";
 
-  explicit MichaelScottQueueT(std::size_t capacity,
-                              std::size_t max_threads =
-                                  Domain::kDefaultMaxThreads)
+  explicit MichaelScottQueue(
+      std::size_t capacity,
+      std::size_t max_threads = reclaim::EpochDomain::kDefaultMaxThreads)
       : cap_(capacity), domain_(max_threads) {
     assert(capacity > 0);
     Node* dummy = new Node();
@@ -59,7 +34,7 @@ class MichaelScottQueueT {
     tail_.store(dummy, std::memory_order_relaxed);
   }
 
-  ~MichaelScottQueueT() {
+  ~MichaelScottQueue() {
     Node* n = head_.load(std::memory_order_relaxed);
     while (n != nullptr) {
       Node* next = n->next.load(std::memory_order_relaxed);
@@ -69,8 +44,8 @@ class MichaelScottQueueT {
     // domain_'s destructor frees the retired backlog.
   }
 
-  MichaelScottQueueT(const MichaelScottQueueT&) = delete;
-  MichaelScottQueueT& operator=(const MichaelScottQueueT&) = delete;
+  MichaelScottQueue(const MichaelScottQueue&) = delete;
+  MichaelScottQueue& operator=(const MichaelScottQueue&) = delete;
 
   std::size_t capacity() const noexcept { return cap_; }
 
@@ -80,14 +55,14 @@ class MichaelScottQueueT {
 
   class Handle {
    public:
-    explicit Handle(MichaelScottQueueT& q) : q_(q), h_(q.domain_) {}
+    explicit Handle(MichaelScottQueue& q) : q_(q), h_(q.domain_) {}
 
     bool try_enqueue(std::uint64_t v) { return q_.enqueue(h_, v); }
     bool try_dequeue(std::uint64_t& out) { return q_.dequeue(h_, out); }
 
    private:
-    MichaelScottQueueT& q_;
-    typename Domain::ThreadHandle h_;
+    MichaelScottQueue& q_;
+    reclaim::EpochDomain::ThreadHandle h_;
   };
 
  private:
@@ -100,7 +75,7 @@ class MichaelScottQueueT {
     static void destroy(void* p) noexcept { delete static_cast<Node*>(p); }
   };
 
-  bool enqueue(typename Domain::ThreadHandle& h, std::uint64_t v) {
+  bool enqueue(reclaim::EpochDomain::ThreadHandle& h, std::uint64_t v) {
     telemetry::count(telemetry::Counter::k_enq_attempt);
     if (size_.fetch_add(1, std::memory_order_acq_rel) >=
         static_cast<std::uint64_t>(cap_)) {
@@ -109,7 +84,7 @@ class MichaelScottQueueT {
     }
     Node* n = new Node();
     n->value.store(v, std::memory_order_relaxed);
-    typename Domain::ThreadHandle::Guard g(h);
+    reclaim::EpochDomain::ThreadHandle::Guard g(h);
     for (;;) {
       Node* t = h.protect(0, tail_);
       Node* next = t->next.load(std::memory_order_acquire);
@@ -129,16 +104,15 @@ class MichaelScottQueueT {
     }
   }
 
-  bool dequeue(typename Domain::ThreadHandle& h, std::uint64_t& out) {
+  bool dequeue(reclaim::EpochDomain::ThreadHandle& h, std::uint64_t& out) {
     telemetry::count(telemetry::Counter::k_deq_attempt);
-    typename Domain::ThreadHandle::Guard g(h);
+    reclaim::EpochDomain::ThreadHandle::Guard g(h);
     for (;;) {
       Node* hd = h.protect(0, head_);
       Node* t = tail_.load(std::memory_order_acquire);
       Node* next = hd->next.load(std::memory_order_acquire);
-      h.set(1, next);
-      // Re-validate: while head_ still equals hd, neither hd nor its
-      // then-successor can have been retired, so both hazards are sound.
+      // Re-validate: hd, t and next form one snapshot only while head_
+      // still equals hd.
       if (head_.load(std::memory_order_seq_cst) != hd) continue;
       if (next == nullptr) return false;  // empty
       if (hd == t) {
@@ -158,13 +132,10 @@ class MichaelScottQueueT {
   }
 
   const std::size_t cap_;
-  Domain domain_;
+  reclaim::EpochDomain domain_;
   alignas(64) std::atomic<Node*> head_{nullptr};
   alignas(64) std::atomic<Node*> tail_{nullptr};
   alignas(64) std::atomic<std::uint64_t> size_{0};
 };
-
-// The registry's baseline row keeps the classic name, on the EBR backend.
-using MichaelScottQueue = MichaelScottQueueT<>;
 
 }  // namespace membq

@@ -27,16 +27,13 @@ const char* to_string(PinPolicy p) noexcept {
       return "none";
     case PinPolicy::kCoresFirst:
       return "cores-first";
-    case PinPolicy::kSequential:
-      return "sequential";
   }
   return "?";
 }
 
 bool pin_policy_from_string(const std::string& name,
                             PinPolicy& out) noexcept {
-  for (auto p : {PinPolicy::kNone, PinPolicy::kCoresFirst,
-                 PinPolicy::kSequential}) {
+  for (auto p : {PinPolicy::kNone, PinPolicy::kCoresFirst}) {
     if (name == to_string(p)) {
       out = p;
       return true;
@@ -80,19 +77,17 @@ bool pin_current_thread(std::size_t k, PinPolicy policy) noexcept {
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) != 0) return false;
 
+  // Topology order filtered to the live mask. The topology snapshot is
+  // static hardware fact (node/core/sibling structure); the mask is
+  // dynamic, so the intersection is computed fresh.
   std::vector<int> order;
-  if (policy == PinPolicy::kCoresFirst) {
-    // Topology order filtered to the live mask. The topology snapshot is
-    // static hardware fact (node/core/sibling structure); the mask is
-    // dynamic, so the intersection is computed fresh.
-    for (int cpu : topo::system().pin_order()) {
-      if (cpu >= 0 && cpu < CPU_SETSIZE && CPU_ISSET(cpu, &set)) {
-        order.push_back(cpu);
-      }
+  for (int cpu : topo::system().pin_order()) {
+    if (cpu >= 0 && cpu < CPU_SETSIZE && CPU_ISSET(cpu, &set)) {
+      order.push_back(cpu);
     }
   }
-  // Sequential order — also the fallback when the allowed set contains
-  // CPUs the startup topology never saw (mask widened after start).
+  // Ascending CPU id when the allowed set holds only CPUs the startup
+  // topology never saw (mask widened after start).
   if (order.empty()) {
     for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
       if (CPU_ISSET(cpu, &set)) order.push_back(cpu);

@@ -5,18 +5,15 @@
 // not _SC_NPROCESSORS_ONLN — under `taskset -c 0` on an 8-CPU host the
 // two differ by 8x and pinning to `cpu % 8` targets disallowed CPUs), and
 // `pin_current_thread(k)` pins to the k-th CPU of that allowed set. The
-// allowed set is ordered by the requested policy before indexing:
+// policy picks whether to pin:
 //
 //   kCoresFirst  — the topology's cores-first order (one CPU per physical
 //                  core before any SMT sibling; the default, so adjacent
 //                  worker tids never land on hyperthread pairs while whole
-//                  cores sit idle).
-//   kSequential  — ascending CPU id (the legacy round-robin; kept as the
-//                  measurable control for the SMT-aware order).
+//                  cores sit idle), filtered to the allowed set. When that
+//                  order misses the allowed set entirely (CPUs the startup
+//                  topology never saw), ascending CPU id stands in.
 //   kNone        — no pinning (policy value for config plumbing).
-//
-// On a 1-CPU or non-SMT allowed set the two orders coincide, so this
-// container behaves exactly as before.
 #pragma once
 
 #include <cstddef>
@@ -27,12 +24,11 @@ namespace membq {
 enum class PinPolicy {
   kNone,        // leave the scheduler alone
   kCoresFirst,  // physical cores before SMT siblings (topology order)
-  kSequential,  // ascending CPU id (legacy order, SMT-oblivious)
 };
 
 const char* to_string(PinPolicy p) noexcept;
 
-// Parses the wire names ("none", "cores-first", "sequential"); returns
+// Parses the wire names ("none", "cores-first"); returns
 // false (out untouched) for anything else.
 bool pin_policy_from_string(const std::string& name, PinPolicy& out) noexcept;
 
@@ -45,7 +41,7 @@ void set_default_pin_policy(PinPolicy p) noexcept;
 std::size_t online_cpus() noexcept;
 
 // Pin the calling thread to the k-th CPU of its currently-allowed set,
-// ordered by `policy` (k wraps). kNone succeeds without pinning. Returns
+// in cores-first order (k wraps). kNone succeeds without pinning. Returns
 // false when the platform does not support affinity or the syscall
 // fails; callers treat pinning as best-effort.
 bool pin_current_thread(std::size_t k,

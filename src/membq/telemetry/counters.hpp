@@ -53,9 +53,10 @@ namespace telemetry {
   X(ebr_amnesty)        /* EBR amnesty batches walked                   */  \
   X(hazard_scan)        /* HP full-slot scans                           */  \
   X(reclaimed_node)     /* objects handed back to a deleter (any SMR)   */  \
-  X(shard_affinity_hit) /* sharded op served by its handle's home shard */  \
-  X(shard_len_probe)    /* po2 length-estimate probes on the spill path */  \
-  X(shard_steal)        /* sharded dequeues served by a non-home shard  */  \
+  X(shard_affinity_hit) /* sharded items served by their home shard     */  \
+  X(shard_len_probe)    /* no count site; kept while                    */  \
+                        /* membq-bench/src/layers.cpp reads it          */  \
+  X(shard_steal)        /* sharded dequeued items from a non-home shard */  \
   X(net_frames_rx)      /* complete protocol frames parsed by a server  */  \
   X(net_would_block)    /* server responses sent with WOULD_BLOCK       */  \
   X(net_batch_items)    /* total ENQ/DEQ values; mean = /net_frames_rx  */

@@ -49,7 +49,6 @@ struct RunConfig {
   Mix mix = Mix::kBalanced;
   std::size_t prefill = 0;
   bool sample_latency = false;
-  bool pin_threads = false;
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
   // Items per operation. 1 = the classic per-item loop; > 1 issues
   // try_enqueue_bulk/try_dequeue_bulk batches (native where the queue has
@@ -57,15 +56,8 @@ struct RunConfig {
   // ops_per_thread still counted in ITEMS so rows stay comparable.
   std::size_t batch = 1;
   // How worker tid maps to a CPU. Defaults to the process-wide policy
-  // (the harness sets it from --pin-policy=). The legacy pin_threads
-  // bool composes: pin_threads=true with pin=kNone means cores-first,
-  // matching what pin_current_thread(tid) historically did.
+  // (the harness sets it from --pin-policy=).
   PinPolicy pin = default_pin_policy();
-
-  PinPolicy effective_pin() const noexcept {
-    if (pin != PinPolicy::kNone) return pin;
-    return pin_threads ? PinPolicy::kCoresFirst : PinPolicy::kNone;
-  }
 };
 
 struct RunResult {
@@ -139,7 +131,7 @@ RunResult run_workload(Q& q, const RunConfig& cfg) {
   r.mix = cfg.mix;
   r.batch = cfg.batch > 1 ? cfg.batch : 1;
   r.latency_sampled = cfg.sample_latency;
-  r.pin = cfg.effective_pin();
+  r.pin = cfg.pin;
 
   {
     // Prefill from the calling thread; uses a tid beyond the workers so
@@ -157,10 +149,9 @@ RunResult run_workload(Q& q, const RunConfig& cfg) {
   std::vector<std::thread> workers;
   workers.reserve(threads);
 
-  const PinPolicy pin = cfg.effective_pin();
   for (std::size_t tid = 0; tid < threads; ++tid) {
     workers.emplace_back([&, tid] {
-      if (pin != PinPolicy::kNone) pin_current_thread(tid, pin);
+      if (cfg.pin != PinPolicy::kNone) pin_current_thread(tid, cfg.pin);
       typename Q::Handle h(q);
       detail::ThreadStats& st = stats[tid];
       std::uint64_t rng = cfg.seed ^ (0xD1B54A32D192ED03ull * (tid + 1));

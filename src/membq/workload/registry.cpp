@@ -206,7 +206,7 @@ void enumerate_queues(Visitor&& visit) {
         no_aux);
 
   // Sharded elastic layer: N shards of a base row behind the affinity /
-  // po2-spill / work-stealing router. Two representative bases — the
+  // ring-order spill-and-steal router. Two representative bases — the
   // fastest Θ(C) ring and the lock-free composite-class segment chain —
   // so every bench measures the sharding win and its routing overhead.
   // NOT globally linearizable: these rows carry the relaxed-FIFO contract

@@ -250,7 +250,8 @@ void run_bulk_then_check_counters(Args... args) {
   cfg.mix = membq::workload::Mix::kBalanced;
   cfg.batch = 8;
   cfg.prefill = 32;
-  cfg.pin_threads = true;  // one core each: the window needs real overlap
+  // One core each: the window needs real overlap.
+  cfg.pin = membq::PinPolicy::kCoresFirst;
   const membq::workload::RunResult r = membq::workload::run_workload(q, cfg);
 
   typename Q::Handle h(q);

@@ -1,11 +1,13 @@
-// The sharded elastic layer: router policies (affinity, po2 spill,
-// work-stealing), the per-shard capacity bound, the relaxed-FIFO contract
-// under real threads, the steal-storm stress, and the telemetry counters.
+// The sharded elastic layer: router policies (affinity, the ring-order
+// spill and steal sweep), the per-shard capacity bound, the relaxed-FIFO
+// contract under real threads, the steal-storm stress, and the telemetry
+// counters.
 // The registry rows get the same relaxed checkers again via
 // test_model_checker.cpp's coverage table; this file owns the
 // sharded-specific behaviors the generic table cannot express.
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,9 +97,9 @@ TEST(ShardedTest, AffinityKeepsAProducerOnItsHomeShardUntilFull) {
     ASSERT_TRUE(h.try_enqueue(i));
     EXPECT_EQ(h.last_enqueue_shard(), 2u) << "spilled below the home bound";
   }
-  // Home full: the po2 spill must land the overflow on some OTHER shard.
+  // Home full: the spill sweep lands the overflow on home+1.
   ASSERT_TRUE(h.try_enqueue(1000));
-  EXPECT_NE(h.last_enqueue_shard(), 2u);
+  EXPECT_EQ(h.last_enqueue_shard(), 3u);
 }
 
 // Default Handles take their homes round-robin: 0, 1, 2, 3, then 0 again.
@@ -207,49 +209,62 @@ TEST(ShardedTest, TelemetryCountersTrackTheRouter) {
   auto delta = membq::telemetry::snapshot().delta_since(mark);
   EXPECT_EQ(delta[Counter::k_shard_affinity_hit], 2u);
   EXPECT_EQ(delta[Counter::k_shard_steal], 0u);
-  EXPECT_EQ(delta[Counter::k_shard_len_probe], 0u);
 
-  // Fill home: the spill path must probe two length estimates.
+  // Fill home: the spilled value is not an affinity hit.
   for (std::size_t i = 0; i < q->per_shard_capacity(); ++i) {
     ASSERT_TRUE(h.try_enqueue(i));
   }
   mark = membq::telemetry::snapshot();
   ASSERT_TRUE(h.try_enqueue(99));
   delta = membq::telemetry::snapshot().delta_since(mark);
-  EXPECT_EQ(delta[Counter::k_shard_len_probe], 2u);
   EXPECT_EQ(delta[Counter::k_shard_affinity_hit], 0u);
 
   // A consumer homed elsewhere must count its cross-shard dequeues as
-  // steals.
+  // steals. The spilled value sits on shard 1, the thief's home; the
+  // rest it steals from shard 0.
   typename ShardedVyukov::Handle thief(*q, /*home=*/1);
-  // Shard 1 may hold the spilled value; drain via the thief and count.
   mark = membq::telemetry::snapshot();
   std::size_t got = 0;
   while (thief.try_dequeue(out)) ++got;
   delta = membq::telemetry::snapshot().delta_since(mark);
   EXPECT_EQ(got, q->per_shard_capacity() + 1);
-  EXPECT_GT(delta[Counter::k_shard_steal], 0u);
+  EXPECT_EQ(delta[Counter::k_shard_affinity_hit], 1u);
+  EXPECT_EQ(delta[Counter::k_shard_steal], q->per_shard_capacity());
 }
 
-// The po2 spill consults the length estimates; with one candidate vastly
-// longer, the spill must prefer the shorter one (statistically: over many
-// spills at least one must land on the short shard, and none may land on
-// the full home).
-TEST(ShardedTest, SpillPrefersShorterEstimates) {
-  auto q = make_vyukov(32, 4);  // per-shard 8
-  typename ShardedVyukov::Handle h(*q, /*home=*/0);
-  // Fill home (8) and pre-load shard 1 with 6 via a pinned handle.
-  for (std::size_t i = 0; i < 8; ++i) ASSERT_TRUE(h.try_enqueue(i));
-  typename ShardedVyukov::Handle p1(*q, /*home=*/1);
-  for (std::size_t i = 0; i < 6; ++i) ASSERT_TRUE(p1.try_enqueue(100 + i));
-  // 10 spills: shards 2 and 3 (estimate 0) should absorb most; home never.
-  std::size_t to_short = 0;
-  for (std::size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(h.try_enqueue(200 + i));
-    EXPECT_NE(h.last_enqueue_shard(), 0u);
-    if (h.last_enqueue_shard() >= 2) ++to_short;
+// Spill and steal follow one sweep rule: the home shard, then home+1,
+// home+2, … in ring order. A producer homed at 2 fills shard 2, then
+// shards 3, 0 and 1, and is refused only when all four are full; a
+// consumer homed at 1 drains shards 1, 2, 3 and 0 in that order, each in
+// its own FIFO order, and reports empty only after the last.
+TEST(ShardedTest, SpillAndStealSweepShardsInRingOrder) {
+  auto q = make_vyukov(16, 4);  // per-shard 4
+  const std::size_t per = q->per_shard_capacity();
+  ASSERT_EQ(per, 4u);
+  const std::vector<std::size_t> spill_order = {2, 3, 0, 1};
+  typename ShardedVyukov::Handle producer(*q, /*home=*/2);
+  for (std::uint64_t v = 0; v < q->capacity(); ++v) {
+    ASSERT_TRUE(producer.try_enqueue(v)) << "refused below the bound at " << v;
+    EXPECT_EQ(producer.last_enqueue_shard(), spill_order[v / per])
+        << "value " << v;
   }
-  EXPECT_GT(to_short, 0u);
+  EXPECT_FALSE(producer.try_enqueue(999)) << "accepted beyond N×per-shard";
+
+  // {shard, first value it holds}, in the consumer's sweep order.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> drain = {
+      {1, 12}, {2, 0}, {3, 4}, {0, 8}};
+  typename ShardedVyukov::Handle consumer(*q, /*home=*/1);
+  for (const auto& [shard, first] : drain) {
+    for (std::uint64_t v = first; v < first + per; ++v) {
+      std::uint64_t out = 0;
+      ASSERT_TRUE(consumer.try_dequeue(out))
+          << "reported empty with shard " << shard << " unread";
+      EXPECT_EQ(consumer.last_dequeue_shard(), shard);
+      EXPECT_EQ(out, v);
+    }
+  }
+  std::uint64_t out = 0;
+  EXPECT_FALSE(consumer.try_dequeue(out)) << "invented a value past the drain";
 }
 
 }  // namespace

@@ -116,13 +116,13 @@ TEST(PinningTest, PolicyStringsRoundTrip) {
   membq::PinPolicy p = membq::PinPolicy::kNone;
   ASSERT_TRUE(membq::pin_policy_from_string("cores-first", p));
   EXPECT_EQ(p, membq::PinPolicy::kCoresFirst);
-  ASSERT_TRUE(membq::pin_policy_from_string("sequential", p));
-  EXPECT_EQ(p, membq::PinPolicy::kSequential);
   ASSERT_TRUE(membq::pin_policy_from_string("none", p));
   EXPECT_EQ(p, membq::PinPolicy::kNone);
-  p = membq::PinPolicy::kSequential;
-  EXPECT_FALSE(membq::pin_policy_from_string("bogus", p));
-  EXPECT_EQ(p, membq::PinPolicy::kSequential);
+  p = membq::PinPolicy::kCoresFirst;
+  for (const char* bad : {"bogus", "sequential"}) {
+    EXPECT_FALSE(membq::pin_policy_from_string(bad, p)) << bad;
+    EXPECT_EQ(p, membq::PinPolicy::kCoresFirst) << bad;
+  }
   EXPECT_STREQ(membq::to_string(membq::PinPolicy::kCoresFirst),
                "cores-first");
 }
@@ -158,8 +158,6 @@ TEST(PinningTest, RestrictedAffinityMaskIsHonored) {
   // effective mask must stay inside the restriction.
   for (std::size_t k = 0; k < 8; ++k) {
     EXPECT_TRUE(membq::pin_current_thread(k, membq::PinPolicy::kCoresFirst));
-    EXPECT_TRUE(
-        membq::pin_current_thread(k, membq::PinPolicy::kSequential));
     cpu_set_t now;
     CPU_ZERO(&now);
     ASSERT_EQ(sched_getaffinity(0, sizeof(now), &now), 0);
