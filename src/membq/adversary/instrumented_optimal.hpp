@@ -7,9 +7,13 @@
 //
 // Like the real queue, each announcement slot owns one record for life:
 // an operation re-announces its slot's record under a fresh ticket, and
-// every one-shot field (tail view, head view, result) starts at a
-// sentinel. The mirror has two policy axes, each with an attackable
-// control.
+// every one-shot field (the view, the result) starts at a sentinel. The
+// view is the real queue's one word, start<<4 | k (start = the tail for
+// an enqueue, the head for a dequeue; k = min(1, room or size)), read
+// from both counters in one step and bound by one CAS. (The real queue
+// reads the counters with two loads; they can straddle a counter move
+// only once the view is bound, and then the bind CAS misses.) The mirror
+// has two policy axes, each with an attackable control.
 //
 // The vacate, the one transition whose expected side is a *value*
 // (values may repeat — the expected-side ABA a round-versioned ⊥ cannot
@@ -33,8 +37,8 @@
 //                     parked CAS of incarnation s expects a word the
 //                     record never holds again once it is s' > s.
 //   SharedSentinel    one sentinel for every seq: the attackable control.
-//                     The parked CAS binds the next incarnation's view to
-//                     the stale counter value it read.
+//                     The parked CAS binds the stale view it read into
+//                     the next incarnation.
 //
 // The machine follows the real protocol's structure: a packed {slot, seq}
 // `cur_` word, installer-first helping (a thread that finds an
@@ -49,6 +53,7 @@
 // the high-water mark of handed-out slots, is not mirrored.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -68,6 +73,12 @@ constexpr std::uint64_t kOptUnboundFlag = std::uint64_t{1} << 63;
 
 constexpr bool opt_is_bot(std::uint64_t w) noexcept {
   return (w & kOptBotFlag) != 0;
+}
+
+// A bound view, packed as in the real queue: start above a 4-bit count.
+constexpr std::uint64_t opt_view(std::uint64_t start,
+                                 std::uint64_t k) noexcept {
+  return start << 4 | k;
 }
 
 struct GuardedVacate {
@@ -118,9 +129,9 @@ class InstrumentedOptimal {
   std::uint64_t tail() const noexcept { return tail_; }
   std::uint64_t cur() const noexcept { return cur_; }
   std::uint64_t cell(std::size_t i) const noexcept { return cells_[i]; }
-  // The tail view bound in slot `slot`'s record (or its sentinel).
-  std::uint64_t bound_tail(std::size_t slot) const noexcept {
-    return recs_[slot].bt;
+  // The view bound in slot `slot`'s record (or its sentinel).
+  std::uint64_t bound_view(std::size_t slot) const noexcept {
+    return recs_[slot].bv;
   }
 
   std::uint64_t bot_for(std::uint64_t index) const noexcept {
@@ -138,10 +149,8 @@ class InstrumentedOptimal {
     kInstall,     // (*) CAS cur_ from kNone, or on a hand-off from the
                   //     decided installation, to the oldest pending op
     kLookup,      // resolve the installed word to a record incarnation
-    kReadTail,    // read the tail view field and, if unbound, `tail_`
-    kBindTail,    // (*) one-shot bind of the record's tail view
-    kReadHead,    // read the head view field and, if unbound, `head_`
-    kBindHead,    // (*) one-shot bind of the record's head view
+    kReadView,    // read the view field and, if unbound, both counters
+    kBindView,    // (*) one-shot bind of the record's view
     kValidate,    // read the bound view, re-check the record's seq
     kCheckFull,   // enqueue: full/space verdict from the bound view
     kCellRead,    // enqueue: read the target cell
@@ -181,14 +190,14 @@ class InstrumentedOptimal {
     // True while the scan and install phases hand `cur_` on from a
     // decided installation rather than install into an empty `cur_`.
     bool handing_off() const noexcept { return from_ != kNone; }
-    // Tail-bind instrumentation: how often the bind CAS was granted, and
+    // View-bind instrumentation: how often the bind CAS was granted, and
     // whether the *first* granted attempt wrote the field. For a parked
     // helper that first attempt is the poised, stale bind.
-    unsigned bind_tail_attempts() const noexcept {
-      return bind_tail_attempts_;
+    unsigned bind_view_attempts() const noexcept {
+      return bind_view_attempts_;
     }
-    bool first_bind_tail_fired() const noexcept {
-      return first_bind_tail_fired_;
+    bool first_bind_view_fired() const noexcept {
+      return first_bind_view_fired_;
     }
     // Vacate instrumentation: how often the step was granted, and whether
     // the *first* granted attempt mutated the cell.
@@ -232,12 +241,12 @@ class InstrumentedOptimal {
     std::uint64_t target_seq_ = 0;
     bool target_enq_ = false;
     std::uint64_t target_arg_ = 0;
-    std::uint64_t counter_read_ = 0;  // counter value a bind will CAS in
-    std::uint64_t t_ = 0, h_ = 0;     // validated view
+    std::uint64_t view_read_ = 0;  // view word a bind will CAS in
+    std::uint64_t start_ = 0, k_ = 0;  // validated view
     std::uint64_t res_ = 0;
     std::uint64_t elem_read_ = 0;
-    unsigned bind_tail_attempts_ = 0;
-    bool first_bind_tail_fired_ = false;
+    unsigned bind_view_attempts_ = 0;
+    bool first_bind_view_fired_ = false;
     unsigned vacate_attempts_ = 0;
     bool first_vacate_fired_ = false;
     unsigned cell_cas_attempts_ = 0;
@@ -260,8 +269,7 @@ class InstrumentedOptimal {
     std::uint64_t state = kDoneState;
     bool is_enqueue = false;
     std::uint64_t arg = 0;
-    std::uint64_t bt = SentinelPolicy::unbound(0);
-    std::uint64_t bh = SentinelPolicy::unbound(0);
+    std::uint64_t bv = SentinelPolicy::unbound(0);
     std::uint64_t res = SentinelPolicy::unbound(0);
   };
 
@@ -290,7 +298,7 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
       seq_ = q.ticket_++;
       own.is_enqueue = kind_ == OpKind::kEnqueue;
       own.arg = arg_;
-      own.bt = own.bh = own.res = S::unbound(seq_);
+      own.bv = own.res = S::unbound(seq_);
       own.state = (seq_ << 2) | kPending;
       phase_ = Phase::kReadCur;
       return;
@@ -374,7 +382,7 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
           target_seq_ = r.state >> 2;
           target_enq_ = r.is_enqueue;
           target_arg_ = r.arg;
-          phase_ = Phase::kReadTail;
+          phase_ = Phase::kReadView;
           return;
         }
       }
@@ -382,43 +390,34 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
       return;
     }
 
-    case Phase::kReadTail:
-      if (tr->bt == S::unbound(target_seq_)) {
-        counter_read_ = q.tail_;
-        phase_ = Phase::kBindTail;
-      } else {
-        phase_ = Phase::kReadHead;
-      }
-      return;
-
-    case Phase::kBindTail:
-      ++bind_tail_attempts_;
-      if (tr->bt == S::unbound(target_seq_)) {
-        tr->bt = counter_read_;
-        if (bind_tail_attempts_ == 1) first_bind_tail_fired_ = true;
-      }
-      phase_ = Phase::kReadHead;
-      return;
-
-    case Phase::kReadHead:
-      if (tr->bh == S::unbound(target_seq_)) {
-        counter_read_ = q.head_;
-        phase_ = Phase::kBindHead;
+    case Phase::kReadView:
+      if (tr->bv == S::unbound(target_seq_)) {
+        // k = min(n, room or size), n = 1 here.
+        const std::uint64_t size = q.tail_ - q.head_;
+        view_read_ =
+            target_enq_
+                ? opt_view(q.tail_, std::min<std::uint64_t>(1, q.cap_ - size))
+                : opt_view(q.head_, std::min<std::uint64_t>(1, size));
+        phase_ = Phase::kBindView;
       } else {
         phase_ = Phase::kValidate;
       }
       return;
 
-    case Phase::kBindHead:
-      if (tr->bh == S::unbound(target_seq_)) tr->bh = counter_read_;
+    case Phase::kBindView:
+      ++bind_view_attempts_;
+      if (tr->bv == S::unbound(target_seq_)) {
+        tr->bv = view_read_;
+        if (bind_view_attempts_ == 1) first_bind_view_fired_ = true;
+      }
       phase_ = Phase::kValidate;
       return;
 
     case Phase::kValidate:
       // A bound value names no seq: the view is this incarnation's only
       // if the record still is.
-      t_ = tr->bt;
-      h_ = tr->bh;
+      start_ = tr->bv >> 4;
+      k_ = tr->bv & 0xF;
       if ((tr->state >> 2) != target_seq_) {
         drop();
         return;
@@ -427,22 +426,22 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
       return;
 
     case Phase::kCheckFull:
-      phase_ = (t_ - h_ >= q.cap_) ? Phase::kDecide : Phase::kCellRead;
+      phase_ = k_ == 0 ? Phase::kDecide : Phase::kCellRead;
       return;
 
     case Phase::kCellRead:
-      elem_read_ = q.cells_[t_ % q.cap_];
+      elem_read_ = q.cells_[start_ % q.cap_];
       // Any word other than our round's ⊥ means a helper's write already
       // landed (the real queue relies on versioned bottoms for exactly
       // this inference).
-      phase_ = elem_read_ == q.bot_for(t_) ? Phase::kCellCas
-                                           : Phase::kAdvTail;
+      phase_ = elem_read_ == q.bot_for(start_) ? Phase::kCellCas
+                                               : Phase::kAdvTail;
       return;
 
     case Phase::kCellCas: {
       ++cell_cas_attempts_;
-      std::uint64_t& cell = q.cells_[t_ % q.cap_];
-      if (cell == q.bot_for(t_)) {
+      std::uint64_t& cell = q.cells_[start_ % q.cap_];
+      if (cell == q.bot_for(start_)) {
         cell = target_arg_;
         if (cell_cas_attempts_ == 1) first_cell_cas_fired_ = true;
         phase_ = Phase::kAdvTail;
@@ -453,16 +452,16 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
     }
 
     case Phase::kAdvTail:
-      if (q.tail_ == t_) q.tail_ = t_ + 1;
+      if (q.tail_ == start_) q.tail_ = start_ + k_;
       phase_ = Phase::kDecide;
       return;
 
     case Phase::kCheckEmpty:
-      phase_ = (t_ == h_) ? Phase::kDecide : Phase::kElemRead;
+      phase_ = k_ == 0 ? Phase::kDecide : Phase::kElemRead;
       return;
 
     case Phase::kElemRead:
-      elem_read_ = q.cells_[h_ % q.cap_];
+      elem_read_ = q.cells_[start_ % q.cap_];
       phase_ = Phase::kBindRes;
       return;
 
@@ -489,26 +488,25 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
 
     case Phase::kVacate: {
       ++vacate_attempts_;
-      const bool fired = VacatePolicy::vacate(
-          q.cells_[h_ % q.cap_], res_, q.bot_for(h_ + q.cap_), q.head_, h_);
+      const bool fired =
+          VacatePolicy::vacate(q.cells_[start_ % q.cap_], res_,
+                               q.bot_for(start_ + q.cap_), q.head_, start_);
       if (fired && vacate_attempts_ == 1) first_vacate_fired_ = true;
       phase_ = Phase::kAdvHead;
       return;
     }
 
     case Phase::kAdvHead:
-      if (q.head_ == h_) q.head_ = h_ + 1;
+      if (q.head_ == start_) q.head_ = start_ + k_;
       phase_ = Phase::kDecide;
       return;
 
-    case Phase::kDecide: {
+    case Phase::kDecide:
       if (tr->state == ((target_seq_ << 2) | kPending)) {
-        const bool failed = target_enq_ ? t_ - h_ >= q.cap_ : t_ == h_;
-        tr->state = (target_seq_ << 2) | (failed ? kFailedState : kDoneState);
+        tr->state = (target_seq_ << 2) | (k_ == 0 ? kFailedState : kDoneState);
       }
       phase_ = Phase::kUninstall;
       return;
-    }
 
     case Phase::kUninstall:
       // Never move cur_ off a still-pending incarnation (mirrors the real

@@ -13,27 +13,33 @@
 //     allocated per operation and nothing is retired, so the queue needs
 //     no reclamation domain and has no backlog outside its Θ(T) words.
 //   * `cur_` names the operation being applied as a packed {slot, seq}
-//     word (the DCSS-marker idiom).
+//     word (the DCSS-marker idiom), the seq in a 48-bit field. A record's
+//     bound view packs a counter above a 4-bit count, so `head_` and
+//     `tail_` must stay below 2^59: at 10^9 items/s, about 18 years.
 //
 // Batches. One announcement carries an operation on up to kBulk = 12
 // items: the operation word is kind|n, and the record's `val` words, which
-// fill the rest of its two cache lines, hold an enqueue's arguments or a
+// fill most of its two cache lines, hold an enqueue's arguments or a
 // dequeue's per-index result binds. Helpers touch only the n words the
-// operation names, so an announcement of at most four items stays in the
-// record's first line. The whole announce → findOp → install → bind →
-// decide chain is paid once per announcement, so a bulk call of n items
-// pays it ⌈n/12⌉ times (the flat-combining idea of Hendler et al.,
-// SPAA'10, in the record's spare words), and a scalar op is a batch of
-// one. The Handle issues a call in announcements of at most kBulk and
-// stops at the first short one: an announcement is cut only by the bound
-// view (full or empty), never by contention, so a short count means full
-// or empty.
+// operation names. The first line holds the operation word, the bound
+// view `bv` and val[0..6); `state`, which the owner polls while it waits,
+// is the record's last word, on the second line. So the owner's polls
+// share their line only with the decide CAS and, past six items, a
+// dequeue's result binds: the view bind and the first six result binds
+// are not slowed by a waiting owner pulling their line back. The whole
+// announce → findOp → install → bind → decide chain is paid once per
+// announcement, so a bulk call of n items pays it ⌈n/12⌉ times (the
+// flat-combining idea of Hendler et al., SPAA'10, in the record's `val`
+// words), and a scalar op is a batch of one. The Handle issues a call in
+// announcements of at most kBulk and stops at the first short one: an
+// announcement is cut only by the bound view (full or empty), never by
+// contention, so a short count means full or empty.
 //
 // Record lifecycle. A record's `state` word is seq<<2 | status, where seq
 // is the operation's announcement ticket (global, strictly increasing, so
 // a record's seq never repeats). To announce ticket s the owner stores
-// s|writing, issues a release fence, writes the operation word, resets
-// `bt` and `bh` to the sentinel unbound(s) = bit 63 | s and writes `val`
+// s|writing, issues a release fence, writes the operation word, resets the
+// view word `bv` to the sentinel unbound(s) = bit 63 | s and writes `val`
 // (the arguments, or unbound(s) per item of a dequeue), then publishes
 // s|pending with a store. This is the seqlock of `DcssDomain`'s
 // descriptors: a helper that learned s from `cur_` reads the operation
@@ -44,14 +50,14 @@
 // the record.
 //
 // Why a stale helper's CAS misses by sequence. Every one-shot field CAS
-// of incarnation s expects a word that names s: the view binds and the
+// of incarnation s expects a word that names s: the view bind and the
 // result binds expect unbound(s), the decision expects s|pending. Once
 // the owner re-announces as s' > s, each field holds unbound(s'), an
 // argument of s' or a value bound for s', never unbound(s) again, so a
 // helper that read a field of s, stalled through any number of
 // incarnations and is then granted its CAS, misses. (With one sentinel
-// shared by every seq, a helper parked between its `tail_` read and its
-// bind CAS would bind s' to a stale tail — tests/test_adversary_optimal.cpp
+// shared by every seq, a helper parked between its counter reads and its
+// bind CAS would bind s' to a stale view — tests/test_adversary_optimal.cpp
 // replays that schedule.) A bound value names no seq, so helpers re-read
 // `state` after every bind and drop the operation if the record moved on.
 //
@@ -85,13 +91,15 @@
 // rules only decide who applies an installed operation, and stop T
 // threads from applying it at once.
 //
-// readElem: helpers of an installed record first bind its view (tail,
-// head) with one-shot CASes, so every helper — including one that stalled
-// and woke up rounds later — derives the same count k = min(n, room) (or
-// min(n, size)) and targets the same cells. A dequeue binds the element
-// it read from cell h+j into `val[j]` (one-shot CAS from the sentinel)
-// before anything mutates that cell; a stale read can never publish,
-// because the cell is provably stable until its result is bound.
+// readElem: helpers of an installed record first bind its view, one word
+// start<<4 | k (start = the tail for an enqueue, the head for a dequeue;
+// k = min(n, room) or min(n, size) from live reads of both counters), with
+// one one-shot CAS, so every helper — including one that stalled and woke
+// up rounds later — and the owner use the same count and target the same
+// cells. A dequeue binds the element it read from cell h+j (h = start)
+// into `val[j]` (one-shot CAS from the sentinel) before anything mutates
+// that cell; a stale read can never publish, because the cell is provably
+// stable until its result is bound.
 //
 // Exactly-once application under stale helpers:
 //   * enqueue cell writes: CAS ⊥_round(t+j) → v_j for j < k. Versioned
@@ -109,7 +117,7 @@
 //     stale vacate of the batch at once — the L4 queue's shield, taken
 //     per batch rather than per cell.
 //   * counter advances are one CAS(bound → bound+k) on monotonic counters
-//     (every helper derives the same k); record transitions are the
+//     (every helper reads the same k); record transitions are the
 //     sequence-named CASes above.
 //
 // Cost of the shield: the DCSS descriptor pool is Θ(T), which the design
@@ -139,8 +147,9 @@ class LockFreeOptimalQueue {
   // round (index / capacity). Bit 63 stays reserved for DCSS markers.
   static constexpr std::uint64_t kBotFlag = std::uint64_t{1} << 62;
   // Items one announcement carries: the `val` words of a two-line record
-  // after its four control words (state, op, bt, bh).
+  // beside its operation word, its view word, one spare word and `state`.
   static constexpr std::size_t kBulk = 2 * 64 / sizeof(std::uint64_t) - 4;
+  static_assert(kBulk < 16, "a batch count fits the view's 4-bit field");
 
   LockFreeOptimalQueue(std::size_t capacity, std::size_t max_threads)
       : cap_(capacity),
@@ -240,18 +249,30 @@ class LockFreeOptimalQueue {
   // One slot's announcement record, reused by every operation of every
   // handle that holds the slot. Seq 0 decided: never installed.
   struct alignas(64) Rec {
-    std::atomic<std::uint64_t> state{kDone};      // seq<<2 | status
     std::atomic<std::uint64_t> op{0};             // kind | n
-    std::atomic<std::uint64_t> bt{kUnboundFlag};  // bound tail view
-    std::atomic<std::uint64_t> bh{kUnboundFlag};  // bound head view
-    // Enqueue: the n arguments. Dequeue: the element read from cell h+j.
-    // val[0..4) share the first line with the control words.
+    std::atomic<std::uint64_t> bv{kUnboundFlag};  // bound view: start<<4 | k
+    // Enqueue: the n arguments. Dequeue: the element read from cell
+    // start+j. val[0..6) share the first line with `op` and `bv`.
     std::atomic<std::uint64_t> val[kBulk] = {};
+    std::uint64_t spare = 0;  // unused: keeps `state` the last word
+    // Last, on the second line: the owner polls it while it waits.
+    std::atomic<std::uint64_t> state{kDone};  // seq<<2 | status
   };
   static_assert(sizeof(Rec) == 128, "a record is two cache lines");
+  static_assert(offsetof(Rec, op) / 64 ==
+                    (offsetof(Rec, val) + 6 * sizeof(std::uint64_t) - 1) / 64,
+                "op, bv and val[0..6) share the record's first line");
+  static_assert(offsetof(Rec, state) / 64 != offsetof(Rec, op) / 64,
+                "the polled state word is off the operation word's line");
 
   static std::uint64_t unbound(std::uint64_t seq) noexcept {
     return kUnboundFlag | seq;
+  }
+
+  // The bound view: the counter the batch starts at above its count k.
+  static std::uint64_t view(std::uint64_t start, std::uint64_t k) noexcept {
+    assert(start < (std::uint64_t{1} << 59) && "counters stay below 2^59");
+    return start << 4 | k;
   }
 
   static std::uint64_t seq_of(std::uint64_t state) noexcept {
@@ -270,14 +291,6 @@ class LockFreeOptimalQueue {
     return (w & kBotFlag) != 0;
   }
 
-  // The count every helper and the owner derive from the bound view of an
-  // n-item announcement: the room (enqueue) or the size (dequeue).
-  std::uint64_t batch_size(std::uint64_t op, std::uint64_t t,
-                           std::uint64_t h) const noexcept {
-    const std::uint64_t n = op & ~kDequeueOp;
-    return std::min(n, (op & kDequeueOp) != 0 ? t - h : cap_ - (t - h));
-  }
-
   // Move a counter from its bound value over the batch. One CAS suffices:
   // only the installed record's helpers move counters, and all of them
   // move it bound → bound+k.
@@ -288,13 +301,13 @@ class LockFreeOptimalQueue {
                                     std::memory_order_acq_rel);
   }
 
-  // Bind a one-shot field of incarnation `seq` (a view, or a dequeue's
+  // Bind a one-shot field of incarnation `seq` (the view, or a dequeue's
   // result) to `fresh`; all helpers then read the winning value. For the
   // view, counters are quiescent while a record is installed (only the
-  // installed record's helpers move them), so every candidate value is
-  // the same — the CAS exists to shut out helpers that stall before it
-  // and wake up rounds later. Returns the field's word, which the caller
-  // validates against `state`.
+  // installed record's helpers move them, after the bind), so every
+  // candidate value is the same — the CAS exists to shut out helpers that
+  // stall before it and wake up rounds later. Returns the field's word,
+  // which the caller validates against `state`.
   static std::uint64_t bind(std::atomic<std::uint64_t>& field,
                             std::uint64_t seq, std::uint64_t fresh) {
     std::uint64_t v = unbound(seq);
@@ -305,15 +318,6 @@ class LockFreeOptimalQueue {
       v = fresh;
     }
     return v;
-  }
-
-  // Bind a view field from its live counter, unless already bound.
-  static std::uint64_t bind_view(std::atomic<std::uint64_t>& field,
-                                 const std::atomic<std::uint64_t>& counter,
-                                 std::uint64_t seq) {
-    const std::uint64_t v = field.load(std::memory_order_acquire);
-    if (v != unbound(seq)) return v;
-    return bind(field, seq, counter.load(std::memory_order_seq_cst));
   }
 
   // Announce and run one operation on m ≤ kBulk items (`in` for an
@@ -327,10 +331,9 @@ class LockFreeOptimalQueue {
     // (release fence), the pending state after all of them.
     rec.state.store((seq << 2) | kWriting, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    const std::uint64_t op = (in == nullptr ? kDequeueOp : 0) | m;
-    rec.op.store(op, std::memory_order_relaxed);
-    rec.bt.store(unbound(seq), std::memory_order_relaxed);
-    rec.bh.store(unbound(seq), std::memory_order_relaxed);
+    rec.op.store((in == nullptr ? kDequeueOp : 0) | m,
+                 std::memory_order_relaxed);
+    rec.bv.store(unbound(seq), std::memory_order_relaxed);
     for (std::size_t j = 0; j < m; ++j) {
       assert((in == nullptr || in[j] < kBotFlag) &&
              "bits 62/63 are reserved for ⊥ and markers");
@@ -342,13 +345,10 @@ class LockFreeOptimalQueue {
     while (rec.state.load(std::memory_order_acquire) == pending) {
       help_round(hd, rec, pending);
     }
-    // Decided: only this thread re-announces the record, so the outcome,
-    // the bound view and the result binds stay put until the next call.
-    const std::uint64_t st = rec.state.load(std::memory_order_acquire);
-    if ((st & 3) == kFailed) return 0;
-    const std::uint64_t k =
-        batch_size(op, rec.bt.load(std::memory_order_acquire),
-                   rec.bh.load(std::memory_order_acquire));
+    // Decided: only this thread re-announces the record, so the bound view
+    // and the result binds stay put until the next call. Every decision is
+    // taken from the bound view, a failed one from k = 0.
+    const std::uint64_t k = rec.bv.load(std::memory_order_acquire) & 0xF;
     if (out != nullptr) {
       for (std::size_t j = 0; j < k; ++j) {
         out[j] = rec.val[j].load(std::memory_order_acquire);
@@ -375,7 +375,7 @@ class LockFreeOptimalQueue {
     for (;;) {
       // Never move `cur_` off a record that is still pending: an installed
       // record stays installed until decided, which is what keeps the
-      // head/tail counters quiescent for the view-binding CASes.
+      // head/tail counters quiescent for the view bind.
       if (w != kNone && !settle(hd, w)) return;
       // `cur_` is empty or names a decided record: install the oldest
       // pending one while ours is pending, clear it once ours is decided.
@@ -445,8 +445,9 @@ class LockFreeOptimalQueue {
     // may pair the word of another incarnation with s's, so n is clamped
     // before it indexes `val`.
     const std::uint64_t op = rec.op.load(std::memory_order_relaxed);
+    const bool deq = (op & kDequeueOp) != 0;
     std::uint64_t args[kBulk] = {};
-    if ((op & kDequeueOp) == 0) {
+    if (!deq) {
       const std::uint64_t n = std::min<std::uint64_t>(op, kBulk);  // op = n
       for (std::size_t j = 0; j < n; ++j) {
         args[j] = rec.val[j].load(std::memory_order_relaxed);
@@ -454,25 +455,33 @@ class LockFreeOptimalQueue {
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_of(rec.state.load(std::memory_order_relaxed)) != seq) return;
-    const std::uint64_t t = bind_view(rec.bt, tail_, seq);
-    const std::uint64_t h = bind_view(rec.bh, head_, seq);
+    std::uint64_t v = rec.bv.load(std::memory_order_acquire);
+    if (v == unbound(seq)) {
+      const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
+      const std::uint64_t h = head_.load(std::memory_order_seq_cst);
+      const std::uint64_t n = op & ~kDequeueOp;  // s's: checked above
+      v = bind(rec.bv, seq,
+               deq ? view(h, std::min(n, t - h))
+                   : view(t, std::min(n, cap_ - (t - h))));
+    }
     // A bound value names no seq: re-read `state` after the (acquire)
-    // field loads. A word bound for a later incarnation, or its sentinel,
+    // field load. A word bound for a later incarnation, or its sentinel,
     // was written after that incarnation's writing state, which this
     // load then sees.
     if (seq_of(rec.state.load(std::memory_order_acquire)) != seq) return;
-    const std::uint64_t k = batch_size(op, t, h);
+    const std::uint64_t start = v >> 4;
+    const std::uint64_t k = v & 0xF;
     if (k == 0) {
       decide(rec, pending, kFailed);  // full or empty at the bound view
       return;
     }
-    if ((op & kDequeueOp) == 0) {
-      // Cell writes: CAS ⊥_round(t+j) → v_j. The versioned bottom makes
+    if (!deq) {
+      // Cell writes: CAS ⊥_round(start+j) → v_j. The versioned bottom makes
       // each CAS one-shot across all helpers and all rounds; the read
       // helps any DCSS marker (a poised stale vacate) out of the way first.
       for (std::uint64_t j = 0; j < k; ++j) {
-        std::atomic<std::uint64_t>& cell = cells_[(t + j) % cap_];
-        const std::uint64_t expected_bot = bot_for(t + j);
+        std::atomic<std::uint64_t>& cell = cells_[(start + j) % cap_];
+        const std::uint64_t expected_bot = bot_for(start + j);
         for (;;) {
           const std::uint64_t x = dcss_.read(&cell);
           if (x != expected_bot) break;  // a helper's write already landed
@@ -484,17 +493,17 @@ class LockFreeOptimalQueue {
           telemetry::count(telemetry::Counter::k_cas_fail);
         }
       }
-      advance(tail_, t, k);
+      advance(tail_, start, k);
       decide(rec, pending, kDone);
       return;
     }
     for (std::uint64_t j = 0; j < k; ++j) {
-      // readElem: cell h+j is stable until val[j] is bound (its vacate
+      // readElem: cell start+j is stable until val[j] is bound (its vacate
       // CASes *from* the bound result, so it cannot precede the binding),
       // hence the value read here is the element — unless we are a late
       // helper finding the cell already vacated, in which case val[j] is
       // bound and the one-shot CAS misses cleanly.
-      std::atomic<std::uint64_t>& cell = cells_[(h + j) % cap_];
+      std::atomic<std::uint64_t>& cell = cells_[(start + j) % cap_];
       std::uint64_t res = rec.val[j].load(std::memory_order_acquire);
       if (res == unbound(seq)) {
         const std::uint64_t x = dcss_.read(&cell);
@@ -508,11 +517,11 @@ class LockFreeOptimalQueue {
           seq_of(rec.state.load(std::memory_order_acquire)) != seq) {
         return;
       }
-      // Vacate: value → ⊥_{round+1}, guarded by head_ == h for every j —
-      // head_ stays at h until the batch's advance (see the header).
-      hd.th_.dcss(&cell, res, bot_for(h + j + cap_), &head_, h);
+      // Vacate: value → ⊥_{round+1}, guarded by head_ == start for every
+      // j — head_ stays there until the batch's advance (see the header).
+      hd.th_.dcss(&cell, res, bot_for(start + j + cap_), &head_, start);
     }
-    advance(head_, h, k);
+    advance(head_, start, k);
     decide(rec, pending, kDone);
   }
 

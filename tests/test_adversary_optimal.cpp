@@ -31,6 +31,7 @@ namespace {
 using membq::adversary::check_bounded_queue;
 using membq::adversary::GuardedOptimal;
 using membq::adversary::OpKind;
+using membq::adversary::opt_view;
 using membq::adversary::ScheduledExecution;
 using membq::adversary::SharedSentinelOptimal;
 using membq::adversary::UnguardedOptimal;
@@ -395,22 +396,26 @@ TEST(AdversaryOptimalTest, StaleHandOffMissesOnceCurMovedOn) {
 //
 //   E0 = enq(10)          runs solo: cell0 = 10, tail = 1.
 //   O  = deq (ticket s)   steps until it has installed itself.
-//   H  = deq (helper)     steps until poised at the bind CAS of s's tail
-//                         view, having read tail = t0 = 1.
-//   O completes s         binds (1, 0), dequeues 10, head = 1.
+//   H  = deq (helper)     steps until poised at the bind CAS of s's view,
+//                         having read tail 1 and head 0: the dequeue's
+//                         view (start 0, k 1).
+//   O completes s         binds that view, dequeues 10, head = 1.
 //   E1 = enq(20)          runs solo: its findOp first helps H's own
 //                         dequeue to an empty-fail, then writes cell1 =
-//                         20 and moves tail to t0 + 1 = 2.
+//                         20 and moves tail to 2.
 //   O' = enq(30)          O's slot re-announces its record as s'.
 //   grant H's bind CAS
 //
 // Sequence-named sentinels: the CAS expects unbound(s), the record holds
-// unbound(s'): it misses, H drops s on its seq check, O' binds tail 2 and
-// writes 30, and a drain returns 20, 30. The history linearizes.
-// One shared sentinel (the control): the CAS lands and binds s' to the
-// stale t0. O' finds cell1 already written (by E1), concludes a helper's
-// write landed, and reports success without ever writing 30: the drain
-// returns 20 and then empty after a completed enq(30).
+// unbound(s'): it misses, H drops s on its seq check, O' binds the live
+// view (start 2, k 1) and writes 30 into cell0, and a drain returns 20,
+// 30. The history linearizes.
+// One shared sentinel (the control): the CAS lands and binds the
+// dequeue's stale view (start 0, k 1) into the enqueue s'. O' targets
+// index 0, finds cell0 holding round 1's ⊥ (O's vacate) instead of round
+// 0's, concludes a helper's write landed, and reports success without
+// ever writing 30: the drain returns 20 and then empty after a completed
+// enq(30).
 
 template <class Q>
 void run_stale_bind_schedule(Q& q, ScheduledExecution& exec,
@@ -425,9 +430,10 @@ void run_stale_bind_schedule(Q& q, ScheduledExecution& exec,
 
   exec.invoke(1, h);
   step_until(exec, h, [&] {
-    return h.phase() == Phase<Q>::kBindTail && h.helping_other();
+    return h.phase() == Phase<Q>::kBindView && h.helping_other();
   });
-  ASSERT_EQ(q.tail(), 1u) << "H read t0 = 1";
+  ASSERT_EQ(q.tail(), 1u) << "H read tail 1";
+  ASSERT_EQ(q.head(), 0u) << "H read head 0";
 
   step_until(exec, o, [&] { return o.complete(); });
   ASSERT_TRUE(o.ok());
@@ -436,7 +442,7 @@ void run_stale_bind_schedule(Q& q, ScheduledExecution& exec,
   typename Q::Op e1(q, /*slot=*/2, OpKind::kEnqueue, 20);
   exec.run(2, e1);
   ASSERT_TRUE(e1.ok());
-  ASSERT_EQ(q.tail(), 2u) << "another enqueue moved tail to t0 + 1";
+  ASSERT_EQ(q.tail(), 2u) << "another enqueue moved tail to 2";
 
   typename Q::Op o2(q, /*slot=*/0, OpKind::kEnqueue, 30);
   exec.invoke(0, o2);
@@ -444,7 +450,7 @@ void run_stale_bind_schedule(Q& q, ScheduledExecution& exec,
   ASSERT_EQ(o2.phase(), Phase<Q>::kReadCur);
 
   exec.step(h);  // grant the parked bind CAS of s
-  ASSERT_EQ(h.bind_tail_attempts(), 1u);
+  ASSERT_EQ(h.bind_view_attempts(), 1u);
 
   step_until(exec, h, [&] { return h.complete(); });
   EXPECT_FALSE(h.ok()) << "E1's findOp helped H's dequeue to empty";
@@ -458,9 +464,9 @@ TEST(AdversaryOptimalTest, SequenceSentinelKillsStaleBindAcrossRecycling) {
   GuardedOptimal::Op h(q, /*slot=*/1, OpKind::kDequeue);
   run_stale_bind_schedule(q, exec, h);
 
-  EXPECT_FALSE(h.first_bind_tail_fired())
+  EXPECT_FALSE(h.first_bind_view_fired())
       << "the bind CAS of s must miss once the record is s'";
-  EXPECT_EQ(q.bound_tail(0), 2u) << "s' bound the live tail";
+  EXPECT_EQ(q.bound_view(0), opt_view(2, 1)) << "s' bound the live view";
   EXPECT_EQ(q.cell(0), 30u) << "O' wrote its value";
 
   GuardedOptimal::Op d1(q, /*slot=*/3, OpKind::kDequeue);
@@ -486,9 +492,10 @@ TEST(AdversaryOptimalTest, SharedSentinelLetsStaleBindLoseAValue) {
   SharedSentinelOptimal::Op h(q, /*slot=*/1, OpKind::kDequeue);
   run_stale_bind_schedule(q, exec, h);
 
-  EXPECT_TRUE(h.first_bind_tail_fired())
+  EXPECT_TRUE(h.first_bind_view_fired())
       << "with one sentinel for every seq the stale bind lands";
-  EXPECT_EQ(q.bound_tail(0), 1u) << "s' bound the stale t0";
+  EXPECT_EQ(q.bound_view(0), opt_view(0, 1))
+      << "s' bound the dequeue's stale view";
   EXPECT_EQ(q.tail(), 2u) << "O' never moved tail: it wrote nothing";
 
   SharedSentinelOptimal::Op d1(q, /*slot=*/3, OpKind::kDequeue);
