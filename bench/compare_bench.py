@@ -36,8 +36,8 @@ SUPPORTED_SCHEMA_VERSIONS = (1,)
 # Metrics whose current/baseline ratio is gated by `compare`. Everything
 # else (byte counts, percentiles, state counts) is carried along for
 # humans and trend tooling but not gated: latency on a shared runner is
-# far noisier than throughput, and byte counts are checked exactly by
-# the benches themselves.
+# far noisier than throughput, and E9's byte counts are checked exactly
+# by its golden (bench/golden/memory_overhead.txt).
 GATED_METRICS = ("mops",)
 
 ENVELOPE_KEYS = ("schema_version", "bench", "build", "config", "records")

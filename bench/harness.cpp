@@ -23,10 +23,8 @@ constexpr std::size_t kShortDivisor = 8;
   std::fprintf(stderr,
                "%s: bad argument '%s'\n"
                "usage: bench_%s [--threads=1,2,4] [--capacity=N] [--ops=N]\n"
-               "       [--mix=balanced|enq-heavy|deq-heavy|pairwise|bursty]\n"
-               "       [--batch=N] [--pin-policy=none|cores-first]\n"
-               "       [--short] [--out=PATH] [--out-dir=DIR]\n"
-               "       [--no-json] [--profile-us=N]\n",
+               "       [--pin-policy=none|cores-first] [--short]\n"
+               "       [--out=PATH] [--out-dir=DIR] [--no-json]\n",
                name, bad, name);
   std::exit(2);
 }
@@ -153,24 +151,12 @@ Harness::Harness(const char* name, int argc, char** argv) : name_(name) {
       if (!parse_size(v, opts_.ops) || opts_.ops == 0) {
         usage_and_exit(name, arg);
       }
-    } else if ((v = flag_value(arg, "--batch")) != nullptr) {
-      if (!parse_size(v, opts_.batch) || opts_.batch == 0) {
-        usage_and_exit(name, arg);
-      }
-      opts_.has_batch = true;
-    } else if ((v = flag_value(arg, "--mix")) != nullptr) {
-      if (!workload::mix_from_string(v, opts_.mix)) usage_and_exit(name, arg);
-      opts_.has_mix = true;
     } else if ((v = flag_value(arg, "--pin-policy")) != nullptr) {
       if (!pin_policy_from_string(v, opts_.pin)) usage_and_exit(name, arg);
     } else if ((v = flag_value(arg, "--out")) != nullptr) {
       opts_.out_path = v;
     } else if ((v = flag_value(arg, "--out-dir")) != nullptr) {
       opts_.out_dir = v;
-    } else if ((v = flag_value(arg, "--profile-us")) != nullptr) {
-      std::size_t us = 0;
-      if (!parse_size(v, us) || us == 0) usage_and_exit(name, arg);
-      opts_.profile_period_us = us;
     } else {
       usage_and_exit(name, arg);
     }
@@ -180,10 +166,6 @@ Harness::Harness(const char* name, int argc, char** argv) : name_(name) {
   // threading.
   set_default_pin_policy(opts_.pin);
   mark_ = telemetry::snapshot();
-  if (opts_.profile_period_us != 0) {
-    profiler_.reset(new telemetry::Profiler(opts_.profile_period_us));
-    profiler_->start();
-  }
 }
 
 Harness::~Harness() { finish(); }
@@ -207,14 +189,6 @@ std::vector<std::size_t> Harness::threads(
   return std::vector<std::size_t>(dflt);
 }
 
-workload::Mix Harness::mix(workload::Mix dflt) const noexcept {
-  return opts_.has_mix ? opts_.mix : dflt;
-}
-
-std::size_t Harness::batch(std::size_t dflt) const noexcept {
-  return opts_.has_batch ? opts_.batch : dflt;
-}
-
 Record& Harness::record(std::string label) {
   records_.emplace_back(new Record(std::move(label)));
   Record& r = *records_.back();
@@ -227,7 +201,6 @@ Record& Harness::record(std::string label) {
 int Harness::finish() {
   if (finished_) return 0;
   finished_ = true;
-  if (profiler_) profiler_->stop();
   if (opts_.json) write_json();
   return 0;
 }
@@ -330,25 +303,6 @@ void Harness::write_json() {
   }
   w.end_array();
 
-  if (profiler_) {
-    w.key("profile");
-    w.begin_array();
-    for (const auto& s : profiler_->samples()) {
-      w.begin_object();
-      w.kv("t_ns", s.t_ns);
-      w.kv("retired_bytes", static_cast<std::uint64_t>(s.retired_bytes));
-      w.kv("live_bytes", static_cast<std::uint64_t>(s.live_bytes));
-      w.key("counters");
-      w.begin_object();
-      for (std::size_t i = 0; i < telemetry::kCounterCount; ++i) {
-        const auto c = static_cast<telemetry::Counter>(i);
-        w.kv(telemetry::counter_name(c), s.counters[c]);
-      }
-      w.end_object();
-      w.end_object();
-    }
-    w.end_array();
-  }
   w.end_object();
   out += '\n';
 

@@ -1,30 +1,26 @@
 // Unified bench harness: one CLI, one JSON schema, every bench.
 //
 // Each bench binary constructs a Harness, resolves its sweep parameters
-// through it (so --threads/--capacity/--ops/--mix/--short rescale any
-// bench uniformly), streams human-readable rows to stdout exactly as
-// before, and mirrors every row into a Record. On finish() the harness
-// writes BENCH_<name>.json: a schema-versioned envelope carrying build
-// provenance (git sha, compiler, fence policy, option flags), every
-// record's params/metrics, the telemetry counter delta attributed to each
-// record, optional latency percentiles + histogram buckets, and — when
-// --profile-us is given — the sampling profiler's time series.
+// through it (so --threads/--capacity/--ops/--short rescale any bench
+// uniformly), streams human-readable rows to stdout, and mirrors every
+// row into a Record. On finish() the harness writes BENCH_<name>.json: a
+// schema-versioned envelope carrying build provenance (git sha, compiler,
+// fence policy, option flags), every record's params/metrics, the
+// telemetry counter delta attributed to each record, and optional latency
+// percentiles + histogram buckets.
 //
-// The flow is stdout for humans, JSON for machines: CI greps stay on
-// stdout, compare_bench.py reads only the JSON.
+// The flow is stdout for humans, JSON for machines: CI greps and the
+// golden diffs stay on stdout, compare_bench.py reads only the JSON.
 //
 // CLI (every flag optional; unknown flags are an error):
 //   --threads=1,2,4    override the bench's thread sweep
 //   --capacity=N       override the bench's default capacity
 //   --ops=N            override the bench's per-thread op count
-//   --mix=NAME         override the workload mix (balanced, enq-heavy, ...)
-//   --batch=N          override the bench's items-per-op batch size
 //   --pin-policy=P     worker pinning: none | cores-first
 //   --short            scale op counts down ~8x (CI smoke mode)
 //   --out=PATH         write the JSON to PATH
 //   --out-dir=DIR      write to DIR/BENCH_<name>.json (default ".")
 //   --no-json          skip the JSON artifact entirely
-//   --profile-us=N     run the sampling profiler at an N-microsecond period
 #pragma once
 
 #include <cstddef>
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "telemetry/counters.hpp"
-#include "telemetry/profiler.hpp"
 #include "workload/driver.hpp"
 #include "workload/histogram.hpp"
 
@@ -51,10 +46,6 @@ struct Options {
   std::vector<std::size_t> threads;  // empty = bench default
   std::size_t capacity = 0;          // 0 = bench default
   std::size_t ops = 0;               // 0 = bench default
-  bool has_mix = false;
-  workload::Mix mix = workload::Mix::kBalanced;
-  bool has_batch = false;
-  std::size_t batch = 1;             // items per op (--batch override)
   // Worker pinning. The Harness constructor installs it as the
   // process-wide default (set_default_pin_policy), which RunConfig picks
   // up — so a bench needs no per-run plumbing to honor it.
@@ -63,7 +54,6 @@ struct Options {
   bool json = true;
   std::string out_path;        // explicit --out
   std::string out_dir = ".";   // --out-dir
-  std::uint64_t profile_period_us = 0;  // 0 = profiler off
 };
 
 // One measured point. Params say what was run, metrics say what came out;
@@ -128,8 +118,6 @@ class Harness {
   std::size_t capacity(std::size_t dflt) const noexcept;
   std::vector<std::size_t> threads(
       std::initializer_list<std::size_t> dflt) const;
-  workload::Mix mix(workload::Mix dflt) const noexcept;
-  std::size_t batch(std::size_t dflt) const noexcept;
 
   // Open a new record. The telemetry counter delta since the previous
   // record() (or construction) is attributed to THIS record, so call it
@@ -147,7 +135,6 @@ class Harness {
   Options opts_;
   std::vector<std::unique_ptr<Record>> records_;
   telemetry::CounterSnapshot mark_;
-  std::unique_ptr<telemetry::Profiler> profiler_;
   bool finished_ = false;
 };
 

@@ -6,10 +6,10 @@
 //
 // Loadgen-specific flags are consumed here; everything else (--threads,
 // --ops, --short, --out-dir, --no-json, ...) is the shared bench harness
-// CLI, and the artifact is the same schema-versioned BENCH_server.json the
-// in-process bench_server writes. --threads is the connection sweep: one
-// record per fleet size, each with RTT percentiles and the exactly-once
-// ledger verdict. Exit is nonzero when any run errors or the ledger fails.
+// CLI, and the artifact is the harness's schema-versioned
+// BENCH_server.json. --threads is the connection sweep: one record per
+// fleet size, each with RTT percentiles and the exactly-once ledger
+// verdict. Exit is nonzero when any run errors or the ledger fails.
 
 #include <cstdio>
 #include <cstdlib>

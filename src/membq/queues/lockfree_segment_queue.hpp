@@ -33,7 +33,6 @@
 
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
-#include "reclaim/no_reclaim.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
@@ -50,10 +49,6 @@ struct LockFreeSegmentQueueName<reclaim::EpochDomain> {
 template <>
 struct LockFreeSegmentQueueName<reclaim::HazardDomain> {
   static constexpr char value[] = "segment(L1,hp)";
-};
-template <>
-struct LockFreeSegmentQueueName<reclaim::NoReclaim> {
-  static constexpr char value[] = "segment(L1,none)";
 };
 
 template <class Domain = reclaim::EpochDomain>

@@ -6,7 +6,7 @@
 // concept, so queues template over the backend:
 //
 //   Domain:
-//     static constexpr char kShortName[];          // "ebr" / "hp" / "none"
+//     static constexpr char kShortName[];          // "ebr" / "hp"
 //     explicit Domain(std::size_t max_threads);
 //     std::size_t retired_bytes() const noexcept;  // retired, not yet freed
 //     std::size_t retired_objects() const noexcept;
@@ -25,7 +25,7 @@
 //     template <class T>
 //     void set(std::size_t slot, T* p) noexcept;
 //         // publish an already-loaded pointer (HP); the caller re-validates
-//         // reachability afterwards. No-op for EBR/NoReclaim.
+//         // reachability afterwards. No-op for EBR.
 //     void retire(void* p, std::size_t bytes, void (*deleter)(void*));
 //         // hand over an unlinked node; `deleter` runs exactly once, when
 //         // no thread can hold a reference anymore.
@@ -35,9 +35,7 @@
 // Backends: EpochDomain (epoch.hpp) — Fraser-style 3-epoch limbo lists,
 // cheapest per-op cost, backlog bounded only by reader quiescence;
 // HazardDomain (hazard.hpp) — Michael-style per-thread hazard slots,
-// per-protect fence cost, backlog bounded by the scan threshold;
-// NoReclaim (no_reclaim.hpp) — defers everything to domain destruction,
-// the leak-checked control for single-shot runs.
+// per-protect fence cost, backlog bounded by the scan threshold.
 //
 // Accounting: every retire adds the object's bytes plus the bookkeeping
 // record to the process-global ReclaimCounter (and the per-domain

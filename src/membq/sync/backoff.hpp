@@ -1,11 +1,10 @@
-// Contention-management policies for CAS retry loops, and the bound on
-// waiting for another thread before helping it.
+// Contention management for CAS retry loops, and the bound on waiting
+// for another thread before helping it.
 //
 // Every ring queue in membq retries a CAS on a positioning counter or a
-// slot; what a failed attempt should do before retrying is a policy:
-//   Backoff   — truncated exponential spin, falling back to yield once the
-//               spin budget is large (FLeeC-style ExpBackoffCAS shape).
-//   NoBackoff — bare scheduler yield, the ablation baseline.
+// slot; Backoff is what a failed attempt does before retrying: truncated
+// exponential spin, falling back to yield once the spin budget is large
+// (FLeeC-style ExpBackoffCAS shape).
 // kHelpPatience is not a retry policy: it bounds how long a thread that
 // could help another one waits for it to finish on its own first.
 #pragma once
@@ -59,19 +58,11 @@ class Backoff {
   void reset() noexcept { limit_ = kInitialSpins; }
 
   // Current truncated-exponential budget; exposed for the monotonicity
-  // tests and the ablation bench.
+  // tests.
   std::uint32_t current_spin_limit() const noexcept { return limit_; }
 
  private:
   std::uint32_t limit_ = kInitialSpins;
-};
-
-struct NoBackoff {
-  void pause() noexcept {
-    telemetry::count(telemetry::Counter::k_backoff_yield);
-    std::this_thread::yield();
-  }
-  void reset() noexcept {}
 };
 
 }  // namespace membq

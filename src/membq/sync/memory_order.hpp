@@ -10,13 +10,11 @@
 //       site with who publishes and who observes. This is the default.
 //   SeqCstOrders  — every member collapses to seq_cst. Selected wholesale
 //       by the MEMBQ_SEQCST_RINGS CMake option; the escape hatch that
-//       restores the pre-audit behavior if a relaxation is ever suspected,
-//       and the "before" side of the bench_throughput /
-//       bench_backoff_ablation fence-cost comparisons.
+//       restores the pre-audit behavior if a relaxation is ever suspected.
 //
-// Both policies are always compiled (the benches and the litmus suite
-// instantiate the non-default one explicitly), so the fallback cannot
-// bit-rot between CI runs of the MEMBQ_SEQCST_RINGS=ON job.
+// Both policies are always compiled (the litmus suite instantiates the
+// non-default one explicitly), so the fallback cannot bit-rot between CI
+// runs of the MEMBQ_SEQCST_RINGS=ON job.
 //
 // A note on the proof obligation. The per-site annotations argue two
 // kinds of safety:

@@ -22,19 +22,6 @@ const char* to_string(Mix mix) noexcept {
   return "?";
 }
 
-bool mix_from_string(const std::string& name, Mix& out) noexcept {
-  // Walk the enum and compare against its own wire names, so adding a Mix
-  // value only requires touching to_string().
-  for (auto m : {Mix::kBalanced, Mix::kEnqueueHeavy, Mix::kDequeueHeavy,
-                 Mix::kPairwise, Mix::kBursty}) {
-    if (name == to_string(m)) {
-      out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace detail {
 
 void finalize(RunResult& r, std::vector<ThreadStats>& stats) {

@@ -38,11 +38,6 @@ enum class Mix {
 
 const char* to_string(Mix mix) noexcept;
 
-// Inverse of to_string(): parses the exact wire names ("balanced",
-// "enq-heavy", ...). Returns false (out untouched) for anything else, so
-// CLI parsing can report the bad token instead of silently defaulting.
-bool mix_from_string(const std::string& name, Mix& out) noexcept;
-
 struct RunConfig {
   std::size_t threads = 1;
   std::size_t ops_per_thread = 100000;

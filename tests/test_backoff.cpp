@@ -26,10 +26,4 @@ TEST(BackoffTest, ResetRestoresInitialBudget) {
   EXPECT_EQ(b.current_spin_limit(), membq::Backoff::kInitialSpins);
 }
 
-TEST(BackoffTest, NoBackoffIsUsableAsPolicy) {
-  membq::NoBackoff nb;
-  nb.pause();  // must not block or crash
-  nb.reset();
-}
-
 }  // namespace

@@ -111,11 +111,6 @@ TEST(QueueBasicTest, LockFreeSegmentHpFifoFullEmpty) {
   check_fifo_full_empty(q, 8);
 }
 
-TEST(QueueBasicTest, LockFreeSegmentNoReclaimFifoFullEmpty) {
-  membq::LockFreeSegmentQueue<membq::reclaim::NoReclaim> q(8, 3, 4);
-  check_fifo_full_empty(q, 8);
-}
-
 TEST(QueueBasicTest, VyukovQueueFifoFullEmpty) {
   membq::VyukovQueue q(8);
   check_fifo_full_empty(q, 8);

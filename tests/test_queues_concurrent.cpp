@@ -149,11 +149,6 @@ TEST(QueueConcurrentTest, LockFreeSegmentHpMpmc) {
   run_mpmc_audit(q, 2, 2, kPerProducer);
 }
 
-TEST(QueueConcurrentTest, LockFreeSegmentNoReclaimMpmc) {
-  membq::LockFreeSegmentQueue<membq::reclaim::NoReclaim> q(kCap, 8, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
 TEST(QueueConcurrentTest, VyukovQueueMpmc) {
   membq::VyukovQueue q(kCap);
   run_mpmc_audit(q, 2, 2, kPerProducer);

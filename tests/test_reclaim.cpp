@@ -19,14 +19,12 @@
 #include "queues/lockfree_segment_queue.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
-#include "reclaim/no_reclaim.hpp"
 #include "reclaim/reclaim.hpp"
 
 namespace {
 
 using membq::reclaim::EpochDomain;
 using membq::reclaim::HazardDomain;
-using membq::reclaim::NoReclaim;
 using membq::reclaim::ReclaimCounter;
 
 // A retirable object whose deleter bumps a shared counter, so tests can
@@ -172,29 +170,6 @@ TEST(ReclaimTest, HazardProtectFollowsRacingSource) {
   EXPECT_EQ(h.protect(0, src), b);
   delete a;
   delete b;
-}
-
-// ---- NoReclaim control ---------------------------------------------------
-
-TEST(ReclaimTest, NoReclaimDefersEverythingToDestruction) {
-  std::atomic<int> freed{0};
-  const std::size_t retired_before =
-      ReclaimCounter::instance().retired_bytes();
-  {
-    NoReclaim domain;
-    NoReclaim::ThreadHandle h(domain);
-    for (int i = 0; i < 100; ++i) {
-      h.retire(new Tracked(&freed), sizeof(Tracked), &tracked_deleter);
-    }
-    h.flush();  // a no-op by design
-    EXPECT_EQ(freed.load(), 0);
-    EXPECT_GT(domain.retired_bytes(), 0u);
-    EXPECT_GE(ReclaimCounter::instance().retired_bytes(),
-              retired_before + 100 * sizeof(Tracked));
-  }
-  EXPECT_EQ(freed.load(), 100);
-  EXPECT_EQ(ReclaimCounter::instance().retired_bytes(), retired_before)
-      << "global backlog must return to baseline after domain destruction";
 }
 
 TEST(ReclaimTest, ReclaimCounterTracksRetireAndReclaim) {
@@ -364,17 +339,6 @@ TEST(LockFreeSegmentTest, DestructorWalksFullChainEbr) {
 
 TEST(LockFreeSegmentTest, DestructorWalksFullChainHp) {
   destructor_walks_full_chain<HazardDomain>();
-}
-
-TEST(LockFreeSegmentTest, LeakFreeAfterChurnNoReclaim) {
-  auto& alloc = membq::AllocCounter::instance();
-  const std::size_t live_before = alloc.live_bytes();
-  {
-    membq::LockFreeSegmentQueue<NoReclaim> q(64, 4, 4);
-    churn_queue(q, 5);
-  }
-  EXPECT_EQ(alloc.live_bytes(), live_before)
-      << "the NoReclaim control must free its parking lot at destruction";
 }
 
 TEST(LockFreeSegmentTest, RetiredBacklogVisibleDuringDrain) {

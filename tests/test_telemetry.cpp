@@ -1,8 +1,7 @@
 // Telemetry subsystem tests: counter bookkeeping (including thread exit
-// folding), attribution of queue-level hooks, the zero-cost-when-off
-// contract, and the sampling profiler. Every test runs in both builds:
-// with MEMBQ_TELEMETRY=OFF the same assertions flip to all-zeros via
-// telemetry::enabled().
+// folding), attribution of queue-level hooks, and the zero-cost-when-off
+// contract. Every test runs in both builds: with MEMBQ_TELEMETRY=OFF the
+// same assertions flip to all-zeros via telemetry::enabled().
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +10,6 @@
 
 #include "baselines/vyukov_queue.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/profiler.hpp"
 #include "workload/driver.hpp"
 
 namespace mt = membq::telemetry;
@@ -160,32 +158,6 @@ TEST(TelemetryAttribution, WorkloadDriverAttemptsCoverAllOps) {
                     get(s, mt::Counter::k_deq_attempt),
                 cfg.prefill + cfg.threads * calls);
     }
-  }
-}
-
-TEST(TelemetryProfiler, SamplesAreMonotonicAndCaptureCounts) {
-  mt::reset();
-  mt::Profiler prof(/*period_us=*/200);
-  prof.start();
-  for (int i = 0; i < 50; ++i) {
-    mt::count(mt::Counter::k_backoff_spin, 100);
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  prof.stop();
-  const auto& samples = prof.samples();
-  ASSERT_FALSE(samples.empty());  // stop() guarantees a final sample
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].t_ns, samples[i - 1].t_ns);
-    // Counter series are cumulative snapshots: monotone per counter.
-    for (std::size_t c = 0; c < mt::kCounterCount; ++c) {
-      EXPECT_GE(samples[i].counters.v[c], samples[i - 1].counters.v[c]);
-    }
-  }
-  const auto& last = samples.back();
-  if (mt::enabled()) {
-    EXPECT_EQ(get(last.counters, mt::Counter::k_backoff_spin), 5000u);
-  } else {
-    EXPECT_EQ(last.counters.total(), 0u);
   }
 }
 
