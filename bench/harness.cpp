@@ -19,13 +19,15 @@ namespace {
 // comparison contract (changing it invalidates the baselines).
 constexpr std::size_t kShortDivisor = 8;
 
-[[noreturn]] void usage_and_exit(const char* name, const char* bad) {
+// Names the program by argv[0]: membq_loadgen runs the harness under the
+// record name "server", which is not a binary.
+[[noreturn]] void usage_and_exit(const char* prog, const char* bad) {
   std::fprintf(stderr,
                "%s: bad argument '%s'\n"
-               "usage: bench_%s [--threads=1,2,4] [--capacity=N] [--ops=N]\n"
+               "usage: %s [--threads=1,2,4] [--capacity=N] [--ops=N]\n"
                "       [--pin-policy=none|cores-first] [--short]\n"
                "       [--out=PATH] [--out-dir=DIR] [--no-json]\n",
-               name, bad, name);
+               prog, bad, prog);
   std::exit(2);
 }
 
@@ -142,23 +144,23 @@ Harness::Harness(const char* name, int argc, char** argv) : name_(name) {
       opts_.json = false;
     } else if ((v = flag_value(arg, "--threads")) != nullptr) {
       opts_.threads.clear();
-      if (!parse_size_list(v, opts_.threads)) usage_and_exit(name, arg);
+      if (!parse_size_list(v, opts_.threads)) usage_and_exit(argv[0], arg);
     } else if ((v = flag_value(arg, "--capacity")) != nullptr) {
       if (!parse_size(v, opts_.capacity) || opts_.capacity == 0) {
-        usage_and_exit(name, arg);
+        usage_and_exit(argv[0], arg);
       }
     } else if ((v = flag_value(arg, "--ops")) != nullptr) {
       if (!parse_size(v, opts_.ops) || opts_.ops == 0) {
-        usage_and_exit(name, arg);
+        usage_and_exit(argv[0], arg);
       }
     } else if ((v = flag_value(arg, "--pin-policy")) != nullptr) {
-      if (!pin_policy_from_string(v, opts_.pin)) usage_and_exit(name, arg);
+      if (!pin_policy_from_string(v, opts_.pin)) usage_and_exit(argv[0], arg);
     } else if ((v = flag_value(arg, "--out")) != nullptr) {
       opts_.out_path = v;
     } else if ((v = flag_value(arg, "--out-dir")) != nullptr) {
       opts_.out_dir = v;
     } else {
-      usage_and_exit(name, arg);
+      usage_and_exit(argv[0], arg);
     }
   }
   // Install the pin policy process-wide: RunConfig's pin default reads

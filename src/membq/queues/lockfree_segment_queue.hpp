@@ -6,27 +6,19 @@
 //
 //   * head_/tail_ are CAS-advanced segment pointers; the chain is
 //     append-only, so both only ever move forward along it.
-//   * every slot has a position: its segment's `base` plus its index.
-//     Within a segment, enqueuers claim runs of slots by CAS on `enq` and
-//     dequeuers claim read tickets by fetch_add on `deq`; a slot goes
-//     kEmpty -> value (enqueue CAS) or kEmpty -> kPoison (a dequeuer that
-//     outran its enqueuer burns the ticket and the enqueuer's value moves
-//     on to its next claimed slot). Segments are used once and retired —
-//     no in-place wraparound, so no ABA on slots.
+//   * within a segment, enqueuers claim write tickets and dequeuers claim
+//     read tickets by fetch_add; a slot goes kEmpty -> value (enqueue CAS)
+//     or kEmpty -> kPoison (a dequeuer that outran its enqueuer burns the
+//     ticket and the enqueuer retries at a later slot). Segments are used
+//     once and retired — no in-place wraparound, so no ABA on slots.
 //   * a drained segment is unlinked by the head CAS and handed to the
 //     reclamation domain; the dequeuer helps tail_ past the segment first,
 //     so a retired segment is never reachable from either root (the
 //     invariant the hazard-pointer validation loop relies on).
 //
-// Boundedness comes from positions, not from a size counter: each
-// handle claims only below its claim limit, a position that leaves room
-// for at most C values from the dequeue position on. Both verdicts count
-// values, never claims, which makes them exact: "empty" is every claim
-// already taken by a dequeue, and "full" is C values from the dequeue
-// position on (full_or_limit), where a claim still unfilled after
-// patience is burned. An enqueue counts once its value lands in a slot,
-// so a claimer stalled between its claim and its CAS is in neither
-// verdict.
+// Boundedness uses the same approximate reservation counter as the
+// Michael–Scott baseline: an enqueue reserves its values in size_ up
+// front and backs out the part past capacity.
 //
 // Values must keep bit 63 clear (the kEmpty/kPoison encodings), the same
 // contract as the DCSS-managed words elsewhere in membq.
@@ -41,7 +33,6 @@
 
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
-#include "sync/backoff.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
@@ -119,8 +110,7 @@ class LockFreeSegmentQueue {
 
   class Handle {
    public:
-    explicit Handle(LockFreeSegmentQueue& q)
-        : q_(q), h_(q.domain_), claim_limit_(q.cap_) {}
+    explicit Handle(LockFreeSegmentQueue& q) : q_(q), h_(q.domain_) {}
 
     // Scalar ops are bulk(n=1): each direction has exactly one body.
     bool try_enqueue(std::uint64_t v) { return try_enqueue_bulk(&v, 1) == 1; }
@@ -128,7 +118,7 @@ class LockFreeSegmentQueue {
       return try_dequeue_bulk(&out, 1) == 1;
     }
     std::size_t try_enqueue_bulk(const std::uint64_t* vs, std::size_t n) {
-      return q_.enqueue_bulk(h_, claim_limit_, vs, n);
+      return q_.enqueue_bulk(h_, vs, n);
     }
     std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) {
       return q_.dequeue_bulk(h_, out, n);
@@ -140,10 +130,6 @@ class LockFreeSegmentQueue {
    private:
     LockFreeSegmentQueue& q_;
     typename Domain::ThreadHandle h_;
-    // First position this handle may not claim (see full_or_limit); it
-    // stays safe as positions grow, so it is recomputed only when the
-    // claims reach it.
-    std::uint64_t claim_limit_;
   };
 
  private:
@@ -151,8 +137,7 @@ class LockFreeSegmentQueue {
 
   struct Segment {
     std::atomic<Segment*> next{nullptr};
-    std::uint64_t base = 0;  // position of slot 0; written before publication
-    alignas(64) std::atomic<std::uint64_t> enq{0};  // slots claimed (<= K)
+    alignas(64) std::atomic<std::uint64_t> enq{0};  // next write ticket
     alignas(64) std::atomic<std::uint64_t> deq{0};  // next read ticket
 
     std::atomic<std::uint64_t>* slots() noexcept {
@@ -188,113 +173,14 @@ class LockFreeSegmentQueue {
     return s;
   }
 
-  // Polls an unfilled slot for at most kHelpPatience pauses; true once
-  // something is there.
-  static bool await_filled(const std::atomic<std::uint64_t>& slot) noexcept {
-    for (std::uint32_t k = 0; k < kHelpPatience; ++k) {
-      if (slot.load(std::memory_order_acquire) != kEmpty) return true;
-      detail::cpu_relax();
-    }
-    return slot.load(std::memory_order_acquire) != kEmpty;
-  }
-
-  // The slow path of an enqueue whose claims reached its limit. Reads the
-  // dequeue position D at one instant (head_ unchanged across the read of
-  // deq makes it exact, since only head_'s segment takes claims) and
-  // walks on from it, counting values and dead (burned) slots. A claimed
-  // slot still unfilled after patience belongs to a stalled claimer and
-  // is burned here too: its value has not counted yet, and moves on to
-  // its claimer's next slot.
-  //   * C values, with D still in place after the walk, are the full
-  //     verdict (true): values never leave a slot, so all C were there.
-  //   * An unclaimed position ends the walk: every position before it
-  //     is now a value or dead for good, so at most C minus the values
-  //     counted can land from there on, and `limit` becomes
-  //     D + C + dead (false).
-  // Burning, rather than filling, a stalled claim keeps every value at a
-  // position its own enqueue claimed, so position order respects the
-  // real-time order of enqueues.
-  bool full_or_limit(typename Domain::ThreadHandle& h, std::uint64_t& limit) {
-    for (;;) {
-      Segment* const hd = h.protect(0, head_);
-      const std::uint64_t d = hd->deq.load(std::memory_order_acquire);
-      if (head_.load(std::memory_order_acquire) != hd) continue;
-      const std::uint64_t pos0 =
-          hd->base + (d < seg_size_ ? d : static_cast<std::uint64_t>(seg_size_));
-      std::uint64_t values = 0, dead = 0;
-      bool unclaimed = false, restart = false;
-      Segment* s = hd;
-      std::size_t hazard = 0;
-      for (std::uint64_t pos = pos0; values < cap_; ++pos) {
-        if (pos == s->base + seg_size_) {
-          Segment* next = s->next.load(std::memory_order_acquire);
-          if (next == nullptr) {
-            unclaimed = true;
-            break;
-          }
-          // hd still head_ after the publication keeps next reachable.
-          hazard ^= 1;
-          h.set(hazard, next);
-          if (head_.load(std::memory_order_acquire) != hd) {
-            restart = true;
-            break;
-          }
-          s = next;
-        }
-        const std::uint64_t j = pos - s->base;
-        auto& slot = s->slots()[j];
-        std::uint64_t cur = slot.load(std::memory_order_acquire);
-        if (cur == kEmpty) {
-          if (j >= s->enq.load(std::memory_order_acquire)) {
-            unclaimed = true;
-            break;
-          }
-          if (!await_filled(slot) &&
-              slot.compare_exchange_strong(cur, kPoison,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-            cur = kPoison;
-          } else {
-            cur = slot.load(std::memory_order_acquire);
-          }
-        }
-        if (cur == kPoison) {
-          ++dead;
-        } else {
-          ++values;
-        }
-      }
-      if (restart) continue;
-      if (unclaimed) {
-        limit = pos0 + cap_ + dead;
-        return false;
-      }
-      // Re-protect hd (the walk may have reused its hazard slot) to read
-      // its deq once more.
-      if (h.protect(0, head_) == hd &&
-          hd->deq.load(std::memory_order_acquire) == d) {
-        return true;
-      }
-    }
-  }
-
-  // Enqueue: claim a run of the tail segment with one CAS of `enq` (m = 1
-  // for a single value), then CAS each claimed slot kEmpty → value. A
-  // claimed slot found burned (by a dequeuer that outran us, or by a full
-  // verdict that found us stalled) moves the pending value on to the next
-  // claimed one. A run ending at the segment end appends a fresh segment
-  // with as much of the batch pre-installed as fits, so one append CAS
-  // fills those positions.
-  //
-  // Claims stop before the handle's claim limit, which keeps at most C
-  // values from the dequeue position on. When the claims reach it,
-  // full_or_limit() gives the full verdict or a new limit. A value counts
-  // once its slot CAS lands, never at the claim, so a stalled claimer is
-  // in neither verdict. Returns the accepted prefix; stops at the full
-  // verdict.
+  // Enqueue: ONE size_ reservation covers the whole accepted prefix, and
+  // the fast path grabs write tickets in ranges (`enq.fetch_add(m)`, m = 1
+  // for a single value). Each claimed ticket does its kEmpty → value CAS;
+  // a poisoned slot just moves the pending value to the next ticket.
+  // After the reservation succeeds the enqueue cannot fail, so the
+  // return value is the reservation's accepted prefix.
   std::size_t enqueue_bulk(typename Domain::ThreadHandle& h,
-                           std::uint64_t& limit, const std::uint64_t* vs,
-                           std::size_t n) {
+                           const std::uint64_t* vs, std::size_t n) {
     telemetry::count(telemetry::Counter::k_enq_attempt);
     if (n == 0) return 0;
 #ifndef NDEBUG
@@ -302,39 +188,48 @@ class LockFreeSegmentQueue {
       assert((vs[i] & kEmpty) == 0 && "bit 63 is reserved for slot encodings");
     }
 #endif
+    // One reservation for the batch; back out the part past capacity.
+    const std::uint64_t old = size_.fetch_add(n, std::memory_order_acq_rel);
+    std::size_t accept = 0;
+    if (old < static_cast<std::uint64_t>(cap_)) {
+      const std::uint64_t room = static_cast<std::uint64_t>(cap_) - old;
+      accept = room < n ? static_cast<std::size_t>(room) : n;
+    }
+    if (accept < n) {
+      size_.fetch_sub(n - accept, std::memory_order_acq_rel);
+    }
+    if (accept == 0) return 0;
+
     typename Domain::ThreadHandle::Guard g(h);
     std::size_t placed = 0;
-    while (placed < n) {
+    while (placed < accept) {
       Segment* t = h.protect(0, tail_);
+      // Fast path: room in the tail segment. next can only become non-null
+      // after enq reached seg_size_, so a ticket below the limit never
+      // needs to look at it.
       std::uint64_t i = t->enq.load(std::memory_order_acquire);
-      const std::uint64_t lim =
-          limit <= t->base ? 0
-          : limit - t->base < seg_size_ ? limit - t->base
-                                        : static_cast<std::uint64_t>(seg_size_);
-      if (i < lim) {
-        const std::uint64_t want = static_cast<std::uint64_t>(n - placed);
-        const std::uint64_t m = lim - i < want ? lim - i : want;
-        if (!t->enq.compare_exchange_strong(i, i + m,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-          telemetry::count(telemetry::Counter::k_cas_fail);
-          continue;
-        }
-        auto* sl = t->slots();
-        for (std::uint64_t j = i; j < i + m; ++j) {
+      if (i < seg_size_) {
+        // Ticket-range grab: claim up to the remaining batch in one FAA.
+        // Tickets past seg_size_ are overshoot and fall through to the
+        // slow path on the next iteration.
+        const std::size_t want = accept - placed;
+        const std::uint64_t avail = seg_size_ - i;
+        const std::uint64_t m =
+            want < avail ? static_cast<std::uint64_t>(want) : avail;
+        i = t->enq.fetch_add(m, std::memory_order_acq_rel);
+        for (std::uint64_t j = i; j < i + m && j < seg_size_; ++j) {
           std::uint64_t empty = kEmpty;
-          if (sl[j].compare_exchange_strong(empty, vs[placed],
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
+          if (t->slots()[j].compare_exchange_strong(
+                  empty, vs[placed], std::memory_order_acq_rel,
+                  std::memory_order_acquire)) {
             ++placed;
+            if (placed == accept) break;
           } else {
+            // Poisoned by an impatient dequeuer; the value moves on to
+            // the next claimed ticket.
             telemetry::count(telemetry::Counter::k_cas_fail);
           }
         }
-        continue;
-      }
-      if (i < seg_size_ || limit <= t->base + seg_size_) {
-        if (full_or_limit(h, limit)) break;
         continue;
       }
       Segment* next = t->next.load(std::memory_order_acquire);
@@ -343,19 +238,18 @@ class LockFreeSegmentQueue {
         tail_.compare_exchange_strong(t, next);
         continue;
       }
-      // t is claimed to its end and last: append, pre-installing as much
-      // of the batch as fits and the room allows.
-      const std::uint64_t e = t->base + seg_size_;
-      std::size_t m = n - placed < seg_size_ ? n - placed : seg_size_;
-      if (limit - e < m) m = static_cast<std::size_t>(limit - e);
+      // Segment exhausted: append a fresh one with as much of the pending
+      // batch pre-installed as fits, so the winning appender finishes
+      // those enqueues in the same step.
       Segment* s = alloc_segment();
-      for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t m = accept - placed < seg_size_ ? accept - placed
+                                                        : seg_size_;
+      for (std::size_t j = 0; j < m; ++j) {
         // Relaxed is sound here: s is still thread-private; the release
         // half of the append CAS below publishes these stores to anyone
         // who acquires next (and, transitively, tail_/head_).
-        s->slots()[k].store(vs[placed + k], std::memory_order_relaxed);
+        s->slots()[j].store(vs[placed + j], std::memory_order_relaxed);
       }
-      s->base = e;
       s->enq.store(m, std::memory_order_relaxed);
       Segment* expected = nullptr;
       if (t->next.compare_exchange_strong(expected, s,
@@ -369,16 +263,14 @@ class LockFreeSegmentQueue {
       telemetry::count(telemetry::Counter::k_cas_fail);
       tail_.compare_exchange_strong(t, expected);
     }
-    return placed;
+    return accept;
   }
 
   // Dequeue: grab read tickets in ranges (`deq.fetch_add(take)`, take = 1
-  // for a single value) up to the claims. Each claimed ticket spins for
-  // its value, then burns (kEmpty → kPoison) a ticket whose enqueuer is
-  // absent; burned tickets yield no value and the loop claims more. Every
-  // claim below `enq` taken by a dequeue, and nothing claimed past it, is
-  // the empty verdict: values only land in claimed slots. Returns the
-  // received prefix; stops at the empty verdict.
+  // for a single value) and decrement size_ ONCE per round. Each claimed
+  // ticket spins for its value, then poisons an absent enqueuer; burned
+  // tickets yield no value and the loop claims more. Returns the received
+  // prefix; stops at the empty verdict.
   std::size_t dequeue_bulk(typename Domain::ThreadHandle& h,
                            std::uint64_t* out, std::size_t n) {
     telemetry::count(telemetry::Counter::k_deq_attempt);
@@ -389,8 +281,9 @@ class LockFreeSegmentQueue {
       Segment* hd = h.protect(0, head_);
       const std::uint64_t d = hd->deq.load(std::memory_order_acquire);
       const std::uint64_t e = hd->enq.load(std::memory_order_acquire);
-      if (d >= e) {
-        if (e < seg_size_) break;  // head segment not yet claimed out: empty
+      const std::uint64_t lim = e < seg_size_ ? e : seg_size_;
+      if (d >= lim) {
+        if (lim < seg_size_) break;  // head segment not yet full: empty
         Segment* next = hd->next.load(std::memory_order_acquire);
         if (next == nullptr) break;  // fully drained, nothing after
         // Help tail_ past hd before unlinking it: a retired segment must
@@ -403,21 +296,24 @@ class LockFreeSegmentQueue {
         }
         continue;
       }
-      // Ticket-range grab: up to the claims in one FAA. Tickets past
-      // seg_size_ are overshoot; the drained path above handles them.
+      // Ticket-range grab: up to the published window in one FAA. Tickets
+      // past seg_size_ are overshoot; the drained path above handles them.
       const std::uint64_t want = static_cast<std::uint64_t>(n - got);
-      const std::uint64_t take = want < e - d ? want : e - d;
+      const std::uint64_t avail = lim - d;
+      const std::uint64_t take = want < avail ? want : avail;
       const std::uint64_t i =
           hd->deq.fetch_add(take, std::memory_order_acq_rel);
+      std::size_t round = 0;
       for (std::uint64_t j = i; j < i + take && j < seg_size_; ++j) {
         auto& slot = hd->slots()[j];
         std::uint64_t v = slot.load(std::memory_order_acquire);
         for (int spin = 0; v == kEmpty && spin < kSpinsBeforePoison; ++spin) {
           // One yield near the end of the spin window: if the missing
-          // enqueuer was preempted between its claim and its slot CAS
+          // enqueuer was preempted between its ticket and its slot CAS
           // (guaranteed on a single CPU), this lets the value land
           // instead of burning the ticket and cascading segment churn.
-          // Progress never depends on it — the burn path stays lock-free.
+          // Progress never depends on it — the poison path stays
+          // lock-free.
           if (spin == kSpinsBeforePoison / 2) std::this_thread::yield();
           v = slot.load(std::memory_order_acquire);
         }
@@ -428,11 +324,14 @@ class LockFreeSegmentQueue {
                                            std::memory_order_acquire)) {
             continue;  // ticket burned; its enqueuer retries elsewhere
           }
-          v = empty;  // the CAS lost: the value landed, or a full verdict
-                      // burned the ticket first
+          v = empty;  // the CAS lost because the value just landed
         }
-        if (v == kPoison) continue;
-        out[got++] = v;
+        out[got + round] = v;
+        ++round;
+      }
+      if (round > 0) {
+        got += round;
+        size_.fetch_sub(round, std::memory_order_acq_rel);
       }
     }
     return got;
@@ -443,6 +342,7 @@ class LockFreeSegmentQueue {
   Domain domain_;
   alignas(64) std::atomic<Segment*> head_{nullptr};
   alignas(64) std::atomic<Segment*> tail_{nullptr};
+  alignas(64) std::atomic<std::uint64_t> size_{0};
 };
 
 using EbrSegmentQueue = LockFreeSegmentQueue<reclaim::EpochDomain>;

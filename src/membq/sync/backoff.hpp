@@ -29,13 +29,11 @@ inline void cpu_relax() noexcept {
 
 // Pauses a thread waits for another thread's operation in flight before
 // it helps (Kogan & Petrank's fast path/slow path patience): the lock-free
-// L5 polls its own record this long before joining an installation, a
-// ticket ring polls a lagging counter this long, once per bulk body,
-// before stepping it (help_advance, sync/counter.hpp), and the lock-free
-// L1's full verdict polls a claimed, unfilled slot this long before it
-// burns the stalled claim. Polls are loads and pauses, and the wait is
-// not a Backoff episode. CHANGES.md has the ablation of this bound for
-// the L5 and the rings.
+// L5 polls its own record this long before joining an installation, and
+// a ticket ring polls a lagging counter this long, once per bulk body,
+// before stepping it (help_advance, sync/counter.hpp). Polls are loads
+// and pauses, and the wait is not a Backoff episode. CHANGES.md has the
+// ablation of this bound for both.
 inline constexpr std::uint32_t kHelpPatience = 256;
 
 class Backoff {
