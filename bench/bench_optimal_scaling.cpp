@@ -59,7 +59,8 @@ void pair_loop(membq::bench::Harness& h, const std::string& label, Q& q,
 }  // namespace
 
 int main(int argc, char** argv) {
-  membq::bench::Harness harness("optimal_scaling", argc, argv);
+  membq::bench::Harness harness("optimal_scaling", argc, argv,
+                              membq::bench::param::kOps);
   const std::uint64_t kIters = harness.ops(100000);
 
   std::printf("=== E11: L5 op cost vs announcement size T "

@@ -19,7 +19,10 @@
 int main(int argc, char** argv) {
   using membq::AllocCounter;
   using membq::SegmentQueue;
-  membq::bench::Harness harness("segment_tradeoff", argc, argv);
+  namespace param = membq::bench::param;
+  membq::bench::Harness harness(
+      "segment_tradeoff", argc, argv,
+      param::kThreads | param::kOps | param::kPinPolicy);
 
   const std::size_t kThreads = harness.threads({4}).front();
   const std::size_t kOps = harness.ops(20000);

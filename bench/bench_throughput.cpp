@@ -16,7 +16,10 @@
 
 int main(int argc, char** argv) {
   using namespace membq::workload;
-  membq::bench::Harness harness("throughput", argc, argv);
+  namespace param = membq::bench::param;
+  membq::bench::Harness harness(
+      "throughput", argc, argv,
+      param::kCapacity | param::kOps | param::kPinPolicy);
 
   const std::size_t kCapacity = harness.capacity(4096);
   const std::size_t kOps = harness.ops(200000);

@@ -19,15 +19,21 @@ namespace {
 // comparison contract (changing it invalidates the baselines).
 constexpr std::size_t kShortDivisor = 8;
 
-// Names the program by argv[0]: membq_loadgen runs the harness under the
-// record name "server", which is not a binary.
-[[noreturn]] void usage_and_exit(const char* prog, const char* bad) {
+// Names the program by argv[0] (membq_loadgen runs the harness under the
+// record name "server", which is not a binary) and lists only the
+// overrides the bench reads.
+[[noreturn]] void usage_and_exit(const char* prog, unsigned params,
+                                 const char* bad) {
+  std::fprintf(stderr, "%s: bad argument '%s'\nusage: %s", prog, bad, prog);
+  if (params & param::kThreads) std::fprintf(stderr, " [--threads=1,2,4]");
+  if (params & param::kCapacity) std::fprintf(stderr, " [--capacity=N]");
+  if (params & param::kOps) std::fprintf(stderr, " [--ops=N]");
+  if (params & param::kPinPolicy) {
+    std::fprintf(stderr, " [--pin-policy=none|cores-first]");
+  }
   std::fprintf(stderr,
-               "%s: bad argument '%s'\n"
-               "usage: %s [--threads=1,2,4] [--capacity=N] [--ops=N]\n"
-               "       [--pin-policy=none|cores-first] [--short]\n"
-               "       [--out=PATH] [--out-dir=DIR] [--no-json]\n",
-               prog, bad, prog);
+               " [--short]\n       [--out=PATH] [--out-dir=DIR] "
+               "[--no-json]\n");
   std::exit(2);
 }
 
@@ -134,33 +140,45 @@ Record& Record::from(const workload::RunResult& r) {
 
 // ---- Harness -------------------------------------------------------------
 
-Harness::Harness(const char* name, int argc, char** argv) : name_(name) {
+Harness::Harness(const char* name, int argc, char** argv, unsigned params)
+    : name_(name) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
+    const auto reads = [&](unsigned p) {
+      if (!(params & p)) usage_and_exit(argv[0], params, arg);
+    };
     if (std::strcmp(arg, "--short") == 0) {
       opts_.short_mode = true;
     } else if (std::strcmp(arg, "--no-json") == 0) {
       opts_.json = false;
     } else if ((v = flag_value(arg, "--threads")) != nullptr) {
+      reads(param::kThreads);
       opts_.threads.clear();
-      if (!parse_size_list(v, opts_.threads)) usage_and_exit(argv[0], arg);
+      if (!parse_size_list(v, opts_.threads)) {
+        usage_and_exit(argv[0], params, arg);
+      }
     } else if ((v = flag_value(arg, "--capacity")) != nullptr) {
+      reads(param::kCapacity);
       if (!parse_size(v, opts_.capacity) || opts_.capacity == 0) {
-        usage_and_exit(argv[0], arg);
+        usage_and_exit(argv[0], params, arg);
       }
     } else if ((v = flag_value(arg, "--ops")) != nullptr) {
+      reads(param::kOps);
       if (!parse_size(v, opts_.ops) || opts_.ops == 0) {
-        usage_and_exit(argv[0], arg);
+        usage_and_exit(argv[0], params, arg);
       }
     } else if ((v = flag_value(arg, "--pin-policy")) != nullptr) {
-      if (!pin_policy_from_string(v, opts_.pin)) usage_and_exit(argv[0], arg);
+      reads(param::kPinPolicy);
+      if (!pin_policy_from_string(v, opts_.pin)) {
+        usage_and_exit(argv[0], params, arg);
+      }
     } else if ((v = flag_value(arg, "--out")) != nullptr) {
       opts_.out_path = v;
     } else if ((v = flag_value(arg, "--out-dir")) != nullptr) {
       opts_.out_dir = v;
     } else {
-      usage_and_exit(argv[0], arg);
+      usage_and_exit(argv[0], params, arg);
     }
   }
   // Install the pin policy process-wide: RunConfig's pin default reads

@@ -12,7 +12,8 @@
 // The flow is stdout for humans, JSON for machines: CI greps and the
 // golden diffs stay on stdout, compare_bench.py reads only the JSON.
 //
-// CLI (every flag optional; unknown flags are an error):
+// CLI (every flag optional; unknown flags are an error, and so is an
+// override of a parameter the bench does not read — see `param`):
 //   --threads=1,2,4    override the bench's thread sweep
 //   --capacity=N       override the bench's default capacity
 //   --ops=N            override the bench's per-thread op count
@@ -37,6 +38,18 @@
 
 namespace membq {
 namespace bench {
+
+// The sweep parameters a bench reads, OR-ed into the Harness
+// constructor's last argument. The Harness accepts --threads, --capacity,
+// --ops and --pin-policy only for the parameters named there, so an
+// override the bench would ignore exits 2 instead of running the
+// defaults.
+namespace param {
+inline constexpr unsigned kThreads = 1u << 0;    // threads()
+inline constexpr unsigned kCapacity = 1u << 1;   // capacity()
+inline constexpr unsigned kOps = 1u << 2;        // ops()
+inline constexpr unsigned kPinPolicy = 1u << 3;  // RunConfig's pin default
+}  // namespace param
 
 // The wire format version of BENCH_<name>.json. Bump on any change to the
 // envelope or record layout; compare_bench.py refuses cross-version diffs.
@@ -100,8 +113,9 @@ class Record {
 class Harness {
  public:
   // Parses argv; prints usage and exits(2) on an unknown or malformed
-  // flag, so a typo'd sweep never silently runs the defaults.
-  Harness(const char* name, int argc, char** argv);
+  // flag, or on an override of a parameter missing from `params`, so a
+  // typo'd sweep never silently runs the defaults.
+  Harness(const char* name, int argc, char** argv, unsigned params = 0);
 
   // finish() is the intended exit; the destructor backstops it so a bench
   // that returns early still leaves a valid artifact.

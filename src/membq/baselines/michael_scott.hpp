@@ -2,8 +2,11 @@
 //
 // The classic lock-free queue the paper uses as the memory-unfriendly
 // extreme: every element costs a heap node plus a next pointer. Bounded
-// here by an approximate size counter so it fits the try_enqueue/
-// try_dequeue harness.
+// here by node positions so it fits the try_enqueue/try_dequeue harness:
+// each node carries its position in the chain (its predecessor's + 1),
+// so the queue holds tail.pos - head.pos values, head_ being the dummy.
+// An enqueue links its node only while that count stays at most C, and
+// reports full only when the count, read at one instant, is C.
 //
 // Plain 64-bit head/tail CASes: dequeued dummies are retired to an
 // EpochDomain (reclaim/epoch.hpp, the registry's `ebr` backend), which
@@ -57,12 +60,15 @@ class MichaelScottQueue {
    public:
     explicit Handle(MichaelScottQueue& q) : q_(q), h_(q.domain_) {}
 
-    bool try_enqueue(std::uint64_t v) { return q_.enqueue(h_, v); }
+    bool try_enqueue(std::uint64_t v) { return q_.enqueue(h_, floor_, v); }
     bool try_dequeue(std::uint64_t& out) { return q_.dequeue(h_, out); }
 
    private:
     MichaelScottQueue& q_;
     reclaim::EpochDomain::ThreadHandle h_;
+    // A position head_'s node had once. Head positions only grow, so it
+    // stays a lower bound; the gate reloads it only when it would refuse.
+    std::uint64_t floor_ = 0;
   };
 
  private:
@@ -71,20 +77,21 @@ class MichaelScottQueue {
   struct Node {
     std::atomic<std::uint64_t> value{0};
     std::atomic<Node*> next{nullptr};
+    std::uint64_t pos = 0;  // written before the link CAS publishes it
 
     static void destroy(void* p) noexcept { delete static_cast<Node*>(p); }
   };
 
-  bool enqueue(reclaim::EpochDomain::ThreadHandle& h, std::uint64_t v) {
+  // Links a node at t.pos + 1 only while t.pos + 1 - floor <= C, which
+  // keeps at most C values in: the floor is at most head_'s position. The
+  // full verdict is t.pos - hd.pos >= C, read while t->next is null
+  // between two loads of head_ that both return hd. The node is allocated
+  // only once the gate passes, so a refusal allocates nothing.
+  bool enqueue(reclaim::EpochDomain::ThreadHandle& h, std::uint64_t& floor,
+               std::uint64_t v) {
     telemetry::count(telemetry::Counter::k_enq_attempt);
-    if (size_.fetch_add(1, std::memory_order_acq_rel) >=
-        static_cast<std::uint64_t>(cap_)) {
-      size_.fetch_sub(1, std::memory_order_acq_rel);
-      return false;
-    }
-    Node* n = new Node();
-    n->value.store(v, std::memory_order_relaxed);
     reclaim::EpochDomain::ThreadHandle::Guard g(h);
+    Node* n = nullptr;
     for (;;) {
       Node* t = h.protect(0, tail_);
       Node* next = t->next.load(std::memory_order_acquire);
@@ -92,6 +99,23 @@ class MichaelScottQueue {
         tail_.compare_exchange_strong(t, next);
         continue;
       }
+      if (t->pos >= floor + cap_) {
+        Node* hd = head_.load(std::memory_order_seq_cst);
+        floor = hd->pos;
+        if (t->pos >= floor + cap_) {
+          if (t->next.load(std::memory_order_acquire) == nullptr &&
+              head_.load(std::memory_order_seq_cst) == hd) {
+            delete n;
+            return false;  // full
+          }
+          continue;
+        }
+      }
+      if (n == nullptr) {
+        n = new Node();
+        n->value.store(v, std::memory_order_relaxed);
+      }
+      n->pos = t->pos + 1;
       Node* expected = nullptr;
       if (t->next.compare_exchange_strong(expected, n,
                                           std::memory_order_acq_rel,
@@ -122,7 +146,6 @@ class MichaelScottQueue {
       const std::uint64_t v = next->value.load(std::memory_order_acquire);
       Node* expected = hd;
       if (head_.compare_exchange_strong(expected, next)) {
-        size_.fetch_sub(1, std::memory_order_acq_rel);
         h.retire(hd, sizeof(Node), &Node::destroy);
         out = v;
         return true;
@@ -135,7 +158,6 @@ class MichaelScottQueue {
   reclaim::EpochDomain domain_;
   alignas(64) std::atomic<Node*> head_{nullptr};
   alignas(64) std::atomic<Node*> tail_{nullptr};
-  alignas(64) std::atomic<std::uint64_t> size_{0};
 };
 
 }  // namespace membq

@@ -87,8 +87,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  membq::bench::Harness harness("server", static_cast<int>(rest.size()),
-                                rest.data());
+  membq::bench::Harness harness(
+      "server", static_cast<int>(rest.size()), rest.data(),
+      membq::bench::param::kThreads | membq::bench::param::kOps);
   cfg.ops_per_conn = harness.ops(10000);
 
   std::printf("# membq_loadgen -> %s:%u  ops/conn=%zu batch=%zu "

@@ -6,19 +6,33 @@
 //
 //   * head_/tail_ are CAS-advanced segment pointers; the chain is
 //     append-only, so both only ever move forward along it.
-//   * within a segment, enqueuers claim write tickets and dequeuers claim
-//     read tickets by fetch_add; a slot goes kEmpty -> value (enqueue CAS)
-//     or kEmpty -> kPoison (a dequeuer that outran its enqueuer burns the
-//     ticket and the enqueuer retries at a later slot). Segments are used
-//     once and retired — no in-place wraparound, so no ABA on slots.
+//   * every slot has a position: its segment's `base` plus its index.
+//     Within a segment, enqueuers claim runs of slots by CAS on `enq` and
+//     dequeuers claim read tickets by fetch_add on `deq`; a slot goes
+//     kEmpty -> value (enqueue CAS) or kEmpty -> kPoison (a dequeuer that
+//     outran its enqueuer, or a full verdict that found the enqueuer
+//     stalled, burns it, and the enqueuer's value moves on to its next
+//     claimed slot). Segments are used once and retired — no in-place
+//     wraparound, so no ABA on slots.
 //   * a drained segment is unlinked by the head CAS and handed to the
 //     reclamation domain; the dequeuer helps tail_ past the segment first,
 //     so a retired segment is never reachable from either root (the
 //     invariant the hazard-pointer validation loop relies on).
 //
-// Boundedness uses the same approximate reservation counter as the
-// Michael–Scott baseline: an enqueue reserves its values in size_ up
-// front and backs out the part past capacity.
+// Boundedness comes from positions, not from a size counter: each
+// handle claims only below its claim limit, a position that leaves room
+// for at most C values from the dequeue position on. Both verdicts count
+// values, never claims, which makes them exact: "empty" is every claim
+// already taken by a dequeue, and "full" is C values from the dequeue
+// position on (full_or_limit), where a claim still unfilled after
+// kHelpPatience is burned. An enqueue counts once its value lands in a
+// slot, so a claimer stalled between its claim and its CAS is in neither
+// verdict. The burn-on-lateness idiom is LCRQ's (Morrison & Afek,
+// PPoPP'13).
+//
+// Hazard slots (HazardDomain): slot 0 holds head_'s segment, for the
+// dequeue and for the full verdict's walk; slot 1 holds tail_'s segment
+// for the enqueue, and the segment the walk is in.
 //
 // Values must keep bit 63 clear (the kEmpty/kPoison encodings), the same
 // contract as the DCSS-managed words elsewhere in membq.
@@ -33,6 +47,7 @@
 
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
+#include "sync/backoff.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
@@ -50,6 +65,10 @@ template <>
 struct LockFreeSegmentQueueName<reclaim::HazardDomain> {
   static constexpr char value[] = "segment(L1,hp)";
 };
+
+// Defined by the tests only: it claims a slot and never fills it, and
+// reads slots by position.
+struct LockFreeSegmentQueuePeer;
 
 template <class Domain = reclaim::EpochDomain>
 class LockFreeSegmentQueue {
@@ -108,9 +127,26 @@ class LockFreeSegmentQueue {
     return domain_.retired_bytes();
   }
 
+ private:
+  static constexpr std::uint64_t kNoPosition = ~std::uint64_t{0};
+
+  // An enqueuing handle's view of the positions from the dequeue
+  // position D on. Every position below `end`, from the D of the walk
+  // that set it, was seen settled: a value or burned. A settled slot
+  // keeps its state until a dequeue takes its ticket, so the next full
+  // verdict resumes the walk at `end` instead of at D.
+  struct Claims {
+    std::uint64_t limit;  // first position this handle may not claim
+    std::uint64_t end = 0;
+    std::uint64_t dead = 0;  // burned positions below end ...
+    std::uint64_t first_dead = kNoPosition;  // ... none of them below this
+  };
+
+ public:
   class Handle {
    public:
-    explicit Handle(LockFreeSegmentQueue& q) : q_(q), h_(q.domain_) {}
+    explicit Handle(LockFreeSegmentQueue& q)
+        : q_(q), h_(q.domain_), claims_{q.cap_} {}
 
     // Scalar ops are bulk(n=1): each direction has exactly one body.
     bool try_enqueue(std::uint64_t v) { return try_enqueue_bulk(&v, 1) == 1; }
@@ -118,7 +154,7 @@ class LockFreeSegmentQueue {
       return try_dequeue_bulk(&out, 1) == 1;
     }
     std::size_t try_enqueue_bulk(const std::uint64_t* vs, std::size_t n) {
-      return q_.enqueue_bulk(h_, vs, n);
+      return q_.enqueue_bulk(h_, claims_, vs, n);
     }
     std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) {
       return q_.dequeue_bulk(h_, out, n);
@@ -130,14 +166,17 @@ class LockFreeSegmentQueue {
    private:
     LockFreeSegmentQueue& q_;
     typename Domain::ThreadHandle h_;
+    Claims claims_;
   };
 
  private:
   friend class Handle;
+  friend struct LockFreeSegmentQueuePeer;
 
   struct Segment {
     std::atomic<Segment*> next{nullptr};
-    alignas(64) std::atomic<std::uint64_t> enq{0};  // next write ticket
+    std::uint64_t base = 0;  // position of slot 0; written before publication
+    alignas(64) std::atomic<std::uint64_t> enq{0};  // slots claimed (<= K)
     alignas(64) std::atomic<std::uint64_t> deq{0};  // next read ticket
 
     std::atomic<std::uint64_t>* slots() noexcept {
@@ -173,13 +212,132 @@ class LockFreeSegmentQueue {
     return s;
   }
 
-  // Enqueue: ONE size_ reservation covers the whole accepted prefix, and
-  // the fast path grabs write tickets in ranges (`enq.fetch_add(m)`, m = 1
-  // for a single value). Each claimed ticket does its kEmpty → value CAS;
-  // a poisoned slot just moves the pending value to the next ticket.
-  // After the reservation succeeds the enqueue cannot fail, so the
-  // return value is the reservation's accepted prefix.
-  std::size_t enqueue_bulk(typename Domain::ThreadHandle& h,
+  // The dequeue position: the first position whose read ticket no
+  // dequeue holds. Only head_'s segment hands out tickets, so the read
+  // is exact while head_ is `hd`.
+  std::uint64_t dequeue_position(Segment* hd) const noexcept {
+    const std::uint64_t d = hd->deq.load(std::memory_order_acquire);
+    return hd->base + (d < seg_size_ ? d : seg_size_);
+  }
+
+  // The slow path of an enqueue whose claims reached its limit: the full
+  // verdict (true), or a new claim limit (false). `t` is the tail segment
+  // the caller protected and `claimed` its `enq` as the caller loaded it.
+  // Reads the dequeue position D at one instant, then walks on from
+  // `c.end`, counting values and burned slots. A claimed slot still
+  // unfilled after kHelpPatience pauses belongs to a stalled claimer and
+  // is burned: its value has not counted yet, and moves on to its
+  // claimer's next slot.
+  //   * C values from D on is the full verdict: at the D read if the walk
+  //     saw all of them before it, else at the walk's end if D has not
+  //     moved, since values never leave a slot a dequeue has not reached.
+  //   * An unclaimed position ends the walk: every position before it
+  //     is a value or dead for good, so at most C minus the values
+  //     counted can land from there on, and the limit becomes
+  //     D + C + the burned positions from D on. In t, a slot at or past
+  //     `claimed` counts as unclaimed: if a claim has taken it since, the
+  //     new limit is only smaller than it could be, and the caller comes
+  //     back with a fresh `claimed`.
+  // The walk state survives the call, so a repeat verdict reads only the
+  // slots settled since; it starts over at D only when D has passed
+  // `c.end` or a burned position (their count from D on is then unknown).
+  // Burning, rather than filling, a stalled claim keeps every value at a
+  // position its own enqueue claimed, so position order respects the
+  // real-time order of enqueues.
+  bool full_or_limit(typename Domain::ThreadHandle& h, Claims& c, Segment* t,
+                     std::uint64_t claimed) {
+    for (;;) {
+      Segment* const hd = h.protect(0, head_);
+      const std::uint64_t pos0 = dequeue_position(hd);
+      if (head_.load(std::memory_order_acquire) != hd) continue;
+      if (pos0 > c.end || pos0 > c.first_dead) {
+        c.end = pos0;
+        c.dead = 0;
+        c.first_dead = kNoPosition;
+      }
+      std::uint64_t values = c.end - pos0 - c.dead;
+      if (values >= cap_) return true;
+
+      // Start at t when it holds c.end or lies between hd and c.end, else
+      // at hd. t is usable only while slot 1 still protects it, that is,
+      // until the walk's first step.
+      Segment* s = t != nullptr && t->base >= hd->base && t->base <= c.end
+                       ? t
+                       : hd;
+      bool unclaimed = false;
+      while (values < cap_) {
+        if (c.end >= s->base + seg_size_) {
+          Segment* next = s->next.load(std::memory_order_acquire);
+          if (next == nullptr) {
+            unclaimed = true;
+            break;
+          }
+          // hd still head_ after the publication keeps next unretired.
+          h.set(1, next);
+          t = nullptr;
+          if (head_.load(std::memory_order_acquire) != hd) break;
+          s = next;
+          continue;
+        }
+        const std::uint64_t j = c.end - s->base;
+        if (s == t && j >= claimed) {
+          unclaimed = true;
+          break;
+        }
+        auto& slot = s->slots()[j];
+        std::uint64_t cur = slot.load(std::memory_order_acquire);
+        if (cur == kEmpty) {
+          if (s != t && j >= s->enq.load(std::memory_order_acquire)) {
+            unclaimed = true;
+            break;
+          }
+          for (std::uint32_t k = 0; cur == kEmpty && k < kHelpPatience; ++k) {
+            detail::cpu_relax();
+            cur = slot.load(std::memory_order_acquire);
+          }
+          // A failed burn leaves what landed first in cur.
+          if (cur == kEmpty &&
+              slot.compare_exchange_strong(cur, kPoison,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+            cur = kPoison;
+          }
+        }
+        if (cur != kPoison) {
+          ++values;
+        } else if (c.dead++ == 0) {
+          c.first_dead = c.end;
+        }
+        ++c.end;
+      }
+      if (unclaimed) {
+        c.limit = pos0 + cap_ + c.dead;
+        return false;
+      }
+      if (values >= cap_ && head_.load(std::memory_order_acquire) == hd &&
+          dequeue_position(hd) == pos0) {
+        return true;
+      }
+      // head_ or D moved: what the walk saw stays settled, so read D
+      // again and go on from c.end.
+    }
+  }
+
+  // Enqueue: claim a run of the tail segment with one CAS of `enq` (m = 1
+  // for a single value), then CAS each claimed slot kEmpty → value. A
+  // claimed slot found burned (by a dequeuer that outran us, or by a full
+  // verdict that found us stalled) moves the pending value on to the next
+  // claimed one. A run ending at the segment end appends a fresh segment
+  // with as much of the batch pre-installed as fits, so one append CAS
+  // fills those positions.
+  //
+  // Claims stop before the handle's claim limit, which keeps at most C
+  // values from the dequeue position on. When the claims reach it,
+  // full_or_limit() gives the full verdict or a new limit. A value counts
+  // once its slot CAS lands, never at the claim, so a stalled claimer is
+  // in neither verdict. Returns the accepted prefix; stops at the full
+  // verdict.
+  std::size_t enqueue_bulk(typename Domain::ThreadHandle& h, Claims& c,
                            const std::uint64_t* vs, std::size_t n) {
     telemetry::count(telemetry::Counter::k_enq_attempt);
     if (n == 0) return 0;
@@ -188,48 +346,40 @@ class LockFreeSegmentQueue {
       assert((vs[i] & kEmpty) == 0 && "bit 63 is reserved for slot encodings");
     }
 #endif
-    // One reservation for the batch; back out the part past capacity.
-    const std::uint64_t old = size_.fetch_add(n, std::memory_order_acq_rel);
-    std::size_t accept = 0;
-    if (old < static_cast<std::uint64_t>(cap_)) {
-      const std::uint64_t room = static_cast<std::uint64_t>(cap_) - old;
-      accept = room < n ? static_cast<std::size_t>(room) : n;
-    }
-    if (accept < n) {
-      size_.fetch_sub(n - accept, std::memory_order_acq_rel);
-    }
-    if (accept == 0) return 0;
-
     typename Domain::ThreadHandle::Guard g(h);
     std::size_t placed = 0;
-    while (placed < accept) {
-      Segment* t = h.protect(0, tail_);
-      // Fast path: room in the tail segment. next can only become non-null
-      // after enq reached seg_size_, so a ticket below the limit never
-      // needs to look at it.
+    while (placed < n) {
+      Segment* t = h.protect(1, tail_);
       std::uint64_t i = t->enq.load(std::memory_order_acquire);
-      if (i < seg_size_) {
-        // Ticket-range grab: claim up to the remaining batch in one FAA.
-        // Tickets past seg_size_ are overshoot and fall through to the
-        // slow path on the next iteration.
-        const std::size_t want = accept - placed;
-        const std::uint64_t avail = seg_size_ - i;
-        const std::uint64_t m =
-            want < avail ? static_cast<std::uint64_t>(want) : avail;
-        i = t->enq.fetch_add(m, std::memory_order_acq_rel);
-        for (std::uint64_t j = i; j < i + m && j < seg_size_; ++j) {
+      const std::uint64_t lim =
+          c.limit <= t->base ? 0
+          : c.limit - t->base < seg_size_
+              ? c.limit - t->base
+              : static_cast<std::uint64_t>(seg_size_);
+      if (i < lim) {
+        const std::uint64_t want = static_cast<std::uint64_t>(n - placed);
+        const std::uint64_t m = lim - i < want ? lim - i : want;
+        if (!t->enq.compare_exchange_strong(i, i + m,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+          telemetry::count(telemetry::Counter::k_cas_fail);
+          continue;
+        }
+        auto* sl = t->slots();
+        for (std::uint64_t j = i; j < i + m; ++j) {
           std::uint64_t empty = kEmpty;
-          if (t->slots()[j].compare_exchange_strong(
-                  empty, vs[placed], std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
+          if (sl[j].compare_exchange_strong(empty, vs[placed],
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
             ++placed;
-            if (placed == accept) break;
           } else {
-            // Poisoned by an impatient dequeuer; the value moves on to
-            // the next claimed ticket.
             telemetry::count(telemetry::Counter::k_cas_fail);
           }
         }
+        continue;
+      }
+      if (i < seg_size_ || c.limit <= t->base + seg_size_) {
+        if (full_or_limit(h, c, t, i)) break;
         continue;
       }
       Segment* next = t->next.load(std::memory_order_acquire);
@@ -238,18 +388,19 @@ class LockFreeSegmentQueue {
         tail_.compare_exchange_strong(t, next);
         continue;
       }
-      // Segment exhausted: append a fresh one with as much of the pending
-      // batch pre-installed as fits, so the winning appender finishes
-      // those enqueues in the same step.
+      // t is claimed to its end and last: append, pre-installing as much
+      // of the batch as fits and the limit allows.
+      const std::uint64_t e = t->base + seg_size_;
+      std::size_t m = n - placed < seg_size_ ? n - placed : seg_size_;
+      if (c.limit - e < m) m = static_cast<std::size_t>(c.limit - e);
       Segment* s = alloc_segment();
-      const std::size_t m = accept - placed < seg_size_ ? accept - placed
-                                                        : seg_size_;
-      for (std::size_t j = 0; j < m; ++j) {
+      for (std::size_t k = 0; k < m; ++k) {
         // Relaxed is sound here: s is still thread-private; the release
         // half of the append CAS below publishes these stores to anyone
         // who acquires next (and, transitively, tail_/head_).
-        s->slots()[j].store(vs[placed + j], std::memory_order_relaxed);
+        s->slots()[k].store(vs[placed + k], std::memory_order_relaxed);
       }
+      s->base = e;
       s->enq.store(m, std::memory_order_relaxed);
       Segment* expected = nullptr;
       if (t->next.compare_exchange_strong(expected, s,
@@ -263,14 +414,16 @@ class LockFreeSegmentQueue {
       telemetry::count(telemetry::Counter::k_cas_fail);
       tail_.compare_exchange_strong(t, expected);
     }
-    return accept;
+    return placed;
   }
 
   // Dequeue: grab read tickets in ranges (`deq.fetch_add(take)`, take = 1
-  // for a single value) and decrement size_ ONCE per round. Each claimed
-  // ticket spins for its value, then poisons an absent enqueuer; burned
-  // tickets yield no value and the loop claims more. Returns the received
-  // prefix; stops at the empty verdict.
+  // for a single value) up to the claims. Each claimed ticket spins for
+  // its value, then burns (kEmpty → kPoison) a ticket whose enqueuer is
+  // absent; burned tickets yield no value and the loop claims more. Every
+  // claim below `enq` taken by a dequeue, and nothing claimed past it, is
+  // the empty verdict: values only land in claimed slots. Returns the
+  // received prefix; stops at the empty verdict.
   std::size_t dequeue_bulk(typename Domain::ThreadHandle& h,
                            std::uint64_t* out, std::size_t n) {
     telemetry::count(telemetry::Counter::k_deq_attempt);
@@ -281,9 +434,8 @@ class LockFreeSegmentQueue {
       Segment* hd = h.protect(0, head_);
       const std::uint64_t d = hd->deq.load(std::memory_order_acquire);
       const std::uint64_t e = hd->enq.load(std::memory_order_acquire);
-      const std::uint64_t lim = e < seg_size_ ? e : seg_size_;
-      if (d >= lim) {
-        if (lim < seg_size_) break;  // head segment not yet full: empty
+      if (d >= e) {
+        if (e < seg_size_) break;  // head segment not yet claimed out: empty
         Segment* next = hd->next.load(std::memory_order_acquire);
         if (next == nullptr) break;  // fully drained, nothing after
         // Help tail_ past hd before unlinking it: a retired segment must
@@ -296,24 +448,21 @@ class LockFreeSegmentQueue {
         }
         continue;
       }
-      // Ticket-range grab: up to the published window in one FAA. Tickets
-      // past seg_size_ are overshoot; the drained path above handles them.
+      // Ticket-range grab: up to the claims in one FAA. Tickets past
+      // seg_size_ are overshoot; the drained path above handles them.
       const std::uint64_t want = static_cast<std::uint64_t>(n - got);
-      const std::uint64_t avail = lim - d;
-      const std::uint64_t take = want < avail ? want : avail;
+      const std::uint64_t take = want < e - d ? want : e - d;
       const std::uint64_t i =
           hd->deq.fetch_add(take, std::memory_order_acq_rel);
-      std::size_t round = 0;
       for (std::uint64_t j = i; j < i + take && j < seg_size_; ++j) {
         auto& slot = hd->slots()[j];
         std::uint64_t v = slot.load(std::memory_order_acquire);
         for (int spin = 0; v == kEmpty && spin < kSpinsBeforePoison; ++spin) {
           // One yield near the end of the spin window: if the missing
-          // enqueuer was preempted between its ticket and its slot CAS
+          // enqueuer was preempted between its claim and its slot CAS
           // (guaranteed on a single CPU), this lets the value land
           // instead of burning the ticket and cascading segment churn.
-          // Progress never depends on it — the poison path stays
-          // lock-free.
+          // Progress never depends on it — the burn path stays lock-free.
           if (spin == kSpinsBeforePoison / 2) std::this_thread::yield();
           v = slot.load(std::memory_order_acquire);
         }
@@ -324,14 +473,11 @@ class LockFreeSegmentQueue {
                                            std::memory_order_acquire)) {
             continue;  // ticket burned; its enqueuer retries elsewhere
           }
-          v = empty;  // the CAS lost because the value just landed
+          v = empty;  // the CAS lost: the value landed, or a full verdict
+                      // burned the ticket first
         }
-        out[got + round] = v;
-        ++round;
-      }
-      if (round > 0) {
-        got += round;
-        size_.fetch_sub(round, std::memory_order_acq_rel);
+        if (v == kPoison) continue;
+        out[got++] = v;
       }
     }
     return got;
@@ -342,7 +488,6 @@ class LockFreeSegmentQueue {
   Domain domain_;
   alignas(64) std::atomic<Segment*> head_{nullptr};
   alignas(64) std::atomic<Segment*> tail_{nullptr};
-  alignas(64) std::atomic<std::uint64_t> size_{0};
 };
 
 using EbrSegmentQueue = LockFreeSegmentQueue<reclaim::EpochDomain>;

@@ -1,9 +1,11 @@
-// Lock-freedom of the ticket rings with one worker frozen mid-operation
-// (tests/frozen_worker.hpp). A thread that finds a served ticket under a
-// lagging counter waits up to kHelpPatience pauses per call for the
-// ticket's owner before it steps the counter itself (help_advance,
-// sync/counter.hpp). Only that bound keeps the rings lock-free: when the
-// owner is frozen, every other call must still finish.
+// Lock-freedom of the ticket rings and the lock-free L1 with one worker
+// frozen mid-operation (tests/frozen_worker.hpp). A thread that finds a
+// served ticket under a lagging counter waits up to kHelpPatience pauses
+// per call for the ticket's owner before it steps the counter itself
+// (help_advance, sync/counter.hpp). The L1's full verdict waits as long
+// for a claimed slot to fill before it burns the claim. Only those bounds
+// keep the queues lock-free: when the owner is frozen, every other call
+// must still finish.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "queues/dcss_queue.hpp"
 #include "queues/distinct_queue.hpp"
 #include "queues/llsc_queue.hpp"
+#include "queues/lockfree_segment_queue.hpp"
 
 namespace {
 
@@ -38,6 +41,20 @@ TEST(FrozenWorkerTest, DcssRingOthersCompleteOps) {
 TEST(FrozenWorkerTest, ScqRingOthersCompleteOps) {
   expect_progress_while_one_worker_is_frozen(
       [] { return std::make_unique<membq::ScqRing>(2); });
+}
+
+// K=1: every position is a segment of its own, so a freeze can land
+// between a claim and its fill, mid-append or mid-walk.
+TEST(FrozenWorkerTest, SegmentEbrOthersCompleteOps) {
+  expect_progress_while_one_worker_is_frozen([] {
+    return std::make_unique<membq::EbrSegmentQueue>(2, /*seg_size=*/1, 5);
+  });
+}
+
+TEST(FrozenWorkerTest, SegmentHpOthersCompleteOps) {
+  expect_progress_while_one_worker_is_frozen([] {
+    return std::make_unique<membq::HpSegmentQueue>(2, /*seg_size=*/1, 5);
+  });
 }
 
 }  // namespace

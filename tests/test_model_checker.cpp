@@ -275,6 +275,16 @@ TEST(ModelCheckerTest, RecordedHistoriesLinearizableRepeatingValues) {
   }
 }
 
+// michael-scott's full verdict reads tail.pos - head.pos at one instant
+// and its empty verdict reads head->next, so neither counts a pending
+// enqueue. C=2 keeps the queue at its bound through most of the run.
+TEST(MichaelScottTest, RecordedHistoriesLinearizable) {
+  membq::model::expect_linearizable_histories(
+      [] { return std::make_unique<membq::MichaelScottQueue>(2, kThreads); },
+      /*capacity=*/2, /*threads=*/3, /*ops_per_thread=*/6,
+      {21, 22, 23, 24, 25});
+}
+
 // ---- Role rings (SPSC / MPSC / SPMC) ------------------------------------
 //
 // Not registry rows (the registry drives unrestricted MPMC mixes, which

@@ -1,8 +1,10 @@
 // Reclaim subsystem: epoch advancement and hazard-scan correctness, the
 // accounting contract (ReclaimCounter / per-domain backlog), multi-thread
 // churn stress (UAF shows up under ASan, races under TSan, leaks via the
-// counting allocator), and lock-free L1 specifics including a Wing–Gong
-// linearizability smoke over real recorded histories.
+// counting allocator), and lock-free L1 specifics: a Wing–Gong
+// linearizability smoke over real recorded histories, and the full
+// verdict's burn of a stalled claim and its resumed walk, driven by a test
+// peer.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -21,8 +23,35 @@
 #include "reclaim/hazard.hpp"
 #include "reclaim/reclaim.hpp"
 
+namespace membq {
+
+// Reaches into a LockFreeSegmentQueue for single-threaded tests only (the
+// queue befriends it): claims a slot the way an enqueuer does and never
+// fills it, and finds slots by position.
+struct LockFreeSegmentQueuePeer {
+  // Claims the next slot of tail_'s segment, which must have one, and
+  // returns it unfilled: its claimer stalls for good.
+  template <class Q>
+  static std::atomic<std::uint64_t>& claim_and_stall(Q& q) {
+    auto* t = q.tail_.load();
+    const std::uint64_t i = t->enq.fetch_add(1);
+    EXPECT_LT(i, q.seg_size());
+    return t->slots()[i];
+  }
+
+  template <class Q>
+  static std::atomic<std::uint64_t>& slot_at(Q& q, std::uint64_t pos) {
+    auto* s = q.head_.load();
+    while (pos >= s->base + q.seg_size()) s = s->next.load();
+    return s->slots()[pos - s->base];
+  }
+};
+
+}  // namespace membq
+
 namespace {
 
+using membq::LockFreeSegmentQueuePeer;
 using membq::reclaim::EpochDomain;
 using membq::reclaim::HazardDomain;
 using membq::reclaim::ReclaimCounter;
@@ -355,6 +384,75 @@ TEST(LockFreeSegmentTest, RetiredBacklogVisibleDuringDrain) {
   }
   EXPECT_EQ(q.retired_bytes(), 0u)
       << "flush with no concurrent pins must drain the whole backlog";
+}
+
+// A claim whose enqueuer never fills it is burned by the full verdict
+// after kHelpPatience pauses, and the claim limit moves past it: the queue
+// still takes C values, and its claimer's late slot CAS fails.
+template <class Domain>
+void full_verdict_burns_a_stalled_claim() {
+  using Q = membq::LockFreeSegmentQueue<Domain>;
+  Q q(/*capacity=*/4, /*seg_size=*/2, /*max_threads=*/2);
+  auto& stalled = LockFreeSegmentQueuePeer::claim_and_stall(q);  // position 0
+  typename Q::Handle h(q);
+  for (std::uint64_t v = 1; v <= 3; ++v) ASSERT_TRUE(h.try_enqueue(v));
+  // Positions 0-3 reach the handle's first limit, C = 4: this enqueue's
+  // full verdict walks from position 0, finds its claim unfilled and
+  // burns it, so the limit becomes 5.
+  EXPECT_TRUE(h.try_enqueue(4));
+  EXPECT_EQ(stalled.load(), Q::kPoison);
+  EXPECT_FALSE(h.try_enqueue(5)) << "four values fill a capacity-4 queue";
+  std::uint64_t empty = Q::kEmpty;
+  EXPECT_FALSE(stalled.compare_exchange_strong(empty, 99))
+      << "the stalled claimer's late slot CAS must fail";
+  std::uint64_t out = 0;
+  for (std::uint64_t v = 1; v <= 4; ++v) {
+    ASSERT_TRUE(h.try_dequeue(out));
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_FALSE(h.try_dequeue(out));
+}
+
+TEST(LockFreeSegmentTest, FullVerdictBurnsAStalledClaim) {
+  full_verdict_burns_a_stalled_claim<EpochDomain>();
+  full_verdict_burns_a_stalled_claim<HazardDomain>();
+}
+
+// A handle's repeat full verdicts resume where its last walk ended and
+// read no slot that walk saw settled. The peer blanks a value behind that
+// end: a walk that read it again would wait for it, burn it and accept the
+// enqueue. A dequeue frees one position, so the next enqueue lands and the
+// one after it reads only that position.
+template <class Domain>
+void repeat_full_verdicts_read_no_settled_slot() {
+  using Q = membq::LockFreeSegmentQueue<Domain>;
+  constexpr std::uint64_t kCap = 64;
+  Q q(kCap, /*seg_size=*/8, /*max_threads=*/2);
+  typename Q::Handle h(q);
+  std::uint64_t next = 1;
+  for (std::uint64_t i = 0; i < kCap; ++i) ASSERT_TRUE(h.try_enqueue(next++));
+  ASSERT_FALSE(h.try_enqueue(next));  // the first verdict walks all C
+  auto& blank = LockFreeSegmentQueuePeer::slot_at(q, kCap / 2);
+  const std::uint64_t kept = blank.exchange(Q::kEmpty);
+  for (int r = 0; r < 1000; ++r) {
+    ASSERT_FALSE(h.try_enqueue(next)) << "refusal " << r;
+  }
+  std::uint64_t expect = 1, out = 0;
+  for (int r = 0; r < 16; ++r) {
+    ASSERT_TRUE(h.try_dequeue(out));
+    EXPECT_EQ(out, expect++);
+    ASSERT_TRUE(h.try_enqueue(next++));
+    ASSERT_FALSE(h.try_enqueue(next)) << "round " << r;
+  }
+  EXPECT_EQ(blank.load(), Q::kEmpty) << "a refusal re-read a settled slot";
+  blank.store(kept);
+  while (h.try_dequeue(out)) EXPECT_EQ(out, expect++);
+  EXPECT_EQ(expect, next);
+}
+
+TEST(LockFreeSegmentTest, RepeatFullVerdictsReadNoSettledSlot) {
+  repeat_full_verdicts_read_no_settled_slot<EpochDomain>();
+  repeat_full_verdicts_read_no_settled_slot<HazardDomain>();
 }
 
 // Recorded real-thread histories, checked by the Wing–Gong bounded-queue
