@@ -2,15 +2,9 @@
 // overhead for every queue across capacity and thread sweeps, with the
 // inferred Θ-class next to the paper's claimed class.
 //
-// Paper's claims (who is in which class):
-//   distinct(L2), llsc(L3, algorithmic), mutex, spsc     -> Θ(1)
-//   dcss(L4), optimal(L5)                                -> Θ(T)
-//   vyukov, scq                                          -> Θ(C)
-//   michael-scott                                        -> Θ(n) ~ Θ(C) full
-//   segment(L1)                                          -> Θ(C/K + T·K)
-//
-// We do not match absolute bytes with anyone — the *shape* (flat vs linear,
-// and in which parameter) is the reproduction target.
+// The claimed class of each row comes from workload/rows.hpp. We do not
+// match absolute bytes with anyone — the *shape* (flat vs linear, and in
+// which parameter) is the reproduction target.
 
 #include <cstdio>
 #include <string>
@@ -19,44 +13,9 @@
 #include "harness.hpp"
 #include "metrics/overhead.hpp"
 #include "workload/registry.hpp"
+#include "workload/rows.hpp"
 
 namespace {
-
-struct Claim {
-  const char* queue;
-  const char* claimed;
-};
-
-constexpr Claim kClaims[] = {
-    {"optimal(L5)", "Theta(T)"},    {"distinct(L2)", "Theta(1)"},
-    {"llsc(L3)", "Theta(1)"},       {"dcss(L4)", "Theta(T)"},
-    {"segment(L1)", "Theta(C/K+TK)"}, {"vyukov(perslot-seq)", "Theta(C)"},
-    {"scq(faa-ring)", "Theta(C)"},  {"michael-scott", "Theta(n)"},
-    {"mutex(seq+lock)", "Theta(1)"},
-    // Lock-free L1 keeps the paper's composite class; the SMR backlog is
-    // reported in its own column and excluded from the inference.
-    {"segment(L1,ebr)", "Theta(C/K+TK)"},
-    {"segment(L1,hp)", "Theta(C/K+TK)"},
-    // Lock-free L5 keeps the Θ(T) class: one announcement record per
-    // slot and the DCSS descriptor pool are Θ(T), and nothing else is
-    // allocated. Records are recycled by sequence, never retired, so its
-    // retired_B column is 0 — there is no backlog left out of the
-    // verdict. The two rows are registry spellings of one class.
-    {"optimal(L5,lf,ebr)", "Theta(T)"},
-    {"optimal(L5,lf,hp)", "Theta(T)"},
-    // Sharded rows keep the base row's class: N is a constant, so N
-    // shards of capacity C/N preserve the shape (N×Θ(C/N) = Θ(C); the
-    // segment base keeps its composite class, reported informationally).
-    {"sharded(vyukov,4)", "Theta(C)"},
-    {"sharded(segment-ebr,4)", "Theta(C/K+TK)"},
-};
-
-const char* claimed_for(const std::string& name) {
-  for (const auto& c : kClaims) {
-    if (name == c.queue) return c.claimed;
-  }
-  return "?";
-}
 
 void record_rows(membq::bench::Harness& h, const char* sweep,
                  const std::vector<membq::metrics::OverheadRow>& rows) {
@@ -124,11 +83,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < queues.size(); ++i) {
     const auto cls = membq::metrics::classify(c_sweeps[i], t_sweeps[i]);
     const std::string measured = membq::metrics::to_string(cls);
-    const std::string claimed = claimed_for(queues[i].name);
+    const std::string& claimed = queues[i].claim;
     // Segment queue's composite class and MS's Θ(n) don't map onto the
     // four simple classes; report them informationally.
     const bool informational =
-        claimed == "Theta(C/K+TK)" || claimed == "Theta(n)";
+        membq::workload::composite_claim(claimed.c_str());
     const bool match = measured == claimed;
     std::printf("%-24s %-14s %-14s %s\n", queues[i].name.c_str(),
                 measured.c_str(), claimed.c_str(),

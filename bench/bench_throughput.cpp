@@ -8,11 +8,10 @@
 
 #include <cstdio>
 
-#include "baselines/role_rings.hpp"
-#include "baselines/spsc_ring.hpp"
 #include "harness.hpp"
 #include "workload/driver.hpp"
 #include "workload/registry.hpp"
+#include "workload/rows.hpp"
 
 int main(int argc, char** argv) {
   using namespace membq::workload;
@@ -25,31 +24,20 @@ int main(int argc, char** argv) {
   const std::size_t kOps = harness.ops(200000);
 
   std::printf("=== E12: SPSC relaxation (Discussion §5, restriction 1) ===\n");
-  // The SPSC ring runs the pairwise mix with exactly 2 threads; compare
-  // with the general MPMC queues on the same workload.
+  // The pairwise mix at T=2 runs one producer thread and one consumer
+  // thread, within every role ring's contract; the general MPMC queues run
+  // the same workload.
   RunConfig cfg;
   cfg.threads = 2;
   cfg.ops_per_thread = kOps;
   cfg.mix = Mix::kPairwise;
   cfg.prefill = kCapacity / 2;
-  {
-    membq::SpscRing q(kCapacity);
-    const RunResult r = run_workload(q, cfg);
+  for_each_role_row([&](auto row) {
+    auto q = row.make(kCapacity, cfg.threads, 0);
+    const RunResult r = run_workload(*q, cfg);
     std::printf("%s\n", r.format().c_str());
     harness.record("e12/" + r.queue).from(r);
-  }
-  {
-    membq::MpscRing q(kCapacity);  // T=2 pairwise: exactly one consumer
-    const RunResult r = run_workload(q, cfg);
-    std::printf("%s\n", r.format().c_str());
-    harness.record("e12/" + r.queue).from(r);
-  }
-  {
-    membq::SpmcRing q(kCapacity);  // T=2 pairwise: exactly one producer
-    const RunResult r = run_workload(q, cfg);
-    std::printf("%s\n", r.format().c_str());
-    harness.record("e12/" + r.queue).from(r);
-  }
+  });
   for (const auto& q : all_queues()) {
     const RunResult r = q.run(kCapacity, cfg);
     std::printf("%s\n", r.format().c_str());

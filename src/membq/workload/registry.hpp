@@ -1,5 +1,6 @@
 // Registry of every general-purpose (MPMC) queue in membq, with uniform
-// run and overhead entry points so the benches can sweep them all.
+// run and overhead entry points so the benches can sweep them all. The
+// rows and their order come from workload/rows.hpp.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,7 @@ namespace workload {
 
 struct QueueSpec {
   std::string name;
+  std::string claim;  // E9's claimed class (workload/rows.hpp)
 
   // Build a fresh instance with the given capacity and run the workload.
   std::function<RunResult(std::size_t capacity, const RunConfig& cfg)> run;
@@ -28,18 +30,9 @@ struct QueueSpec {
       overhead;
 };
 
-// The nine queues of the E9 table in the paper's order (L5, L2, L3, L4,
-// L1, then the baselines), plus the lock-free realizations: the two
-// lock-free L5 rows — optimal(L5,lf,ebr) and optimal(L5,lf,hp), two
-// names of one class — right after the combining L5 baseline, and the
-// two lock-free L1 rows — segment(L1,ebr) and segment(L1,hp) — right
-// after the mutex L1 row, plus the sharded elastic layer rows —
-// sharded(vyukov,4) and sharded(segment-ebr,4) — at the end. The sharded
-// rows are relaxed-FIFO (per-producer-per-shard FIFO, exactly-once, no
-// loss — docs/sharding.md), not globally linearizable; the model checker
-// treats them accordingly.
-// `max_threads` bounds how many handles the Θ(T)-sized designs (and the
-// SMR domains) provision when run() constructs them.
+// One spec per row of workload/rows.hpp, in its order. `max_threads`
+// bounds how many handles the Θ(T)-sized designs (and the SMR domains)
+// provision when run() constructs them.
 std::vector<QueueSpec> all_queues(std::size_t max_threads = 64);
 
 // Type-erased queue for consumers configured at runtime by name (the net/

@@ -22,6 +22,7 @@
 // guard (the reason the lock-free L5 vacate needs its DCSS shield).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -29,6 +30,8 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -480,9 +483,62 @@ void check_sharded_relaxed_fifo(SQ& q, std::size_t threads,
       << ")";
 }
 
+// A history for a failure message: one line per operation in invocation
+// order, with its thread, call, verdict and [invoked, responded] stamps.
+inline std::string describe(const adversary::History& hist) {
+  std::vector<std::size_t> order(hist.ops.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return hist.ops[a].invoked < hist.ops[b].invoked;
+  });
+  std::ostringstream out;
+  for (std::size_t i : order) {
+    const adversary::Operation& op = hist.ops[i];
+    out << "  t" << op.thread << ' ';
+    if (op.kind == adversary::OpKind::kEnqueue) {
+      out << "enq(" << op.value << ") -> " << (op.ok ? "ok" : "full");
+    } else if (op.ok) {
+      out << "deq() -> " << op.value;
+    } else {
+      out << "deq() -> empty";
+    }
+    out << " [" << op.invoked << ", " << op.responded << "]\n";
+  }
+  return out.str();
+}
+
+// Which verdict a history that does not linearize got wrong: each refused
+// call (a full or an empty verdict) whose removal lets the rest linearize
+// was a false full or a false empty. Refusals change no state, so the
+// rest is still a history of the same queue.
+inline std::string explain_refusals(const adversary::History& hist,
+                                    std::size_t capacity) {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < hist.ops.size(); ++i) {
+    const adversary::Operation& op = hist.ops[i];
+    if (op.ok) continue;
+    adversary::History rest = hist;
+    rest.ops.erase(rest.ops.begin() + static_cast<std::ptrdiff_t>(i));
+    if (!adversary::check_bounded_queue(rest, capacity).linearizable) {
+      continue;
+    }
+    const bool enq = op.kind == adversary::OpKind::kEnqueue;
+    out << "a false " << (enq ? "full" : "empty") << ": without t"
+        << op.thread << "'s refused " << (enq ? "enqueue" : "dequeue")
+        << " at [" << op.invoked << ", " << op.responded
+        << "] the history linearizes\n";
+  }
+  const std::string found = out.str();
+  return found.empty() ? "no single refused call's removal makes it "
+                         "linearize\n"
+                       : found;
+}
+
 // Record one history per seed on a fresh queue from `make` and assert
-// every one linearizes against the bounded-queue spec. `roles` restricts
-// per-thread operations for the role-contract rings (empty = MPMC).
+// every one linearizes against the bounded-queue spec; a failure prints
+// the history and the verdict it got wrong (explain_refusals). `roles`
+// restricts per-thread operations for the role-contract rings (empty =
+// MPMC).
 template <class MakeQueue>
 void expect_linearizable_histories(MakeQueue make, std::size_t capacity,
                                    std::size_t threads,
@@ -496,7 +552,9 @@ void expect_linearizable_histories(MakeQueue make, std::size_t capacity,
         record_history(*q, threads, ops_per_thread, seed, values, roles);
     const auto res = adversary::check_bounded_queue(hist, capacity);
     ASSERT_FALSE(res.history_too_large) << "seed " << seed;
-    EXPECT_TRUE(res.linearizable) << "seed " << seed;
+    EXPECT_TRUE(res.linearizable)
+        << "seed " << seed << ": " << explain_refusals(hist, capacity)
+        << describe(hist);
   }
 }
 

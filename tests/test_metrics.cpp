@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "queue_rows.hpp"
 #include "workload/registry.hpp"
 
 namespace {
@@ -84,65 +85,50 @@ TEST(FormatTableTest, ContainsHeaderAndEveryRow) {
 }
 
 // The paper's central claims, measured end-to-end through the counting
-// allocator on reduced sweeps: each representative queue must land in its
-// claimed Θ-class.
-class MeasuredClassTest : public ::testing::Test {
- protected:
-  static ThetaClass measured_class(const std::string& name) {
-    const auto queues = membq::workload::all_queues(/*max_threads=*/16);
-    for (const auto& spec : queues) {
-      if (spec.name != name) continue;
-      std::vector<OverheadRow> c_sweep, t_sweep;
-      for (std::size_t c : {64, 256, 1024, 4096}) {
-        c_sweep.push_back(spec.overhead(c, 8));
-      }
-      for (std::size_t t : {2, 4, 8, 16}) {
-        t_sweep.push_back(spec.overhead(512, t));
-      }
-      return classify(c_sweep, t_sweep);
+// allocator on reduced sweeps: the registry row `name`'s class.
+ThetaClass measured_class(const std::string& name) {
+  for (const auto& spec : membq::workload::all_queues(/*max_threads=*/16)) {
+    if (spec.name != name) continue;
+    std::vector<OverheadRow> c_sweep, t_sweep;
+    for (std::size_t c : {64, 256, 1024, 4096}) {
+      c_sweep.push_back(spec.overhead(c, 8));
     }
-    ADD_FAILURE() << "queue not registered: " << name;
-    return ThetaClass::kOne;
+    for (std::size_t t : {2, 4, 8, 16}) {
+      t_sweep.push_back(spec.overhead(512, t));
+    }
+    return classify(c_sweep, t_sweep);
   }
-};
-
-TEST_F(MeasuredClassTest, OptimalQueueIsThetaT) {
-  EXPECT_EQ(measured_class("optimal(L5)"), ThetaClass::kT);
+  ADD_FAILURE() << "queue not registered: " << name;
+  return ThetaClass::kOne;
 }
 
-TEST_F(MeasuredClassTest, LockFreeOptimalQueueIsThetaT) {
-  // The lock-free realization must keep the memory class: announcement
-  // array, DCSS descriptors, and SMR slots are all Θ(T), and the retired
-  // record backlog is excluded via the retired_B column.
-  EXPECT_EQ(measured_class("optimal(L5,lf,ebr)"), ThetaClass::kT);
-  EXPECT_EQ(measured_class("optimal(L5,lf,hp)"), ThetaClass::kT);
-}
+// MeasuredClassTest.<stem>Is<claim>, one test per row whose claim E9
+// checks: the row lands in its claimed class. The Θ(T) rows' announcement
+// records, DCSS descriptors and SMR slots are all Θ(T), and an SMR backlog
+// is left out through the retired_B column.
+[[maybe_unused]] const bool kMeasuredClassRegistered =
+    membq::rows_test::register_per_row(
+        "MeasuredClassTest",
+        [](auto row) {
+          return row.claim != nullptr &&
+                 !membq::workload::composite_claim(row.claim);
+        },
+        [](auto row) {
+          // Theta(T) reads IsThetaT and Theta(1) IsThetaOne; a row with
+          // aux bytes (llsc's emulation stamps) holds its class beyond them.
+          const std::string claim = row.claim;
+          return "Is" +
+                 (claim == membq::workload::kThetaOne
+                      ? std::string("ThetaOne")
+                      : membq::rows_test::test_stem(claim)) +
+                 (row.aux == membq::workload::no_aux ? "" : "BeyondEmulation");
+        },
+        [](auto row) {
+          EXPECT_EQ(membq::metrics::to_string(measured_class(row.name)),
+                    row.claim);
+        });
 
-TEST_F(MeasuredClassTest, DcssQueueIsThetaT) {
-  EXPECT_EQ(measured_class("dcss(L4)"), ThetaClass::kT);
-}
-
-TEST_F(MeasuredClassTest, DistinctQueueIsThetaOne) {
-  EXPECT_EQ(measured_class("distinct(L2)"), ThetaClass::kOne);
-}
-
-TEST_F(MeasuredClassTest, LlscQueueIsThetaOneBeyondEmulation) {
-  EXPECT_EQ(measured_class("llsc(L3)"), ThetaClass::kOne);
-}
-
-TEST_F(MeasuredClassTest, MutexRingIsThetaOne) {
-  EXPECT_EQ(measured_class("mutex(seq+lock)"), ThetaClass::kOne);
-}
-
-TEST_F(MeasuredClassTest, VyukovQueueIsThetaC) {
-  EXPECT_EQ(measured_class("vyukov(perslot-seq)"), ThetaClass::kC);
-}
-
-TEST_F(MeasuredClassTest, ScqRingIsThetaC) {
-  EXPECT_EQ(measured_class("scq(faa-ring)"), ThetaClass::kC);
-}
-
-TEST_F(MeasuredClassTest, MichaelScottGrowsWithLiveElements) {
+TEST(MeasuredClassTest, MichaelScottGrowsWithLiveElements) {
   // Full queue: node-per-element shows up as capacity-linear growth.
   const ThetaClass cls = measured_class("michael-scott");
   EXPECT_TRUE(cls == ThetaClass::kC || cls == ThetaClass::kCT);

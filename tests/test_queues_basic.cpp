@@ -1,25 +1,22 @@
-// Single-threaded semantics for every queue: FIFO order, full and empty
-// behavior, and wraparound across many ring rounds.
+// Single-threaded semantics: FIFO order, full and empty behavior, and
+// wraparound across many ring rounds, on every linearizable row and role
+// ring of workload/rows.hpp; then the L1 overhead model and the ring
+// handles' counter floors.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/michael_scott.hpp"
-#include "baselines/mutex_ring.hpp"
-#include "baselines/role_rings.hpp"
 #include "baselines/scq_ring.hpp"
-#include "baselines/spsc_ring.hpp"
-#include "baselines/vyukov_queue.hpp"
 #include "common/counting_alloc.hpp"
 #include "core/lockfree_optimal_queue.hpp"
-#include "core/optimal_queue.hpp"
+#include "queue_rows.hpp"
 #include "queues/dcss_queue.hpp"
 #include "queues/distinct_queue.hpp"
 #include "queues/llsc_queue.hpp"
-#include "queues/lockfree_segment_queue.hpp"
 #include "queues/segment_queue.hpp"
 #include "telemetry/counters.hpp"
 #include "workload/bulk.hpp"
@@ -64,153 +61,34 @@ void check_wraparound(Q& q, std::size_t cap) {
   }
 }
 
-TEST(QueueBasicTest, DistinctQueueFifoFullEmpty) {
-  membq::DistinctQueue q(8);
-  check_fifo_full_empty(q, 8);
-}
+using membq::rows_test::for_each_queue_row;
+using membq::rows_test::kLinearizableRow;
+using membq::rows_test::register_per_row;
 
-TEST(QueueBasicTest, LlscQueueFifoFullEmpty) {
-  membq::LlscQueue q(8);
-  check_fifo_full_empty(q, 8);
-}
+// The relaxed rows keep no global FIFO order, so these two checks run on
+// the linearizable rows; the relaxed rows' single-handle check is the
+// per-shard replay of ModelCheckerTest.
 
-TEST(QueueBasicTest, DcssQueueFifoFullEmpty) {
-  membq::DcssQueue q(8, 4);
-  check_fifo_full_empty(q, 8);
-}
+// QueueBasicTest.<stem>FifoFullEmpty, one test per row. K=3 on the L1
+// rows: a segment size that does not divide C.
+[[maybe_unused]] const bool kFifoFullEmptyRegistered = register_per_row(
+    "QueueBasicTest", kLinearizableRow, [](auto) { return "FifoFullEmpty"; },
+    [](auto row) {
+      auto q = row.make(8, /*threads=*/4, /*seg_size=*/3);
+      check_fifo_full_empty(*q, 8);
+    });
 
-TEST(QueueBasicTest, OptimalQueueFifoFullEmpty) {
-  membq::OptimalQueue q(8, 4);
-  check_fifo_full_empty(q, 8);
-}
-
-// EbrOptimalQueue and HpOptimalQueue are the benchmark's two spellings of
-// the one lock-free L5 class; each keeps its test until the alias goes.
-TEST(QueueBasicTest, LockFreeOptimalEbrFifoFullEmpty) {
-  membq::EbrOptimalQueue q(8, 4);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, LockFreeOptimalHpFifoFullEmpty) {
-  membq::HpOptimalQueue q(8, 4);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, SegmentQueueFifoFullEmpty) {
-  membq::SegmentQueue q(8, 3);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, LockFreeSegmentEbrFifoFullEmpty) {
-  membq::LockFreeSegmentQueue<membq::reclaim::EpochDomain> q(8, 3, 4);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, LockFreeSegmentHpFifoFullEmpty) {
-  membq::LockFreeSegmentQueue<membq::reclaim::HazardDomain> q(8, 3, 4);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, VyukovQueueFifoFullEmpty) {
-  membq::VyukovQueue q(8);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, ScqRingFifoFullEmpty) {
-  membq::ScqRing q(8);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, MichaelScottFifoFullEmpty) {
-  membq::MichaelScottQueue q(8);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, MutexRingFifoFullEmpty) {
-  membq::MutexRing q(8);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, SpscRingFifoFullEmpty) {
-  membq::SpscRing q(8);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, MpscRingFifoFullEmpty) {
-  membq::MpscRing q(8);
-  check_fifo_full_empty(q, 8);
-}
-
-TEST(QueueBasicTest, SpmcRingFifoFullEmpty) {
-  membq::SpmcRing q(8);
-  check_fifo_full_empty(q, 8);
-}
-
+// The lock-free L5 cycles every cell through its round-versioned bottoms
+// and re-announces the handle's record per op; on the L1 rows (K=2) every
+// round turns segments over, through the reclamation domain on the
+// lock-free chain.
 TEST(QueueBasicTest, WraparoundAllQueues) {
-  {
-    membq::DistinctQueue q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::LlscQueue q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::DcssQueue q(4, 2);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::OptimalQueue q(4, 2);
-    check_wraparound(q, 4);
-  }
-  {
-    // Wraparound on the lock-free L5 cycles every cell through its
-    // round-versioned bottoms and re-announces the handle's record per op.
-    membq::LockFreeOptimalQueue q(4, 2);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::SegmentQueue q(4, 2);
-    check_wraparound(q, 4);
-  }
-  {
-    // Wraparound on the lock-free chain is pure segment churn: every
-    // round retires segments through the reclamation domain.
-    membq::LockFreeSegmentQueue<membq::reclaim::EpochDomain> q(4, 2, 4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::LockFreeSegmentQueue<membq::reclaim::HazardDomain> q(4, 2, 4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::VyukovQueue q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::ScqRing q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::MichaelScottQueue q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::MutexRing q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::SpscRing q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::MpscRing q(4);
-    check_wraparound(q, 4);
-  }
-  {
-    membq::SpmcRing q(4);
-    check_wraparound(q, 4);
-  }
+  for_each_queue_row([](auto row) {
+    if (!kLinearizableRow(row)) return;
+    SCOPED_TRACE(row.name);
+    auto q = row.make(4, /*threads=*/2, /*seg_size=*/2);
+    check_wraparound(*q, 4);
+  });
 }
 
 TEST(QueueBasicTest, SegmentQueuePredictedOverheadModelShape) {

@@ -1,28 +1,23 @@
-// Multithreaded safety for every queue: nothing lost, nothing duplicated,
-// and per-producer FIFO order preserved end to end.
+// Multithreaded safety: nothing lost, nothing duplicated, and
+// per-producer FIFO order preserved end to end, on every row and role
+// ring of workload/rows.hpp; then the bulk bodies' counter advances.
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/michael_scott.hpp"
-#include "baselines/mutex_ring.hpp"
-#include "baselines/role_rings.hpp"
 #include "baselines/scq_ring.hpp"
-#include "baselines/spsc_ring.hpp"
-#include "baselines/vyukov_queue.hpp"
 #include "common/barrier.hpp"
 #include "core/lockfree_optimal_queue.hpp"
-#include "core/optimal_queue.hpp"
+#include "queue_rows.hpp"
 #include "queues/dcss_queue.hpp"
 #include "queues/distinct_queue.hpp"
 #include "queues/llsc_queue.hpp"
-#include "queues/lockfree_segment_queue.hpp"
-#include "queues/segment_queue.hpp"
 #include "workload/driver.hpp"
 
 namespace {
@@ -38,10 +33,11 @@ std::uint64_t encode(std::size_t producer, std::uint64_t seq) {
 //   no loss        — every pushed value arrives,
 //   no duplication — nothing arrives twice,
 //   producer FIFO  — each producer's sequence arrives in increasing order
-//                    at each consumer (prefix-merge property of a FIFO).
+//                    at each consumer (prefix-merge property of a FIFO),
+//                    when `producer_fifo` is set.
 template <class Q>
 void run_mpmc_audit(Q& q, std::size_t producers, std::size_t consumers,
-                    std::uint64_t per_producer) {
+                    std::uint64_t per_producer, bool producer_fifo) {
   const std::uint64_t total = producers * per_producer;
   std::atomic<std::uint64_t> consumed{0};
   std::atomic<bool> fifo_violation{false};
@@ -77,7 +73,8 @@ void run_mpmc_audit(Q& q, std::size_t producers, std::size_t consumers,
         sink.push_back(v);
         const std::size_t producer = (v >> 32) - 1;
         const auto seq = static_cast<std::int64_t>(v & kSeqMask);
-        if (producer >= producers || seq <= last[producer]) {
+        if (producer >= producers ||
+            (producer_fifo && seq <= last[producer])) {
           fifo_violation.store(true);
         }
         last[producer] = seq;
@@ -100,130 +97,58 @@ void run_mpmc_audit(Q& q, std::size_t producers, std::size_t consumers,
   }
 }
 
-constexpr std::size_t kCap = 64;
-constexpr std::uint64_t kPerProducer = 3000;
+using membq::rows_test::capacity_for;
+using membq::rows_test::for_each_queue_row;
+using membq::rows_test::kAnyRow;
+using membq::rows_test::register_per_row;
 
-TEST(QueueConcurrentTest, DistinctQueueMpmc) {
-  membq::DistinctQueue q(kCap);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
+// The audit on one row, `items` values in all: two producers and two
+// consumers, or for a role ring one thread in its single role and three
+// in the other. A relaxed row keeps per-producer FIFO only within each
+// shard, which a consumer stealing across shards does not see in order,
+// so it runs without that check, and with the capacity per shard.
+template <class R>
+void audit_row(R row, std::size_t cap, std::size_t threads,
+               std::size_t seg_size, std::uint64_t items) {
+  const std::size_t producers =
+      row.single_producer ? 1 : row.single_consumer ? 3 : 2;
+  const std::size_t consumers =
+      row.single_consumer ? 1 : row.single_producer ? 3 : 2;
+  auto q = row.make(capacity_for<R>(cap), threads, seg_size);
+  run_mpmc_audit(*q, producers, consumers, items / producers,
+                 R::contract == membq::workload::Contract::kLinearizable);
 }
 
-TEST(QueueConcurrentTest, LlscQueueMpmc) {
-  membq::LlscQueue q(kCap);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
+// The audit's name for a row's thread roles.
+template <class R>
+const char* audit_roles(const R& row) {
+  if (row.single_producer && row.single_consumer) return "Pairwise";
+  if (row.single_consumer) return "ManyProducersOneConsumer";
+  if (row.single_producer) return "OneProducerManyConsumers";
+  return "Mpmc";
 }
 
-TEST(QueueConcurrentTest, DcssQueueMpmc) {
-  membq::DcssQueue q(kCap, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, OptimalQueueMpmc) {
-  membq::OptimalQueue q(kCap, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-// The benchmark's two spellings of the one lock-free L5 class.
-TEST(QueueConcurrentTest, LockFreeOptimalEbrMpmc) {
-  membq::EbrOptimalQueue q(kCap, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, LockFreeOptimalHpMpmc) {
-  membq::HpOptimalQueue q(kCap, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, SegmentQueueMpmc) {
-  membq::SegmentQueue q(kCap, 8, 4);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, LockFreeSegmentEbrMpmc) {
-  membq::LockFreeSegmentQueue<membq::reclaim::EpochDomain> q(kCap, 8, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, LockFreeSegmentHpMpmc) {
-  membq::LockFreeSegmentQueue<membq::reclaim::HazardDomain> q(kCap, 8, 8);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, VyukovQueueMpmc) {
-  membq::VyukovQueue q(kCap);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, ScqRingMpmc) {
-  membq::ScqRing q(kCap);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, MichaelScottMpmc) {
-  membq::MichaelScottQueue q(kCap);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, MutexRingMpmc) {
-  membq::MutexRing q(kCap);
-  run_mpmc_audit(q, 2, 2, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, MpscRingManyProducersOneConsumer) {
-  membq::MpscRing q(kCap);
-  run_mpmc_audit(q, 3, 1, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, SpmcRingOneProducerManyConsumers) {
-  membq::SpmcRing q(kCap);
-  run_mpmc_audit(q, 1, 3, kPerProducer);
-}
-
-TEST(QueueConcurrentTest, SpscRingPairwise) {
-  membq::SpscRing q(kCap);
-  run_mpmc_audit(q, 1, 1, 3 * kPerProducer);
-}
+// QueueConcurrentTest.<stem>Mpmc, one test per row (a role ring's name
+// says its roles instead). K=8 on the L1 rows.
+[[maybe_unused]] const bool kMpmcRegistered = register_per_row(
+    "QueueConcurrentTest", kAnyRow,
+    [](const auto& row) { return audit_roles(row); },
+    [](auto row) {
+      audit_row(row, 64, /*threads=*/8, /*seg_size=*/8, /*items=*/9000);
+    });
 
 // A tiny ring under full thread contention crosses round boundaries
 // constantly — the regime where stale-CAS bugs (Theorem 3.12's weapon)
-// would surface as loss or duplication.
+// would surface as loss or duplication — on every row and role ring. At
+// capacity 2 every lock-free L5 vacate is one round away from the
+// staleness window its DCSS guard closes; at K=1 every enqueue on an L1
+// row appends a segment and every drain retires one, the most pressure
+// on the reclamation domain.
 TEST(QueueConcurrentTest, TinyRingHighChurnAllPaperQueues) {
-  {
-    membq::DistinctQueue q(2);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    membq::LlscQueue q(2);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    membq::DcssQueue q(2, 8);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    membq::OptimalQueue q(2, 8);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    membq::SegmentQueue q(2, 1, 2);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    // Capacity 2 wraps the lock-free L5 ring constantly: every vacate is
-    // one round away from the staleness window its DCSS guard closes.
-    membq::LockFreeOptimalQueue q(2, 8);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    // seg_size 1: every successful enqueue appends a segment and every
-    // drain retires one — maximum pressure on the reclamation domain.
-    membq::LockFreeSegmentQueue<membq::reclaim::EpochDomain> q(2, 1, 8);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
-  {
-    membq::LockFreeSegmentQueue<membq::reclaim::HazardDomain> q(2, 1, 8);
-    run_mpmc_audit(q, 2, 2, 1500);
-  }
+  for_each_queue_row([](auto row) {
+    SCOPED_TRACE(row.name);
+    audit_row(row, 2, /*threads=*/8, /*seg_size=*/1, /*items=*/3000);
+  });
 }
 
 // A bulk op claims cells t0..t0+k-1 and then advances its counter once

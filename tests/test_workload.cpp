@@ -10,6 +10,8 @@
 
 #include "baselines/mutex_ring.hpp"
 #include "baselines/spsc_ring.hpp"
+#include "workload/bulk.hpp"
+#include "workload/rows.hpp"
 
 namespace {
 
@@ -81,19 +83,19 @@ TEST(WorkloadDriverTest, FormatMentionsQueueAndMix) {
   EXPECT_NE(line.find("Mops/s"), std::string::npos);
 }
 
-TEST(WorkloadRegistryTest, HasTheNinePaperQueuesPlusLockFreeAndShardedRows) {
-  const auto queues = membq::workload::all_queues();
-  ASSERT_EQ(queues.size(), 15u);
-  std::set<std::string> names;
-  for (const auto& q : queues) names.insert(q.name);
-  for (const char* expected :
-       {"optimal(L5)", "optimal(L5,lf,ebr)", "optimal(L5,lf,hp)",
-        "distinct(L2)", "llsc(L3)", "dcss(L4)", "segment(L1)",
-        "segment(L1,ebr)", "segment(L1,hp)", "vyukov(perslot-seq)",
-        "scq(faa-ring)", "michael-scott", "mutex(seq+lock)",
-        "sharded(vyukov,4)", "sharded(segment-ebr,4)"}) {
-    EXPECT_TRUE(names.count(expected)) << "missing " << expected;
-  }
+// workload/bulk.hpp's per-item fallback serves exactly the combining L5,
+// michael-scott and mutex: every other row's Handle has native bulk bodies
+// in both directions, llsc(L3), dcss(L4) and the lock-free L5 included.
+TEST(WorkloadRegistryTest, OnlyCombiningL5MichaelScottAndMutexLackNativeBulk) {
+  using namespace membq::workload::bulk_detail;
+  const std::set<std::string> fallback = {"optimal(L5)", "michael-scott",
+                                          "mutex(seq+lock)"};
+  membq::workload::for_each_row([&](auto row) {
+    using H = typename decltype(row)::Queue::Handle;
+    const bool native = fallback.count(row.name) == 0;
+    EXPECT_EQ(has_enqueue_bulk<H>::value, native) << row.name;
+    EXPECT_EQ(has_dequeue_bulk<H>::value, native) << row.name;
+  });
 }
 
 TEST(WorkloadRegistryTest, EveryQueueRunsEveryMix) {
