@@ -14,6 +14,11 @@
 //
 // The protocol is the ticket scheme of queues/distinct_queue.hpp with the
 // bottom encoding factored out; each step() is one shared load/CAS/store.
+// It leaves out distinct(L2)'s dequeue gate, which vacates ticket h only
+// once tail_ > h and helps tail_ past a written ticket h first: the
+// mirror's dequeue reads tail_ before the cell and reports empty while
+// tail_ ≤ h. No schedule here turns on that gate, and the handles' counter
+// floors are left out too.
 #pragma once
 
 #include <cstddef>

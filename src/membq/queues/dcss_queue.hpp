@@ -1,45 +1,56 @@
-// L4 — bounded ring protected by DCSS on the positioning counters, Θ(T).
+// L4 — bounded ring whose dequeue vacates by DCSS on the head counter, Θ(T).
 //
-// Cells are plain 64-bit words holding a value or a single reserved ⊥; no
-// per-cell versions. A slot write is a DCSS whose second comparand is the
-// positioning counter (tail for enqueue, head for dequeue), so a thread
-// that slept through a ring round cannot land a stale CAS — the scenario
-// Theorem 3.12 uses to kill constant-overhead CAS rings. The memory price
-// is the DCSS descriptor pool: one descriptor per thread, Θ(T). The ⊥
-// carries no round, so a dequeuer vacates ticket h only once tail has
-// passed h (it helps tail first); the enqueue DCSS's tail comparand then
-// rejects any second enqueuer holding ticket h.
+// Cells are plain 64-bit words holding a value or a round-versioned ⊥_r
+// (bit 62 plus the round r = ticket / C, as in the lock-free L5); bit 63
+// is the DCSS marker bit. A cell's ⊥ never recurs (⊥_r → v → ⊥_{r+1} →
+// …), so an enqueue claims ticket t with one CAS ⊥_{t/C} → v, and a
+// stale enqueuer's CAS misses once the cell has moved on. The one
+// transition a round cannot guard is the dequeue's vacate v → ⊥_{r+1}:
+// values may repeat, so a dequeuer that slept through a ring round can
+// find the value it expects back in its cell — the stale CAS Theorem 3.12
+// uses to kill constant-overhead CAS rings. So the vacate is a DCSS whose
+// second comparand is head_, and it lands only while head_ still holds
+// the dequeuer's ticket. The memory price is the DCSS descriptor pool:
+// one descriptor per thread, Θ(T). A dequeuer vacates ticket h only once
+// tail_ has passed h (it helps tail_ first), so head_ never passes
+// tail_: otherwise an enqueuer that read tail_ = h under a head_ past it
+// would find its fullness gate t − head wrapped and report full.
 //
 // Bulk ops have L2's shape: the first claim is the whole scalar protocol,
 // further cells t0+1, t0+2, … are claimed one at a time under the same
 // gates and floors, and the counter then advances once, to at least
 // t0+k. A scalar op is a bulk op of one. A claim past the first cannot
-// use its ticket as the comparand: our own unadvanced claim holds the
-// counter back, anywhere in [t0, t]. So it takes a fresh counter load
-// made after the cell read, checks it, and passes it as the comparand:
-//   * enqueue: τ = tail_ ≤ t, then DCSS(⊥ → v, tail_ == τ). The ⊥ names
-//     no round: had ticket t been written and served while our claim sat
-//     unadvanced, the ⊥ would be ready for t+C. Serving t needs tail_ > t
-//     first, and tail_ == τ ≤ t at the DCSS's linearization point.
+// confirm its ticket against the counter, which our own unadvanced claim
+// holds back anywhere in [t0, t]:
+//   * enqueue: the CAS ⊥_{t/C} → v needs no check. Had ticket t been
+//     written and served while our claim sat unadvanced, the cell would
+//     hold ⊥_{t/C+1}, and the CAS misses.
 //   * dequeue: vacate ticket h only once tail_ > h (the rule above), then
-//     η = head_ ≤ h and DCSS(v → ⊥, head_ == η): L2's wrap bracket, and
-//     it also rejects a round-(r+1) re-enqueue of an equal value, since
-//     that enqueue must first see head_ > h.
+//     η = head_ ≤ h and DCSS(v → ⊥_{h/C+1}, head_ == η): L2's wrap
+//     bracket, and it also rejects a round-(r+1) re-enqueue of an equal
+//     value, since that enqueue must first see head_ > h.
 // Each claim past the first is one attempt, as in L2 and L3: a failed
-// check or DCSS cuts the batch.
+// check, CAS or DCSS cuts the batch.
 //
 // Help is patient, as in L2 and L3: a thread that finds a served ticket
 // under a lagging counter polls the counter for up to kHelpPatience
 // pauses per call (help_advance, sync/counter.hpp) before it steps it.
 // The lag is usually a bulk claim still in flight. Stepping past it at
-// once moves the counter off the comparand τ or η of its owner's next
-// DCSS, which then fails and cuts the batch.
+// once races its owner for the next cell, or moves head_ off the
+// comparand η of its owner's next DCSS, and cuts the batch.
 //
-// Memory orders (policy `O`, default RingOrders): the cell transitions go
-// through BasicDcssDomain<O> — read() is an acquire of the cell, dcss()
-// resolves with a release, and its verdict reads the counter inside the
-// marker window (pairings annotated in sync/dcss.cpp). The counters here
-// follow the same pairing as the other rings:
+// Memory orders (policy `O`, default RingOrders):
+//   * cell read: domain_.read() — an acquire load of the cell that first
+//     helps any DCSS marker it finds out of the way (sync/dcss.cpp).
+//   * enqueue CAS ⊥_r → v: acq_rel on success, as in L2 — the release
+//     half publishes v to the dequeuer's acquire read(), the acquire half
+//     orders the CAS after the counter loads that justified it. Relaxed
+//     on failure: the claim is retried from fresh loads or the batch is
+//     cut. No DCSS expects a ⊥, so a marker sits only on a cell holding a
+//     value, never on the ⊥ this CAS expects.
+//   * vacate DCSS v → ⊥_{r+1}: BasicDcssDomain<O> — it resolves with a
+//     release, and its verdict reads head_ inside the marker window
+//     (pairings annotated in sync/dcss.cpp).
 //   * head_/tail_ load: acquire — pairs with advance_counter()'s release.
 //   * counter floors: as in the L3 ring, each Handle keeps the last value
 //     it loaded of the other role's counter and reloads it (the acquire
@@ -51,21 +62,21 @@
 //     descriptor pool alone.
 //   * advance_counter() CAS loop (sync/counter.hpp): release on success,
 //     relaxed on failure (helping race lost, nothing observed); it moves
-//     the counter to at least seen+k. The DCSS verdict load reads the
-//     counter with O::acquire inside the marker window; this release is
-//     what the window observes.
+//     the counter to at least seen+k. The DCSS verdict load reads head_
+//     with O::acquire inside the marker window; this release is what the
+//     window observes.
 //   * help_advance() poll (sync/counter.hpp): relaxed loads of the
 //     lagging counter while it still reads the served ticket. They only
 //     decide whether to keep waiting: the step taken once the budget is
 //     spent is advance_counter() above, and a counter seen to move is
 //     re-read by the acquire load above before it is used.
-//   * continuation comparands (above): τ and η are acquire loads made
-//     after the domain read of the cell. The DCSS compares the counter
-//     again inside its marker window, so a claim lands only if the
-//     counter still holds the checked value at its linearization point.
+//   * wrap bracket (above): η is an acquire load made after the domain
+//     read of the cell. The DCSS compares head_ again inside its marker
+//     window, so a vacate lands only if head_ still holds η at its
+//     linearization point.
 //   * full/empty verdicts rely on counter/cell freshness beyond the
 //     pairings (per-location coherence; see sync/memory_order.hpp). The
-//     stale-ticket protection itself does NOT: that is the DCSS second
+//     stale-vacate protection itself does NOT: that is the DCSS second
 //     comparand, which is what this design exists to demonstrate.
 #pragma once
 
@@ -86,8 +97,9 @@ template <class O = RingOrders>
 class BasicDcssQueue {
  public:
   static constexpr char kName[] = "dcss(L4)";
-  // Bit 63 is the DCSS marker bit; ⊥ lives just below it.
-  static constexpr std::uint64_t kBot = std::uint64_t{1} << 62;
+  // Bit 63 is the DCSS marker bit; bit 62 flags a ⊥, whose low bits hold
+  // its round. Values stay below it.
+  static constexpr std::uint64_t kBotFlag = std::uint64_t{1} << 62;
 
   explicit BasicDcssQueue(
       std::size_t capacity,
@@ -96,8 +108,8 @@ class BasicDcssQueue {
         cells_(std::make_unique<std::atomic<std::uint64_t>[]>(capacity)),
         domain_(max_threads) {
     assert(capacity > 0);
-    // Pre-publication initialization.
-    for (std::size_t i = 0; i < cap_; ++i) cells_[i].store(kBot, O::init);
+    // Pre-publication initialization: every cell starts at ⊥_0.
+    for (std::size_t i = 0; i < cap_; ++i) cells_[i].store(kBotFlag, O::init);
   }
 
   std::size_t capacity() const noexcept { return cap_; }
@@ -115,14 +127,14 @@ class BasicDcssQueue {
       return try_dequeue_bulk(&out, 1) == 1;
     }
 
-    // Enqueue: claim tickets t0, t0+1, … by ⊥ → v DCSSes, then advance
-    // tail_ once over the claimed range. Inlined, so that at a scalar call
-    // site (n = 1) the continuation folds away and the first claim is the
-    // whole op.
+    // Enqueue: claim tickets t0, t0+1, … by ⊥_round → v CASes, then
+    // advance tail_ once over the claimed range. Inlined, so that at a
+    // scalar call site (n = 1) the continuation folds away and the first
+    // claim is the whole op.
     [[gnu::always_inline]] std::size_t try_enqueue_bulk(
         const std::uint64_t* vs, std::size_t n) noexcept {
       if (n == 0) return 0;
-      assert(vs[0] < kBot && "values must stay below the reserved range");
+      assert(vs[0] < kBotFlag && "values must stay below the reserved range");
       telemetry::count(telemetry::Counter::k_enq_attempt);
       Backoff backoff;
       std::uint32_t patience = kHelpPatience;  // help_advance budget
@@ -133,18 +145,24 @@ class BasicDcssQueue {
         // (header).
         const std::uint64_t t = q.tail_.load(O::acquire);
         if (t - head_floor_ >= q.cap_) reload_floor<O>(q.head_, head_floor_);
-        const std::uint64_t cur = q.domain_.read(&q.cells_[t % q.cap_]);
+        const std::uint64_t round = t / q.cap_;
+        std::atomic<std::uint64_t>& cell = q.cells_[t % q.cap_];
+        std::uint64_t cur = q.domain_.read(&cell);
         if (t != q.tail_.load(O::acquire)) continue;
-        if (cur == kBot) {
+        if (is_bot(cur)) {
           // Fullness gate on the empty-cell path: ⊥ may mean a vacated
-          // cell whose dequeuer has not yet advanced head (the DCSS only
-          // guards tail, not head).
+          // cell whose dequeuer has not yet advanced head. Writing then
+          // would land a wrapped value under a head ticket another
+          // dequeuer may still serve.
           if (t - head_floor_ >= q.cap_) return 0;
-          if (th_.dcss(&q.cells_[t % q.cap_], kBot, vs[0], &q.tail_, t)) {
-            t0 = t;
-            break;
+          if (cur == bot(round)) {
+            if (cell.compare_exchange_strong(cur, vs[0], O::acq_rel,
+                                             O::relaxed)) {
+              t0 = t;
+              break;
+            }
+            telemetry::count(telemetry::Counter::k_cas_fail);
           }
-          telemetry::count(telemetry::Counter::k_cas_fail);
           backoff.pause();
           continue;
         }
@@ -159,14 +177,15 @@ class BasicDcssQueue {
           reload_floor<O>(q.head_, head_floor_);
           if (t - head_floor_ >= q.cap_) break;  // full
         }
-        std::atomic<std::uint64_t>* cell = &q.cells_[t % q.cap_];
-        if (q.domain_.read(cell) != kBot) break;  // ticket t taken
-        // Round check (see the header): τ ≤ t after the cell read, and
-        // the DCSS lands only while tail_ still holds τ.
-        const std::uint64_t tau = q.tail_.load(O::acquire);
-        if (tau > t) break;  // ticket t may be written and served
-        assert(vs[k] < kBot && "values must stay below the reserved range");
-        if (!th_.dcss(cell, kBot, vs[k], &q.tail_, tau)) {
+        const std::uint64_t round = t / q.cap_;
+        std::atomic<std::uint64_t>& cell = q.cells_[t % q.cap_];
+        std::uint64_t cur = q.domain_.read(&cell);
+        // Only ticket t's own ⊥ passes (see the header): one written and
+        // served under our unadvanced claim left ⊥_{t/C+1}.
+        if (cur != bot(round)) break;  // ticket t taken
+        assert(vs[k] < kBotFlag && "values must stay below the reserved range");
+        if (!cell.compare_exchange_strong(cur, vs[k], O::acq_rel,
+                                          O::relaxed)) {
           telemetry::count(telemetry::Counter::k_cas_fail);
           break;
         }
@@ -189,18 +208,19 @@ class BasicDcssQueue {
       for (;;) {  // first item: the whole protocol at n=1
         const std::uint64_t h = q.head_.load(O::acquire);
         if (tail_floor_ <= h) reload_floor<O>(q.tail_, tail_floor_);
-        const std::uint64_t cur = q.domain_.read(&q.cells_[h % q.cap_]);
+        const std::uint64_t round = h / q.cap_;
+        std::atomic<std::uint64_t>& cell = q.cells_[h % q.cap_];
+        const std::uint64_t cur = q.domain_.read(&cell);
         if (h != q.head_.load(O::acquire)) continue;
-        if (cur != kBot) {
+        if (!is_bot(cur)) {
           // Tail still at h: ticket h's enqueuer has written but not yet
-          // advanced tail. Help it before vacating (see the header): a ⊥
-          // under a current ticket passes a second enqueuer's tail
-          // comparand.
+          // advanced tail. Help it before vacating (see the header), so
+          // head_ never passes tail_.
           if (tail_floor_ <= h) {
             help_advance<O>(q.tail_, tail_floor_, patience);
             continue;
           }
-          if (th_.dcss(&q.cells_[h % q.cap_], cur, kBot, &q.head_, h)) {
+          if (th_.dcss(&cell, cur, bot(round + 1), &q.head_, h)) {
             out[0] = cur;
             h0 = h;
             break;
@@ -209,11 +229,16 @@ class BasicDcssQueue {
           backoff.pause();
           continue;
         }
-        // Empty verdict: the domain read (acquire) saw ⊥ at the head
-        // ticket and tail agrees (freshness argument).
+        if (cur == bot(round + 1)) {
+          // ⊥_{h/C+1}: ticket h already dequeued. Help head_ past it.
+          help_advance<O>(q.head_, h, patience);
+          continue;
+        }
+        // Empty verdict: the domain read (acquire) saw ⊥_{h/C} at the head
+        // ticket, so no enqueue of ticket h had landed, and tail agrees
+        // (freshness argument).
         if (tail_floor_ <= h) return 0;  // empty
-        // Ticket h already dequeued: help head_ past it.
-        help_advance<O>(q.head_, h, patience);
+        backoff.pause();
       }
       std::size_t k = 1;
       while (k < n && k < q.cap_) {
@@ -223,14 +248,15 @@ class BasicDcssQueue {
           // Empty, or ticket h's tail not yet advanced.
           if (tail_floor_ <= h) break;
         }
-        std::atomic<std::uint64_t>* cell = &q.cells_[h % q.cap_];
-        const std::uint64_t cur = q.domain_.read(cell);
-        if (cur == kBot) break;  // another dequeuer took ticket h
+        const std::uint64_t round = h / q.cap_;
+        std::atomic<std::uint64_t>& cell = q.cells_[h % q.cap_];
+        const std::uint64_t cur = q.domain_.read(&cell);
+        if (is_bot(cur)) break;  // another dequeuer took ticket h
         // Wrap bracket: η ≤ h after the cell read, or cur may be a
         // round-(r+1) value; the DCSS lands only while head_ holds η.
         const std::uint64_t eta = q.head_.load(O::acquire);
         if (eta > h) break;
-        if (!th_.dcss(cell, cur, kBot, &q.head_, eta)) {
+        if (!th_.dcss(&cell, cur, bot(round + 1), &q.head_, eta)) {
           telemetry::count(telemetry::Counter::k_cas_fail);
           break;
         }
@@ -250,6 +276,12 @@ class BasicDcssQueue {
 
  private:
   friend class Handle;
+
+  static bool is_bot(std::uint64_t w) noexcept { return (w & kBotFlag) != 0; }
+  // ⊥_round: the ⊥ an enqueue of a ticket in `round` expects.
+  static std::uint64_t bot(std::uint64_t round) noexcept {
+    return kBotFlag | round;
+  }
 
   const std::size_t cap_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;

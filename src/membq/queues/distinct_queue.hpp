@@ -14,6 +14,11 @@
 //   dequeue: cell must hold a value; CAS it to ⊥_{round+1}, then help
 //            advance head. A cell holding ⊥_{round+1} means the ticket is
 //            served (help head); ⊥_round with tail ≤ h means empty.
+//            It vacates ticket h only once tail > h, helping tail first,
+//            as L3 and L4 do. Otherwise head can pass a tail whose
+//            enqueuer has written ticket h but not yet advanced it, and
+//            an enqueuer that then reads tail = h finds its fullness
+//            gate t − head wrapped: a full verdict on an empty ring.
 //   A bulk op claims further consecutive cells the same way before its
 //   one counter advance; a scalar op is a bulk op of one.
 //   Help is patient: a thread that finds a served ticket under a lagging
@@ -35,15 +40,15 @@
 //   * head_/tail_ load: acquire — pairs with advance_counter()'s
 //     release, so a ticket computed from tail ≥ x happens-after the cell
 //     transitions that let tail reach x.
-//   * head floor: each Handle keeps the last head_ value it loaded. The
-//     enqueue gates test the floor and reload it (the acquire load
-//     above, at the same site) only when `t − floor ≥ C`. head_ is
-//     monotone, so the floor can only lag it: a stale floor makes the
-//     gate stricter, never looser, and every full verdict is taken on a
-//     fresh load. The floor is handle-local, like the tickets t and h,
-//     not shared memory, so the overhead stays Θ(1).
-//   * tail_ is read only on the dequeue's empty-verdict path, after the
-//     cell read showed ⊥_round.
+//   * counter floors: each Handle keeps the last value it loaded of the
+//     other role's counter (head_ when enqueuing, tail_ when dequeuing)
+//     and reloads it (the acquire load above, at the same site) only
+//     when the floor fails its gate: `t − floor ≥ C` for an enqueue,
+//     `floor ≤ h` for a dequeue. The counters are monotone, so a floor
+//     can only lag: a stale floor makes a gate stricter, never looser,
+//     and every full, empty or help-tail verdict is taken on a fresh
+//     load. Floors are handle-local, like the tickets t and h, not
+//     shared memory, so the overhead stays Θ(1).
 //   * help_advance() poll (sync/counter.hpp): relaxed loads of the
 //     lagging counter while it still reads the served ticket. They only
 //     decide whether to keep waiting: the step taken once the budget is
@@ -72,6 +77,10 @@
 
 namespace membq {
 
+// Defined by the tests only: it lands an enqueue's cell CAS without the
+// tail_ advance that follows it.
+struct DistinctQueuePeer;
+
 template <class O = RingOrders>
 class BasicDistinctQueue {
  public:
@@ -90,7 +99,7 @@ class BasicDistinctQueue {
   std::size_t capacity() const noexcept { return cap_; }
 
   // The per-thread access point and the only entry point: it carries the
-  // enqueue role's head floor (see the header comment).
+  // two counter floors (see the header comment).
   class Handle {
    public:
     explicit Handle(BasicDistinctQueue& q) noexcept : q_(q) {}
@@ -106,15 +115,18 @@ class BasicDistinctQueue {
       return q_.enqueue_bulk(vs, n, head_floor_);
     }
     std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
-      return q_.dequeue_bulk(out, n);
+      return q_.dequeue_bulk(out, n, tail_floor_);
     }
 
    private:
     BasicDistinctQueue& q_;
     std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
+    std::uint64_t tail_floor_ = 0;  // a tail_ value this handle loaded
   };
 
  private:
+  friend struct DistinctQueuePeer;
+
   // Enqueue: claim consecutive tickets t0, t0+1, … by the ⊥_round → v
   // cell CAS, then advance tail_ once over the claimed range. Tickets are
   // allocated by the cell CAS, never by the counter, so a lagging tail_
@@ -200,8 +212,11 @@ class BasicDistinctQueue {
   // which requires observing head_ > h0+k; the monotone counter then says
   // that gate passed after our confirm, hence after our cell read — so
   // the value we saw was round r's. The cell CAS arbitrates same-round
-  // races as usual.
-  std::size_t dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+  // races as usual. Every vacate of ticket h waits for tail_ > h (see the
+  // header comment), tested on the handle's tail floor `tf`, which is
+  // reloaded only when `tf ≤ h`.
+  std::size_t dequeue_bulk(std::uint64_t* out, std::size_t n,
+                           std::uint64_t& tf) noexcept {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
     Backoff backoff;
@@ -211,10 +226,18 @@ class BasicDistinctQueue {
       // Same pairing as the enqueue: acquire counter load against
       // advance_counter()'s release.
       const std::uint64_t h = head_.load(O::acquire);
+      if (tf <= h) reload_floor<O>(tail_, tf);
       std::uint64_t cur = cells_[h % cap_].load(O::acquire);
       if (h != head_.load(O::acquire)) continue;
       const std::uint64_t round = h / cap_;
       if (!is_bot(cur)) {
+        // Tail still at h: ticket h's enqueuer has written but not yet
+        // advanced tail. Help it before vacating, so head_ never passes
+        // tail_ (see the header comment).
+        if (tf <= h) {
+          help_advance<O>(tail_, tf, patience);
+          continue;
+        }
         // Vacate: value → ⊥_{round+1}. Release publishes the vacancy to
         // the enqueuer's acquire cell load; the version bump (round+1)
         // is what rejects a stale wrapped enqueue, independent of order.
@@ -233,17 +256,20 @@ class BasicDistinctQueue {
         continue;
       }
       // Empty verdict: cell still holds ⊥_round (the acquire cell load is
-      // the arbiter — no enqueue of ticket h had completed at that read,
-      // and tickets are served in order) and a tail_ load made after that
-      // read agrees no later element exists (freshness argument on the
-      // monotone counter).
-      if (tail_.load(O::acquire) <= h) return 0;  // empty
+      // the arbiter — no enqueue of ticket h had landed at that read, and
+      // tickets are served in order) and the tail floor agrees no later
+      // element exists (freshness argument on the monotone counter).
+      if (tf <= h) return 0;  // empty
       backoff.pause();
     }
     std::size_t k = 1;
     while (k < n && k < cap_) {
       const std::uint64_t h = h0 + k;
       const std::uint64_t round = h / cap_;
+      if (tf <= h) {
+        reload_floor<O>(tail_, tf);
+        if (tf <= h) break;  // empty, or ticket h's tail not yet advanced
+      }
       std::uint64_t cur = cells_[h % cap_].load(O::acquire);
       if (is_bot(cur)) break;  // not yet published (or already vacated)
       // Wrap bracket (see above): confirm head_ has not passed this

@@ -223,11 +223,13 @@ class LockFreeSegmentQueue {
   // The slow path of an enqueue whose claims reached its limit: the full
   // verdict (true), or a new claim limit (false). `t` is the tail segment
   // the caller protected and `claimed` its `enq` as the caller loaded it.
-  // Reads the dequeue position D at one instant, then walks on from
-  // `c.end`, counting values and burned slots. A claimed slot still
-  // unfilled after kHelpPatience pauses belongs to a stalled claimer and
-  // is burned: its value has not counted yet, and moves on to its
-  // claimer's next slot.
+  // Reads the dequeue position D at one instant. When D + C lies past
+  // both the caller's next claim position and its limit, that is the new
+  // limit: at most C positions from D on lie below it, and the caller
+  // can claim. Otherwise it walks on from `c.end`, counting values and
+  // burned slots. A claimed slot still unfilled after kHelpPatience
+  // pauses belongs to a stalled claimer and is burned: its value has not
+  // counted yet, and moves on to its claimer's next slot.
   //   * C values from D on is the full verdict: at the D read if the walk
   //     saw all of them before it, else at the walk's end if D has not
   //     moved, since values never leave a slot a dequeue has not reached.
@@ -246,10 +248,16 @@ class LockFreeSegmentQueue {
   // real-time order of enqueues.
   bool full_or_limit(typename Domain::ThreadHandle& h, Claims& c, Segment* t,
                      std::uint64_t claimed) {
+    // Read before the walk's first step clears t.
+    const std::uint64_t next_claim = t->base + claimed;
     for (;;) {
       Segment* const hd = h.protect(0, head_);
       const std::uint64_t pos0 = dequeue_position(hd);
       if (head_.load(std::memory_order_acquire) != hd) continue;
+      if (pos0 + cap_ > next_claim && pos0 + cap_ > c.limit) {
+        c.limit = pos0 + cap_;
+        return false;
+      }
       if (pos0 > c.end || pos0 > c.first_dead) {
         c.end = pos0;
         c.dead = 0;

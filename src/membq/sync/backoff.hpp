@@ -31,11 +31,12 @@ inline void cpu_relax() noexcept {
 // it helps (Kogan & Petrank's fast path/slow path patience): the lock-free
 // L5 polls its own record this long before joining an installation, a
 // ticket ring polls a lagging counter this long, once per bulk body,
-// before stepping it (help_advance, sync/counter.hpp), and the lock-free
-// L1's full verdict polls a claimed, unfilled slot this long before it
-// burns the stalled claim. Polls are loads and pauses, and the wait is
-// not a Backoff episode. CHANGES.md has the ablation of this bound for
-// the L5 and the rings.
+// before stepping it (help_advance, sync/counter.hpp), a thread that
+// meets another's DCSS marker polls the word this long before it helps
+// (sync/dcss.cpp), and the lock-free L1's full verdict polls a claimed,
+// unfilled slot this long before it burns the stalled claim. Polls are
+// loads and pauses, and the wait is not a Backoff episode. CHANGES.md
+// has the ablation of this bound for the L5 and the rings.
 inline constexpr std::uint32_t kHelpPatience = 256;
 
 class Backoff {

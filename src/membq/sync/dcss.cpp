@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "sync/backoff.hpp"
 #include "telemetry/counters.hpp"
 
 namespace membq {
@@ -128,6 +129,18 @@ void BasicDcssDomain<O>::help(std::uint64_t marker) noexcept {
 }
 
 template <class O>
+void BasicDcssDomain<O>::wait_or_help(const std::atomic<std::uint64_t>* addr,
+                                      std::uint64_t marker) noexcept {
+  // Relaxed polls: they only decide whether to keep waiting. help() needs
+  // the marker observed through an acquire load, which the caller made.
+  for (std::uint32_t i = 0; i < kHelpPatience; ++i) {
+    if (addr->load(O::relaxed) != marker) return;
+    detail::cpu_relax();
+  }
+  help(marker);
+}
+
+template <class O>
 std::uint64_t BasicDcssDomain<O>::read(const std::atomic<std::uint64_t>* addr)
     noexcept {
   for (;;) {
@@ -136,7 +149,7 @@ std::uint64_t BasicDcssDomain<O>::read(const std::atomic<std::uint64_t>* addr)
     // carries the happens-before of whoever installed it.
     const std::uint64_t v = addr->load(O::acquire);
     if (!is_marker(v)) return v;
-    help(v);
+    wait_or_help(addr, v);
   }
 }
 
@@ -172,8 +185,16 @@ bool BasicDcssDomain<O>::ThreadHandle::dcss(
 
   const std::uint64_t marker = domain_.make_marker(slot_, seq);
   bool published = false;
-  std::uint64_t expected = e1;
+  // The test before the install (header): acquire, like the CAS failure
+  // below, because a marker read here is passed to wait_or_help().
+  std::uint64_t expected = a1->load(O::acquire);
   for (;;) {
+    if (is_marker(expected)) {
+      domain_.wait_or_help(a1, expected);
+      expected = a1->load(O::acquire);
+      continue;
+    }
+    if (expected != e1) break;  // a real value != e1: first comparand fails
     // Marker install: the release half makes the install ordered after
     // the activation store (helpers that bail on a stale seq retry via
     // read()'s loop); the acquire half orders the owner's *a2 load below
@@ -189,12 +210,6 @@ bool BasicDcssDomain<O>::ThreadHandle::dcss(
       published = true;
       break;
     }
-    if (is_marker(expected)) {
-      domain_.help(expected);
-      expected = e1;
-      continue;
-    }
-    break;  // *a1 holds a real value != e1: first comparand fails
   }
 
   bool ok = false;

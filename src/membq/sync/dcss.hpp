@@ -17,6 +17,14 @@
 //     (DISC 2002), the first CAS that replaces the marker decides the
 //     operation: an owner whose CAS lands returns its own verdict, and an
 //     owner whose CAS fails reads the verdict from `decision`.
+// Help is patient, as elsewhere in membq (kHelpPatience, sync/backoff.hpp):
+// a thread that meets a marker, in read() or in place of its own e1,
+// polls the word for up to kHelpPatience pauses and helps only a marker
+// still there. Its owner is usually running and resolves it sooner;
+// a helper's decision and resolution CASes would take the descriptor's
+// and the word's lines from it mid-window. The owner also loads *a1
+// before its install CAS, so a DCSS that would fail on a changed value
+// or wait on another's marker does not take the word's line either.
 // Descriptors are recycled via a per-slot sequence number: a marker whose
 // sequence no longer matches its descriptor is dead and can only fail its
 // final CAS, so helpers never act on reused state.
@@ -134,6 +142,10 @@ class BasicDcssDomain {
   // Drive the DCSS published as `marker` to completion (idempotent; safe
   // against descriptor recycling).
   void help(std::uint64_t marker) noexcept;
+  // `marker`, seen in *addr by an acquire load: wait up to kHelpPatience
+  // pauses for its owner to resolve it, then help it if still there.
+  void wait_or_help(const std::atomic<std::uint64_t>* addr,
+                    std::uint64_t marker) noexcept;
 
   std::size_t acquire_slot();
   void release_slot(std::size_t slot) noexcept;

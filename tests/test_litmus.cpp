@@ -8,7 +8,11 @@
 // RelaxedOrders / SeqCstOrders run in every build regardless of the
 // MEMBQ_SEQCST_RINGS default, so neither policy can bit-rot.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "common/barrier.hpp"
 #include "core/lockfree_optimal_queue.hpp"
 #include "litmus_harness.hpp"
+#include "queue_rows.hpp"
 #include "queues/dcss_queue.hpp"
 #include "queues/distinct_queue.hpp"
 #include "queues/llsc_queue.hpp"
@@ -214,9 +219,9 @@ TEST(LitmusTest, L4DcssDescriptorInstallExactlyOnce) {
   }
 }
 
-// Capacity-2 DCSS ring under 4x4 wrap traffic: the second comparand on
-// the positioning counter is the only stale-enqueue rejection (single
-// unversioned ⊥).
+// Capacity-2 DCSS ring under 4x4 wrap traffic: the round inside ⊥
+// rejects a stale enqueue CAS, and the vacate's second comparand, head_,
+// rejects a stale vacate.
 TEST(LitmusTest, L4RingHandoff) {
   for (const std::uint64_t seed : kSeeds) {
     membq::DcssQueue q(2, /*max_threads=*/9);
@@ -224,12 +229,13 @@ TEST(LitmusTest, L4RingHandoff) {
   }
 }
 
-// Dequeue-side tail gate of the unversioned-⊥ rings (L3, L4): a dequeuer
-// that vacated ticket t while tail was still t put ⊥ back under a current
-// ticket, so a second enqueuer holding t landed another value there, a
-// round behind head — a FIFO inversion, or head stranded past tail for
-// good (a hang). More threads than CPUs on a 2-slot ring preempt writers
-// inside that window; on a 4-CPU host 16 threads hit it within a run.
+// Dequeue-side tail gate (L3, L4): a dequeuer that vacated ticket t while
+// tail was still t let head pass tail. In L3, whose ⊥ carries no round,
+// the ⊥ back under a current ticket also let a second enqueuer holding t
+// land another value there, a round behind head — a FIFO inversion, or
+// head stranded past tail for good (a hang). More threads than CPUs on a
+// 2-slot ring preempt writers inside that window; on a 4-CPU host 16
+// threads hit it within a run.
 TEST(LitmusTest, OversubscribedL3L4FillEachTicketOnce) {
   for (const std::uint64_t seed : kSeeds) {
     membq::LlscQueue q(2);
@@ -353,8 +359,9 @@ TEST(LitmusTest, BulkWrapAcrossReservedRange) {
                                        seed);
   }
   for (const std::uint64_t seed : kSeeds) {
-    // L4: the same checks, with the fresh tail_/head_ load as the DCSS
-    // comparand of every claim past the first.
+    // L4: a claim past the first takes a cell only at its round's ⊥, and
+    // vacates under the same tail and head checks as L3, with the fresh
+    // head_ load as the DCSS comparand.
     membq::DcssQueue q(4, /*max_threads=*/9);
     membq::litmus::stress_handoff_bulk("L4 bulk wrap DCSS comparands", q, 4,
                                        4, 1200, /*pbatch=*/3, /*cbatch=*/3,
@@ -427,9 +434,9 @@ TEST(LitmusTest, BulkPolicyPinnedHandoff) {
 // threads on a 2-slot ring with batches of 2. A batch preempted between
 // its first claim and the next cell's read gives the others time to serve
 // that ticket and refill its cell a round later (the dequeue's head
-// bracket), or to write and serve it (the enqueue's tail check). Taking
-// such a cell delivers a value a round early: the ledger reports a FIFO
-// inversion or a duplicate.
+// bracket), or to write and serve it (L3's enqueue tail check; in L4 the
+// round in ⊥ fails the CAS). Taking such a cell delivers a value a round
+// early: the ledger reports a FIFO inversion or a duplicate.
 TEST(LitmusTest, BulkOversubscribedL3L4Continuations) {
   for (const std::uint64_t seed : kSeeds) {
     membq::LlscQueue q(2);
@@ -471,6 +478,107 @@ TEST(LitmusTest, BulkOversubscribedL5) {
         /*pbatch=*/kThreeAnnouncements, /*cbatch=*/kTwoAnnouncements, seed);
   }
 }
+
+// ---- Every value equal: the vacate guard --------------------------------
+
+// Every enqueue carries one value, so a dequeuer that slept through a
+// ring round finds the value it expects back in its cell: Theorem 3.12's
+// stale CAS, aimed at the vacate. A ring that lets it land loses a value
+// and leaves a ⊥ under a written ticket, on which the dequeuers then spin
+// for good; an L4 whose vacate is a plain CAS wedges this way in the
+// first round. Eight threads on a 2-slot ring, more than the CPUs of a
+// 4-CPU host, get preempted inside that window. Each thread makes kOps
+// random enqueue and dequeue calls; enqueued − dequeued must equal what a
+// final drain finds. A watchdog aborts the run, naming the row, once a
+// thread's call has not returned for kStall.
+class EqualValuesLitmusTest : public ::testing::TestWithParam<std::string> {};
+
+template <class R>
+void check_equal_values_balance(R row) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kOps = 200000;
+  constexpr std::uint64_t kValue = 42;
+  constexpr auto kStall = std::chrono::seconds(10);
+  auto q = row.make(membq::rows_test::capacity_for<R>(2), kThreads + 1,
+                    /*seg_size=*/0);
+  using Q = typename R::Queue;
+  std::atomic<std::uint64_t> enqueued{0};
+  std::atomic<std::uint64_t> dequeued{0};
+  std::atomic<std::uint64_t> foreign{0};  // dequeued values other than kValue
+  std::vector<std::atomic<std::uint64_t>> calls(kThreads);  // returned
+  std::atomic<std::size_t> finished{0};
+  membq::SpinBarrier barrier(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      typename Q::Handle h(*q);
+      std::uint64_t rng = kSeeds[0] + i;
+      std::uint64_t enq = 0, deq = 0, bad = 0, out = 0;
+      barrier.arrive_and_wait();
+      for (std::uint64_t op = 0; op < kOps; ++op) {
+        if ((membq::litmus::next_rng(rng) & 1) != 0) {
+          if (h.try_enqueue(kValue)) ++enq;
+        } else if (h.try_dequeue(out)) {
+          ++deq;
+          if (out != kValue) ++bad;
+        }
+        calls[i].store(op + 1, std::memory_order_relaxed);
+      }
+      enqueued.fetch_add(enq);
+      dequeued.fetch_add(deq);
+      foreign.fetch_add(bad);
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  // Watchdog: a thread whose call count stands still for kStall is stuck
+  // inside a call. Its call never returns, so the threads cannot be
+  // joined: the run aborts instead of hanging.
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::vector<Clock::time_point> moved(kThreads, Clock::now());
+  while (finished.load(std::memory_order_acquire) < kThreads) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const Clock::time_point now = Clock::now();
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      const std::uint64_t c = calls[i].load(std::memory_order_relaxed);
+      if (c != seen[i] || c == kOps) {
+        seen[i] = c;
+        moved[i] = now;
+      } else if (now - moved[i] > kStall) {
+        std::fprintf(stderr,
+                     "%s: thread %zu stuck in call %llu of %llu for %lld s, "
+                     "the ring wedged\n",
+                     row.name, i, static_cast<unsigned long long>(c + 1),
+                     static_cast<unsigned long long>(kOps),
+                     static_cast<long long>(kStall.count()));
+        std::abort();
+      }
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(foreign.load(), 0u) << row.name << ": a value no one enqueued";
+  typename Q::Handle h(*q);
+  std::uint64_t drained = 0, out = 0;
+  while (h.try_dequeue(out)) ++drained;
+  EXPECT_EQ(enqueued.load() - dequeued.load(), drained)
+      << row.name << ": " << enqueued.load() << " enqueued, "
+      << dequeued.load() << " dequeued";
+}
+
+TEST_P(EqualValuesLitmusTest, CountsBalanceWithoutWedging) {
+  membq::rows_test::visit_row(
+      GetParam(), [](auto row) { check_equal_values_balance(row); });
+}
+
+// Every row that accepts repeating values, except the role rings, whose
+// contracts admit one producer or one consumer thread only.
+INSTANTIATE_TEST_SUITE_P(
+    , EqualValuesLitmusTest,
+    ::testing::ValuesIn(membq::rows_test::rows_where([](auto row) {
+      return row.values == membq::workload::ValueDomain::kAny &&
+             !row.single_producer && !row.single_consumer;
+    })),
+    membq::rows_test::row_id);
 
 // ---- Role rings (contracts: single consumer / single producer) ----------
 

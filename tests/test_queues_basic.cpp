@@ -1,7 +1,8 @@
 // Single-threaded semantics: FIFO order, full and empty behavior, and
 // wraparound across many ring rounds, on every linearizable row and role
-// ring of workload/rows.hpp; then the L1 overhead model and the ring
-// handles' counter floors.
+// ring of workload/rows.hpp; then the L1 overhead model, the ring
+// handles' counter floors, and distinct(L2)'s dequeue tail gate, driven
+// through a test peer.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -18,9 +19,29 @@
 #include "queues/distinct_queue.hpp"
 #include "queues/llsc_queue.hpp"
 #include "queues/segment_queue.hpp"
+#include "sync/counter.hpp"
 #include "telemetry/counters.hpp"
 #include "workload/bulk.hpp"
 #include "workload/driver.hpp"
+
+namespace membq {
+
+// Parks a distinct(L2) enqueue between its cell CAS and its tail_
+// advance: park_enqueue lands v in the cell of ticket tail_ and returns
+// the ticket; resume_enqueue makes the advance.
+struct DistinctQueuePeer {
+  static std::uint64_t park_enqueue(DistinctQueue& q, std::uint64_t v) {
+    const std::uint64_t t = q.tail_.load();
+    std::uint64_t expected = DistinctQueue::bot(t / q.cap_);
+    EXPECT_TRUE(q.cells_[t % q.cap_].compare_exchange_strong(expected, v));
+    return t;
+  }
+  static void resume_enqueue(DistinctQueue& q, std::uint64_t t) {
+    advance_counter<RingOrders>(q.tail_, t, 1);
+  }
+};
+
+}  // namespace membq
 
 namespace {
 
@@ -265,6 +286,34 @@ TEST(QueueFloorTest, FloorReloadsStayUnderOnePercentOfCalls) {
     membq::DcssQueue q(kCap, 2);
     check_floor_reloads_rare(q);
   }
+}
+
+// distinct(L2)'s dequeue vacates ticket h only once tail_ has passed h.
+// The peer parks an enqueue between its cell CAS and its tail_ advance.
+// A dequeue that served the parked ticket without helping tail_ first
+// left head_ past tail_, and the next enqueue found its fullness gate
+// t − head wrapped: a false full on an empty ring.
+TEST(DistinctQueueTest, ParkedEnqueueLeavesNoFalseFull) {
+  using membq::DistinctQueuePeer;
+  membq::DistinctQueue q(2);
+  membq::DistinctQueue::Handle enq(q);
+  membq::DistinctQueue::Handle deq(q);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(enq.try_enqueue(1));
+  ASSERT_TRUE(enq.try_enqueue(2));
+  for (std::uint64_t v = 1; v <= 2; ++v) {
+    ASSERT_TRUE(deq.try_dequeue(out));
+    EXPECT_EQ(out, v);
+  }
+  const std::uint64_t parked = DistinctQueuePeer::park_enqueue(q, 3);
+  ASSERT_EQ(parked, 2u);
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 3u);
+  EXPECT_TRUE(enq.try_enqueue(4)) << "a full verdict on an empty ring";
+  DistinctQueuePeer::resume_enqueue(q, parked);
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 4u);
+  EXPECT_FALSE(deq.try_dequeue(out));
 }
 
 }  // namespace

@@ -455,6 +455,38 @@ TEST(LockFreeSegmentTest, RepeatFullVerdictsReadNoSettledSlot) {
   repeat_full_verdicts_read_no_settled_slot<HazardDomain>();
 }
 
+// A limit refresh far from full reads no slot: it takes D + C as the new
+// limit at once. On a half-full queue the peer blanks a claimed slot
+// between the dequeue position and the tail; a walk from D would wait for
+// it and burn it.
+template <class Domain>
+void limit_refresh_far_from_full_reads_no_slot() {
+  using Q = membq::LockFreeSegmentQueue<Domain>;
+  constexpr std::uint64_t kCap = 64;
+  Q q(kCap, /*seg_size=*/8, /*max_threads=*/2);
+  typename Q::Handle h(q);
+  std::uint64_t next = 1, expect = 1, out = 0;
+  for (std::uint64_t i = 0; i < kCap; ++i) ASSERT_TRUE(h.try_enqueue(next++));
+  for (std::uint64_t i = 0; i < kCap / 2; ++i) {
+    ASSERT_TRUE(h.try_dequeue(out));
+    EXPECT_EQ(out, expect++);
+  }
+  auto& blank = LockFreeSegmentQueuePeer::slot_at(q, kCap * 3 / 4);
+  const std::uint64_t kept = blank.exchange(Q::kEmpty);
+  // The claims stand at the handle's first limit, C: this enqueue
+  // refreshes it.
+  ASSERT_TRUE(h.try_enqueue(next++));
+  EXPECT_EQ(blank.load(), Q::kEmpty) << "the limit refresh burned a claim";
+  blank.store(kept);
+  while (h.try_dequeue(out)) EXPECT_EQ(out, expect++);
+  EXPECT_EQ(expect, next);
+}
+
+TEST(LockFreeSegmentTest, LimitRefreshFarFromFullReadsNoSlot) {
+  limit_refresh_far_from_full_reads_no_slot<EpochDomain>();
+  limit_refresh_far_from_full_reads_no_slot<HazardDomain>();
+}
+
 // Recorded real-thread histories, checked by the Wing–Gong bounded-queue
 // checker via the shared model harness. A tiny capacity plus seg_size=1
 // maximizes segment churn inside the recorded window.
