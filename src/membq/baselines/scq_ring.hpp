@@ -10,11 +10,12 @@
 // store-published sequence (and like it, costs Θ(C) metadata).
 //
 // A thread that finds its ticket served under a lagging counter helps the
-// counter past it: an enqueuer on state 2r+1, a dequeuer on any state
-// from 2(r+1) on (the cell may already be refilled for round r+1). Help
-// is patient, as in the paper's rings: it polls the counter for up to
-// kHelpPatience pauses per call (help_advance, sync/counter.hpp) before
-// it steps it, so a bulk claim still in flight is not cut.
+// counter past it: an enqueuer on any state from 2r+1 on (a dequeuer may
+// already have vacated the cell), a dequeuer on any state from 2(r+1) on
+// (the cell may already be refilled for round r+1). Help is patient, as
+// in the paper's rings: it polls the counter for up to kHelpPatience
+// pauses per call (help_advance, sync/counter.hpp) before it steps it, so
+// a bulk claim still in flight is not cut.
 //
 // Memory orders (policy `O`, default RingOrders):
 //   * entry CAS: acq_rel on success — the release half hands the
@@ -53,6 +54,10 @@
 
 namespace membq {
 
+// Defined by the tests only: it lands an enqueue's cell CAS without the
+// tail_ advance that follows it.
+struct ScqRingPeer;
+
 template <class O = RingOrders>
 class BasicScqRing {
  public:
@@ -70,13 +75,33 @@ class BasicScqRing {
 
   std::size_t capacity() const noexcept { return cap_; }
 
-  // Scalar ops are bulk(n=1): each direction has exactly one body.
-  bool try_enqueue(std::uint64_t v) noexcept {
-    return try_enqueue_bulk(&v, 1) == 1;
-  }
-  bool try_dequeue(std::uint64_t& out) noexcept {
-    return try_dequeue_bulk(&out, 1) == 1;
-  }
+  // The per-thread access point and the only entry point: it carries the
+  // contention estimate that sizes its Backoff (sync/backoff.hpp).
+  class Handle {
+   public:
+    explicit Handle(BasicScqRing& q) noexcept : q_(q) {}
+    // Scalar ops are bulk(n=1): each direction has exactly one body.
+    bool try_enqueue(std::uint64_t v) noexcept {
+      return try_enqueue_bulk(&v, 1) == 1;
+    }
+    bool try_dequeue(std::uint64_t& out) noexcept {
+      return try_dequeue_bulk(&out, 1) == 1;
+    }
+    std::size_t try_enqueue_bulk(const std::uint64_t* vs,
+                                 std::size_t n) noexcept {
+      return q_.enqueue_bulk(vs, n, contention_);
+    }
+    std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+      return q_.dequeue_bulk(out, n, contention_);
+    }
+
+   private:
+    BasicScqRing& q_;
+    std::uint32_t contention_ = 0;  // Backoff's share of calls that paused
+  };
+
+ private:
+  friend struct ScqRingPeer;
 
   // Enqueue: claim consecutive tickets t0, t0+1, … by the slot CAS
   // (2r → 2r+1), then advance tail_ once over the claimed range. Safe
@@ -85,12 +110,13 @@ class BasicScqRing {
   // help iterations but never correctness. A slot whose state is 2·round
   // is always claimable (its previous round was dequeued, so head has
   // passed ticket t−cap_). Any contention or unready slot ends the
-  // batch: prefix semantics.
-  std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                               std::size_t n) noexcept {
+  // batch: prefix semantics. `share`: the handle's contention estimate
+  // (sync/backoff.hpp).
+  std::size_t enqueue_bulk(const std::uint64_t* vs, std::size_t n,
+                           std::uint32_t& share) noexcept {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_enq_attempt);
-    Backoff backoff;
+    Backoff backoff(share);
     std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
@@ -112,8 +138,14 @@ class BasicScqRing {
         backoff.pause();
         continue;
       }
-      if (cur.state == 2 * round + 1) {
-        help_advance<O>(tail_, t, patience);  // ticket t already enqueued; help
+      // Ticket t served: its enqueuer wrote the cell (state 2r+1) and has
+      // not yet advanced tail_, and a dequeuer, which does not wait for
+      // tail_, may since have vacated it to 2(r+1). States only grow, so
+      // any state from 2r+1 on says t is done; help tail_ past it. The
+      // fullness gate below must not see such a t: head_ may be past it,
+      // and t − head would wrap.
+      if (cur.state >= 2 * round + 1) {
+        help_advance<O>(tail_, t, patience);
         continue;
       }
       // Slot still carries an older cycle: full once head_, loaded here
@@ -143,10 +175,11 @@ class BasicScqRing {
 
   // Dequeue mirror: claim consecutive published slots (2r+1 → 2(r+1)),
   // then advance head_ once over the claimed range.
-  std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
+  std::size_t dequeue_bulk(std::uint64_t* out, std::size_t n,
+                           std::uint32_t& share) noexcept {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
-    Backoff backoff;
+    Backoff backoff(share);
     std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1
@@ -202,26 +235,6 @@ class BasicScqRing {
     return k;
   }
 
-  class Handle {
-   public:
-    explicit Handle(BasicScqRing& q) noexcept : q_(q) {}
-    bool try_enqueue(std::uint64_t v) noexcept { return q_.try_enqueue(v); }
-    bool try_dequeue(std::uint64_t& out) noexcept {
-      return q_.try_dequeue(out);
-    }
-    std::size_t try_enqueue_bulk(const std::uint64_t* vs,
-                                 std::size_t n) noexcept {
-      return q_.try_enqueue_bulk(vs, n);
-    }
-    std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
-      return q_.try_dequeue_bulk(out, n);
-    }
-
-   private:
-    BasicScqRing& q_;
-  };
-
- private:
   struct alignas(2 * sizeof(std::uint64_t)) Entry {
     std::uint64_t state;
     std::uint64_t value;

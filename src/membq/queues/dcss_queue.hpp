@@ -136,7 +136,7 @@ class BasicDcssQueue {
       if (n == 0) return 0;
       assert(vs[0] < kBotFlag && "values must stay below the reserved range");
       telemetry::count(telemetry::Counter::k_enq_attempt);
-      Backoff backoff;
+      Backoff backoff(contention_);
       std::uint32_t patience = kHelpPatience;  // help_advance budget
       BasicDcssQueue& q = q_;
       std::uint64_t t0;
@@ -201,7 +201,7 @@ class BasicDcssQueue {
         std::uint64_t* out, std::size_t n) noexcept {
       if (n == 0) return 0;
       telemetry::count(telemetry::Counter::k_deq_attempt);
-      Backoff backoff;
+      Backoff backoff(contention_);
       std::uint32_t patience = kHelpPatience;  // help_advance budget
       BasicDcssQueue& q = q_;
       std::uint64_t h0;
@@ -272,6 +272,7 @@ class BasicDcssQueue {
     typename BasicDcssDomain<O>::ThreadHandle th_;
     std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
     std::uint64_t tail_floor_ = 0;  // a tail_ value this handle loaded
+    std::uint32_t contention_ = 0;  // Backoff's share of calls that paused
   };
 
  private:

@@ -99,7 +99,8 @@ class BasicDistinctQueue {
   std::size_t capacity() const noexcept { return cap_; }
 
   // The per-thread access point and the only entry point: it carries the
-  // two counter floors (see the header comment).
+  // two counter floors (see the header comment) and the contention
+  // estimate that sizes its Backoff (sync/backoff.hpp).
   class Handle {
    public:
     explicit Handle(BasicDistinctQueue& q) noexcept : q_(q) {}
@@ -112,16 +113,17 @@ class BasicDistinctQueue {
     }
     std::size_t try_enqueue_bulk(const std::uint64_t* vs,
                                  std::size_t n) noexcept {
-      return q_.enqueue_bulk(vs, n, head_floor_);
+      return q_.enqueue_bulk(vs, n, head_floor_, contention_);
     }
     std::size_t try_dequeue_bulk(std::uint64_t* out, std::size_t n) noexcept {
-      return q_.dequeue_bulk(out, n, tail_floor_);
+      return q_.dequeue_bulk(out, n, tail_floor_, contention_);
     }
 
    private:
     BasicDistinctQueue& q_;
     std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
     std::uint64_t tail_floor_ = 0;  // a tail_ value this handle loaded
+    std::uint32_t contention_ = 0;  // Backoff's share of calls that paused
   };
 
  private:
@@ -133,13 +135,14 @@ class BasicDistinctQueue {
   // only costs other threads help steps. Every claim passes the fullness
   // gate `t − head < C`, tested on the handle's floor `hf` and reloaded
   // only when the floor fails (see the header comment): the floor lags
-  // head_, so a pass on it implies a pass on a fresh head.
+  // head_, so a pass on it implies a pass on a fresh head. `share`: the
+  // handle's contention estimate (sync/backoff.hpp).
   std::size_t enqueue_bulk(const std::uint64_t* vs, std::size_t n,
-                           std::uint64_t& hf) noexcept {
+                           std::uint64_t& hf, std::uint32_t& share) noexcept {
     if (n == 0) return 0;
     assert((vs[0] & kBotBit) == 0 && "values must keep bit 63 clear");
     telemetry::count(telemetry::Counter::k_enq_attempt);
-    Backoff backoff;
+    Backoff backoff(share);
     std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
@@ -216,10 +219,10 @@ class BasicDistinctQueue {
   // header comment), tested on the handle's tail floor `tf`, which is
   // reloaded only when `tf ≤ h`.
   std::size_t dequeue_bulk(std::uint64_t* out, std::size_t n,
-                           std::uint64_t& tf) noexcept {
+                           std::uint64_t& tf, std::uint32_t& share) noexcept {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
-    Backoff backoff;
+    Backoff backoff(share);
     std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1

@@ -102,7 +102,8 @@ class BasicLlscQueue {
   std::size_t capacity() const noexcept { return cap_; }
 
   // The per-thread access point and the only entry point: it carries the
-  // two counter floors (see the header comment).
+  // two counter floors (see the header comment) and the contention
+  // estimate that sizes its Backoff (sync/backoff.hpp).
   class Handle {
    public:
     explicit Handle(BasicLlscQueue& q) noexcept : q_(q) {}
@@ -115,34 +116,35 @@ class BasicLlscQueue {
     }
     [[gnu::always_inline]] std::size_t try_enqueue_bulk(
         const std::uint64_t* vs, std::size_t n) noexcept {
-      return q_.enqueue_bulk(vs, n, head_floor_);
+      return q_.enqueue_bulk(vs, n, head_floor_, contention_);
     }
     [[gnu::always_inline]] std::size_t try_dequeue_bulk(
         std::uint64_t* out, std::size_t n) noexcept {
-      return q_.dequeue_bulk(out, n, tail_floor_);
+      return q_.dequeue_bulk(out, n, tail_floor_, contention_);
     }
 
    private:
     BasicLlscQueue& q_;
     std::uint64_t head_floor_ = 0;  // a head_ value this handle loaded
     std::uint64_t tail_floor_ = 0;  // a tail_ value this handle loaded
+    std::uint32_t contention_ = 0;  // Backoff's share of calls that paused
   };
 
  private:
   // Enqueue: claim tickets t0, t0+1, … by ⊥ → v store-conditionals, then
   // advance tail_ once over the claimed range. `hf`: the handle's head
-  // floor, reloaded only when `t − hf ≥ C`. Inlined, so that at a scalar
-  // call site (n = 1) the continuation folds away and the first claim is
-  // the whole op.
-  [[gnu::always_inline]] std::size_t enqueue_bulk(const std::uint64_t* vs,
-                                                  std::size_t n,
-                                                  std::uint64_t& hf) noexcept {
+  // floor, reloaded only when `t − hf ≥ C`; `share`: its contention
+  // estimate. Inlined, so that at a scalar call site (n = 1) the
+  // continuation folds away and the first claim is the whole op.
+  [[gnu::always_inline]] std::size_t enqueue_bulk(
+      const std::uint64_t* vs, std::size_t n, std::uint64_t& hf,
+      std::uint32_t& share) noexcept {
     if (n == 0) return 0;
     assert(vs[0] != kBot && "kBot is reserved");
     // SC misses surface in llsc_sc_fail (counted inside the cell), so
     // this queue contributes attempts here and retries there.
     telemetry::count(telemetry::Counter::k_enq_attempt);
-    Backoff backoff;
+    Backoff backoff(share);
     std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t t0;
     for (;;) {  // first item: the whole protocol at n=1
@@ -191,12 +193,12 @@ class BasicLlscQueue {
   // Dequeue mirror. `tf`: the handle's tail floor, reloaded only when
   // `tf ≤ h`. A claim past the first keeps the tail rule and adds L2's
   // wrap bracket (see the header).
-  [[gnu::always_inline]] std::size_t dequeue_bulk(std::uint64_t* out,
-                                                  std::size_t n,
-                                                  std::uint64_t& tf) noexcept {
+  [[gnu::always_inline]] std::size_t dequeue_bulk(
+      std::uint64_t* out, std::size_t n, std::uint64_t& tf,
+      std::uint32_t& share) noexcept {
     if (n == 0) return 0;
     telemetry::count(telemetry::Counter::k_deq_attempt);
-    Backoff backoff;
+    Backoff backoff(share);
     std::uint32_t patience = kHelpPatience;  // help_advance budget
     std::uint64_t h0;
     for (;;) {  // first item: the whole protocol at n=1

@@ -1,8 +1,8 @@
 // Single-threaded semantics: FIFO order, full and empty behavior, and
 // wraparound across many ring rounds, on every linearizable row and role
 // ring of workload/rows.hpp; then the L1 overhead model, the ring
-// handles' counter floors, and distinct(L2)'s dequeue tail gate, driven
-// through a test peer.
+// handles' counter floors, distinct(L2)'s dequeue tail gate and scq's
+// served-ticket help, each driven through a test peer.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -37,6 +37,23 @@ struct DistinctQueuePeer {
     return t;
   }
   static void resume_enqueue(DistinctQueue& q, std::uint64_t t) {
+    advance_counter<RingOrders>(q.tail_, t, 1);
+  }
+};
+
+// The same park for scq: park_enqueue CASes the cell of ticket tail_ from
+// its round's ready state 2r to 2r+1 holding v and returns the ticket;
+// resume_enqueue makes the advance.
+struct ScqRingPeer {
+  static std::uint64_t park_enqueue(ScqRing& q, std::uint64_t v) {
+    const std::uint64_t t = q.tail_.load();
+    const std::uint64_t round = t / q.cap_;
+    ScqRing::Entry expected{2 * round, 0};
+    EXPECT_TRUE(q.cells_[t % q.cap_].compare_exchange_strong(
+        expected, ScqRing::Entry{2 * round + 1, v}));
+    return t;
+  }
+  static void resume_enqueue(ScqRing& q, std::uint64_t t) {
     advance_counter<RingOrders>(q.tail_, t, 1);
   }
 };
@@ -311,6 +328,35 @@ TEST(DistinctQueueTest, ParkedEnqueueLeavesNoFalseFull) {
   EXPECT_EQ(out, 3u);
   EXPECT_TRUE(enq.try_enqueue(4)) << "a full verdict on an empty ring";
   DistinctQueuePeer::resume_enqueue(q, parked);
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 4u);
+  EXPECT_FALSE(deq.try_dequeue(out));
+}
+
+// scq's dequeue vacates without checking tail_, so head_ may pass a parked
+// enqueue's ticket. The next enqueue then finds that ticket's cell already
+// vacated for the next round (state 2(r+1)). It must read the cell as
+// "ticket served" and help tail_ past it. Reading only 2r+1 as served sent
+// it to the fullness gate, where t − head wrapped: a false full on an
+// empty ring.
+TEST(ScqRingTest, ParkedEnqueueLeavesNoFalseFull) {
+  using membq::ScqRingPeer;
+  membq::ScqRing q(2);
+  membq::ScqRing::Handle enq(q);
+  membq::ScqRing::Handle deq(q);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(enq.try_enqueue(1));
+  ASSERT_TRUE(enq.try_enqueue(2));
+  for (std::uint64_t v = 1; v <= 2; ++v) {
+    ASSERT_TRUE(deq.try_dequeue(out));
+    EXPECT_EQ(out, v);
+  }
+  const std::uint64_t parked = ScqRingPeer::park_enqueue(q, 3);
+  ASSERT_EQ(parked, 2u);
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 3u);
+  EXPECT_TRUE(enq.try_enqueue(4)) << "a full verdict on an empty ring";
+  ScqRingPeer::resume_enqueue(q, parked);
   ASSERT_TRUE(deq.try_dequeue(out));
   EXPECT_EQ(out, 4u);
   EXPECT_FALSE(deq.try_dequeue(out));
