@@ -12,13 +12,14 @@
 //   VersionedBottom   unbounded round counter   → the distinct(L2)
 //                                                 assumption; never revives
 //
-// The protocol is the ticket scheme of queues/distinct_queue.hpp with the
-// bottom encoding factored out; each step() is one shared load/CAS/store.
-// It leaves out distinct(L2)'s dequeue gate, which vacates ticket h only
-// once tail_ > h and helps tail_ past a written ticket h first: the
-// mirror's dequeue reads tail_ before the cell and reports empty while
-// tail_ ≤ h. No schedule here turns on that gate, and the handles' counter
-// floors are left out too.
+// The protocol is the ticket scheme of queues/ticket_ring.hpp, the one
+// ring of L2, L3 and L4, whose cell policy is the same axis; here the
+// bottom encoding is factored out and each step() is one shared
+// load/CAS/store. It leaves out the ring's dequeue tail gate, which
+// vacates ticket h only once tail_ > h and helps tail_ past a written
+// ticket h first: the mirror's dequeue reads tail_ before the cell and
+// reports empty while tail_ ≤ h. No schedule here turns on that gate, and
+// the handles' counter floors and bulk continuations are left out too.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
-// Positioning-counter steps of the ticket rings: distinct(L2), llsc(L3),
-// dcss(L4) and the SCQ baseline. Each ring instantiates them with its own
-// memory-order policy `O` (sync/memory_order.hpp).
+// Positioning-counter steps of the ticket rings: the one ring of L2, L3
+// and L4 (queues/ticket_ring.hpp) and the SCQ baseline. Each ring
+// instantiates them with its own memory-order policy `O`
+// (sync/memory_order.hpp).
 //
 // The lock-free L5 keeps its own one-shot advance: only the installed
 // announcement's helpers move its counters, all from the same bound value,
@@ -11,7 +12,6 @@
 #include <cstdint>
 
 #include "sync/backoff.hpp"
-#include "telemetry/counters.hpp"
 
 namespace membq {
 
@@ -57,15 +57,6 @@ inline void help_advance(std::atomic<std::uint64_t>& counter,
     --budget;
     detail::cpu_relax();
   }
-}
-
-// Reload a ring handle's floor of `counter`: the acquire load a gate used
-// to make on every call, now made only when the floor fails the gate.
-template <class O>
-inline void reload_floor(const std::atomic<std::uint64_t>& counter,
-                         std::uint64_t& floor) noexcept {
-  floor = counter.load(O::acquire);
-  telemetry::count(telemetry::Counter::k_floor_reload);
 }
 
 }  // namespace membq

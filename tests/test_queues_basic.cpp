@@ -1,8 +1,9 @@
 // Single-threaded semantics: FIFO order, full and empty behavior, and
 // wraparound across many ring rounds, on every linearizable row and role
 // ring of workload/rows.hpp; then the L1 overhead model, the ring
-// handles' counter floors, distinct(L2)'s dequeue tail gate and scq's
-// served-ticket help, each driven through a test peer.
+// handles' counter floors, the ticket rings' dequeue tail gate and bulk
+// continuation checks, and scq's served-ticket help, each driven through
+// a test peer.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -26,18 +27,38 @@
 
 namespace membq {
 
-// Parks a distinct(L2) enqueue between its cell CAS and its tail_
-// advance: park_enqueue lands v in the cell of ticket tail_ and returns
-// the ticket; resume_enqueue makes the advance.
-struct DistinctQueuePeer {
-  static std::uint64_t park_enqueue(DistinctQueue& q, std::uint64_t v) {
-    const std::uint64_t t = q.tail_.load();
-    std::uint64_t expected = DistinctQueue::bot(t / q.cap_);
-    EXPECT_TRUE(q.cells_[t % q.cap_].compare_exchange_strong(expected, v));
-    return t;
+// Parks a bulk call of the L2, L3 or L4 ticket ring (queues/ticket_ring.hpp)
+// between its first claim and its continuation. park_enqueue runs the
+// first claim of a call from handle h, which lands v through the cell's
+// own claim primitive, and returns the claimed ticket; resume_enqueue runs
+// that call's continuation over vs[1..n) and its one tail_ advance, and
+// returns the call's count. The dequeue pair does the same for a vacate.
+struct TicketRingPeer {
+  template <class Q>
+  static std::uint64_t park_enqueue(Q& q, typename Q::Handle& h,
+                                    std::uint64_t v) {
+    std::uint64_t t0 = 0;
+    EXPECT_TRUE(q.enqueue_first(h, v, t0)) << "the first claim found full";
+    return t0;
   }
-  static void resume_enqueue(DistinctQueue& q, std::uint64_t t) {
-    advance_counter<RingOrders>(q.tail_, t, 1);
+  template <class Q>
+  static std::size_t resume_enqueue(Q& q, typename Q::Handle& h,
+                                    const std::uint64_t* vs, std::size_t n,
+                                    std::uint64_t t0) {
+    return q.enqueue_rest(h, vs, n, t0);
+  }
+  template <class Q>
+  static std::uint64_t park_dequeue(Q& q, typename Q::Handle& h,
+                                    std::uint64_t& out) {
+    std::uint64_t h0 = 0;
+    EXPECT_TRUE(q.dequeue_first(h, out, h0)) << "the first claim found empty";
+    return h0;
+  }
+  template <class Q>
+  static std::size_t resume_dequeue(Q& q, typename Q::Handle& h,
+                                    std::uint64_t* out, std::size_t n,
+                                    std::uint64_t h0) {
+    return q.dequeue_rest(h, out, n, h0);
   }
 };
 
@@ -305,16 +326,17 @@ TEST(QueueFloorTest, FloorReloadsStayUnderOnePercentOfCalls) {
   }
 }
 
-// distinct(L2)'s dequeue vacates ticket h only once tail_ has passed h.
-// The peer parks an enqueue between its cell CAS and its tail_ advance.
-// A dequeue that served the parked ticket without helping tail_ first
-// left head_ past tail_, and the next enqueue found its fullness gate
-// t − head wrapped: a false full on an empty ring.
-TEST(DistinctQueueTest, ParkedEnqueueLeavesNoFalseFull) {
-  using membq::DistinctQueuePeer;
-  membq::DistinctQueue q(2);
-  membq::DistinctQueue::Handle enq(q);
-  membq::DistinctQueue::Handle deq(q);
+// The ticket rings' dequeue vacates ticket h only once tail_ has passed h
+// (the tail gate). The peer parks an enqueue between its first claim and
+// its tail_ advance. A dequeue that served the parked ticket without
+// helping tail_ first left head_ past tail_, and the next enqueue found
+// its fullness gate t − head wrapped: a false full on an empty ring.
+template <class Q>
+void check_parked_enqueue_leaves_no_false_full(Q& q) {
+  using membq::TicketRingPeer;
+  typename Q::Handle enq(q);
+  typename Q::Handle deq(q);
+  typename Q::Handle parked(q);
   std::uint64_t out = 0;
   ASSERT_TRUE(enq.try_enqueue(1));
   ASSERT_TRUE(enq.try_enqueue(2));
@@ -322,15 +344,126 @@ TEST(DistinctQueueTest, ParkedEnqueueLeavesNoFalseFull) {
     ASSERT_TRUE(deq.try_dequeue(out));
     EXPECT_EQ(out, v);
   }
-  const std::uint64_t parked = DistinctQueuePeer::park_enqueue(q, 3);
-  ASSERT_EQ(parked, 2u);
+  const std::uint64_t v = 3;
+  const std::uint64_t t0 = TicketRingPeer::park_enqueue(q, parked, v);
+  ASSERT_EQ(t0, 2u);
   ASSERT_TRUE(deq.try_dequeue(out));
   EXPECT_EQ(out, 3u);
   EXPECT_TRUE(enq.try_enqueue(4)) << "a full verdict on an empty ring";
-  DistinctQueuePeer::resume_enqueue(q, parked);
+  EXPECT_EQ(TicketRingPeer::resume_enqueue(q, parked, &v, 1, t0), 1u);
   ASSERT_TRUE(deq.try_dequeue(out));
   EXPECT_EQ(out, 4u);
   EXPECT_FALSE(deq.try_dequeue(out));
+}
+
+TEST(DistinctQueueTest, ParkedEnqueueLeavesNoFalseFull) {
+  membq::DistinctQueue q(2);
+  check_parked_enqueue_leaves_no_false_full(q);
+}
+
+TEST(LlscQueueTest, ParkedEnqueueLeavesNoFalseFull) {
+  membq::LlscQueue q(2);
+  check_parked_enqueue_leaves_no_false_full(q);
+}
+
+TEST(DcssQueueTest, ParkedEnqueueLeavesNoFalseFull) {
+  membq::DcssQueue q(2, 3);
+  check_parked_enqueue_leaves_no_false_full(q);
+}
+
+// An enqueue claim past a bulk call's first takes ticket t only from
+// ticket t's own ⊥. The peer parks a call of two after it claimed ticket
+// 0; another enqueuer helps tail_ past the parked claim and writes ticket
+// 1, and a dequeuer serves tickets 0 and 1. Ticket 1's cell then holds
+// the ⊥ that ticket 3 expects: under a round-naming ⊥ it reads ⊥_1, not
+// ⊥_0; under L3's roundless ⊥ only tail_ = 2 > 1, loaded after the ll(),
+// tells it apart. Writing it would land the value a round ahead, so the
+// continuation must stop at one.
+template <class Q>
+void check_continuation_skips_served_enqueue_ticket(Q& q) {
+  using membq::TicketRingPeer;
+  typename Q::Handle parked(q);
+  typename Q::Handle enq(q);
+  typename Q::Handle deq(q);
+  const std::uint64_t vs[2] = {1, 2};
+  const std::uint64_t t0 = TicketRingPeer::park_enqueue(q, parked, vs[0]);
+  ASSERT_EQ(t0, 0u);
+  ASSERT_TRUE(enq.try_enqueue(3));  // ticket 1
+  std::uint64_t out = 0;
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 1u);
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 3u);
+  EXPECT_EQ(TicketRingPeer::resume_enqueue(q, parked, vs, 2, t0), 1u)
+      << "the continuation wrote ticket 3's cell as ticket 1";
+  EXPECT_FALSE(deq.try_dequeue(out));
+  ASSERT_TRUE(enq.try_enqueue(4));
+  ASSERT_TRUE(deq.try_dequeue(out));
+  EXPECT_EQ(out, 4u);
+}
+
+TEST(DistinctQueueTest, BulkContinuationSkipsServedEnqueueTicket) {
+  membq::DistinctQueue q(2);
+  check_continuation_skips_served_enqueue_ticket(q);
+}
+
+TEST(LlscQueueTest, BulkContinuationSkipsServedEnqueueTicket) {
+  membq::LlscQueue q(2);
+  check_continuation_skips_served_enqueue_ticket(q);
+}
+
+TEST(DcssQueueTest, BulkContinuationSkipsServedEnqueueTicket) {
+  membq::DcssQueue q(2, 3);
+  check_continuation_skips_served_enqueue_ticket(q);
+}
+
+// A dequeue claim past a bulk call's first vacates ticket h only under
+// the wrap bracket: a head_ load η ≤ h after the cell read. The peer parks
+// a call of two after it vacated ticket 0; another dequeuer helps head_
+// past the parked claim and serves ticket 1, and an enqueuer refills that
+// cell a round ahead (ticket 3). The cell then holds a value while head_
+// is 2: taking it as ticket 1's would deliver 4 before 3, so the
+// continuation must stop at one.
+template <class Q>
+void check_continuation_brackets_wrapped_dequeue_ticket(Q& q) {
+  using membq::TicketRingPeer;
+  typename Q::Handle parked(q);
+  typename Q::Handle enq(q);
+  typename Q::Handle deq(q);
+  ASSERT_TRUE(enq.try_enqueue(1));
+  ASSERT_TRUE(enq.try_enqueue(2));
+  std::uint64_t outs[2] = {0, 0};
+  const std::uint64_t h0 = TicketRingPeer::park_dequeue(q, parked, outs[0]);
+  ASSERT_EQ(h0, 0u);
+  EXPECT_EQ(outs[0], 1u);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(deq.try_dequeue(out));  // ticket 1
+  EXPECT_EQ(out, 2u);
+  ASSERT_TRUE(enq.try_enqueue(3));  // ticket 2
+  ASSERT_TRUE(enq.try_enqueue(4));  // ticket 3, in ticket 1's cell
+  EXPECT_EQ(TicketRingPeer::resume_dequeue(q, parked, outs, 2, h0), 1u)
+      << "the continuation took ticket 3's value " << outs[1]
+      << " as ticket 1's";
+  for (std::uint64_t v = 3; v <= 4; ++v) {
+    ASSERT_TRUE(deq.try_dequeue(out));
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_FALSE(deq.try_dequeue(out));
+}
+
+TEST(DistinctQueueTest, BulkContinuationBracketsWrappedDequeueTicket) {
+  membq::DistinctQueue q(2);
+  check_continuation_brackets_wrapped_dequeue_ticket(q);
+}
+
+TEST(LlscQueueTest, BulkContinuationBracketsWrappedDequeueTicket) {
+  membq::LlscQueue q(2);
+  check_continuation_brackets_wrapped_dequeue_ticket(q);
+}
+
+TEST(DcssQueueTest, BulkContinuationBracketsWrappedDequeueTicket) {
+  membq::DcssQueue q(2, 3);
+  check_continuation_brackets_wrapped_dequeue_ticket(q);
 }
 
 // scq's dequeue vacates without checking tail_, so head_ may pass a parked
