@@ -4,57 +4,49 @@
 // count doubles as the "cost of certification" column.
 
 #include <cstdio>
-#include <string>
 
 #include "adversary/lower_bound.hpp"
-#include "harness.hpp"
 
 namespace {
 
-void print_row(membq::bench::Harness& h, const char* label,
-               const membq::adversary::AttackReport& r) {
+void print_row(const char* label, const membq::adversary::AttackReport& r) {
   std::printf("%-34s %8zu %10s %10s %18s %10llu\n", label, r.capacity,
               r.poised_cas_fired ? "fired" : "failed",
               r.victim_reported_success ? "true" : "false",
               r.check.linearizable ? "linearizable" : "NOT-LINEARIZABLE",
               (unsigned long long)r.check.states_explored);
-  h.record(std::string("e7/") + label + "/C=" + std::to_string(r.capacity))
-      .param("schedule", label)
-      .param("capacity", static_cast<std::uint64_t>(r.capacity))
-      .flag("poised_cas_fired", r.poised_cas_fired)
-      .flag("victim_reported_success", r.victim_reported_success)
-      .flag("linearizable", r.check.linearizable)
-      .metric("states_explored",
-              static_cast<std::uint64_t>(r.check.states_explored));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  membq::bench::Harness harness("lower_bound", argc, argv);
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("=== E7/E7b/E14: Theorem 3.12 adversarial executions ===\n");
   std::printf("%-34s %8s %10s %10s %18s %10s\n", "target (schedule)", "C",
               "staleCAS", "enq(y)->", "verdict", "states");
   for (std::size_t c : {2, 3, 4, 6, 8}) {
-    print_row(harness, "naive-ring (1-round sleep)",
+    print_row("naive-ring (1-round sleep)",
               membq::adversary::attack_naive_ring(c));
   }
   for (std::size_t c : {3, 4, 6}) {
-    print_row(harness, "tsigas-zhang (2-round sleep)",
+    print_row("tsigas-zhang (2-round sleep)",
               membq::adversary::attack_tsigas_zhang(c, 2));
   }
   for (std::size_t c : {3, 4, 6}) {
-    print_row(harness, "tsigas-zhang (1-round sleep)",
+    print_row("tsigas-zhang (1-round sleep)",
               membq::adversary::attack_tsigas_zhang(c, 1));
   }
   for (std::size_t c : {3, 4, 6}) {
-    print_row(harness, "distinct-L2 control (1-round)",
+    print_row("distinct-L2 control (1-round)",
               membq::adversary::attack_distinct(c));
   }
   for (std::size_t v : {1, 2, 4}) {
     char label[64];
     std::snprintf(label, sizeof(label), "naive-ring multi (%zu victims)", v);
-    print_row(harness, label, membq::adversary::attack_naive_ring_multi(6, v));
+    print_row(label, membq::adversary::attack_naive_ring_multi(6, v));
   }
   std::printf(
       "\nReading: a 'fired' stale CAS plus a NOT-LINEARIZABLE verdict is the"
@@ -62,5 +54,5 @@ int main(int argc, char** argv) {
       "\nthe versioned-bottom assumption defeating the same schedule, and"
       "\nthe 1-round Tsigas-Zhang rows show its two nulls surviving exactly"
       "\none round of staleness (and no more).\n");
-  return harness.finish();
+  return 0;
 }

@@ -10,44 +10,19 @@
 #include <string>
 #include <vector>
 
-#include "harness.hpp"
 #include "metrics/overhead.hpp"
 #include "workload/registry.hpp"
 #include "workload/rows.hpp"
 
-namespace {
-
-void record_rows(membq::bench::Harness& h, const char* sweep,
-                 const std::vector<membq::metrics::OverheadRow>& rows) {
-  for (const auto& r : rows) {
-    h.record(std::string("e9/") + sweep + "/" + r.queue +
-             "/C=" + std::to_string(r.capacity) +
-             "/T=" + std::to_string(r.threads))
-        .param("queue", r.queue)
-        .param("capacity", static_cast<std::uint64_t>(r.capacity))
-        .param("threads", static_cast<std::uint64_t>(r.threads))
-        .metric("overhead_bytes", static_cast<std::uint64_t>(r.overhead_bytes))
-        .metric("aux_bytes", static_cast<std::uint64_t>(r.aux_bytes))
-        .metric("retired_bytes",
-                static_cast<std::uint64_t>(r.retired_bytes));
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using membq::metrics::OverheadRow;
-  membq::bench::Harness harness("memory_overhead", argc, argv);
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
 
-  // Short mode trims the sweep extremes; the surviving points still span
-  // enough range for the Θ-class inference to separate flat from linear.
-  const std::vector<std::size_t> c_sweep_points =
-      harness.short_mode() ? std::vector<std::size_t>{64, 1024, 4096}
-                           : std::vector<std::size_t>{64, 256, 1024, 4096,
-                                                      16384};
-  const std::vector<std::size_t> t_sweep_points =
-      harness.short_mode() ? std::vector<std::size_t>{2, 8, 32}
-                           : std::vector<std::size_t>{2, 4, 8, 16, 32, 64};
+  const std::vector<std::size_t> c_sweep_points{64, 256, 1024, 4096, 16384};
+  const std::vector<std::size_t> t_sweep_points{2, 4, 8, 16, 32, 64};
 
   // One measurement per (queue, point); the printed tables AND the verdict
   // classification below both read from these vectors.
@@ -67,7 +42,6 @@ int main(int argc, char** argv) {
     all_rows.insert(all_rows.end(), rows.begin(), rows.end());
   }
   std::printf("%s\n", membq::metrics::format_table(all_rows).c_str());
-  record_rows(harness, "c-sweep", all_rows);
 
   std::printf("=== E9: memory overhead, thread sweep (C = 1024) ===\n");
   all_rows.clear();
@@ -75,7 +49,6 @@ int main(int argc, char** argv) {
     all_rows.insert(all_rows.end(), rows.begin(), rows.end());
   }
   std::printf("%s\n", membq::metrics::format_table(all_rows).c_str());
-  record_rows(harness, "t-sweep", all_rows);
 
   std::printf("=== E9 verdicts: inferred class vs paper claim ===\n");
   std::printf("%-24s %-14s %-14s %s\n", "queue", "measured", "claimed",
@@ -92,16 +65,10 @@ int main(int argc, char** argv) {
     std::printf("%-24s %-14s %-14s %s\n", queues[i].name.c_str(),
                 measured.c_str(), claimed.c_str(),
                 informational ? "(composite)" : (match ? "OK" : "MISMATCH"));
-    harness.record("e9/verdict/" + queues[i].name)
-        .param("queue", queues[i].name)
-        .param("measured", measured)
-        .param("claimed", claimed)
-        .flag("informational", informational)
-        .flag("match", informational || match);
   }
   std::printf(
       "\nNote: llsc(L3) reports its ALGORITHMIC overhead (the paper's model"
       "\ncharges hardware LL/SC nothing); the software emulation surcharge"
       "\nof 8 bytes/cell is listed separately in the tables above.\n");
-  return harness.finish();
+  return 0;
 }

@@ -8,20 +8,18 @@
 
 #include <cstdio>
 
-#include "harness.hpp"
 #include "workload/driver.hpp"
 #include "workload/registry.hpp"
 #include "workload/rows.hpp"
 
 int main(int argc, char** argv) {
   using namespace membq::workload;
-  namespace param = membq::bench::param;
-  membq::bench::Harness harness(
-      "throughput", argc, argv,
-      param::kCapacity | param::kOps | param::kPinPolicy);
-
-  const std::size_t kCapacity = harness.capacity(4096);
-  const std::size_t kOps = harness.ops(200000);
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
+  constexpr std::size_t kCapacity = 4096;
+  constexpr std::size_t kOps = 200000;
 
   std::printf("=== E12: SPSC relaxation (Discussion §5, restriction 1) ===\n");
   // The pairwise mix at T=2 runs one producer thread and one consumer
@@ -36,12 +34,10 @@ int main(int argc, char** argv) {
     auto q = row.make(kCapacity, cfg.threads, 0);
     const RunResult r = run_workload(*q, cfg);
     std::printf("%s\n", r.format().c_str());
-    harness.record("e12/" + r.queue).from(r);
   });
   for (const auto& q : all_queues()) {
     const RunResult r = q.run(kCapacity, cfg);
     std::printf("%s\n", r.format().c_str());
-    harness.record("e12/" + r.queue).from(r);
   }
-  return harness.finish();
+  return 0;
 }

@@ -6,8 +6,7 @@
 # with copy_if_different, so an unchanged tree never dirties the header's
 # timestamp and never triggers a rebuild cascade.
 #
-# Expected -D inputs: OUT_FILE, SOURCE_DIR, COMPILER, BUILD_TYPE,
-# TELEMETRY (0/1), SEQCST_RINGS (0/1).
+# Expected -D inputs: OUT_FILE, SOURCE_DIR, COMPILER, BUILD_TYPE.
 
 set(GIT_SHA "unknown")
 set(GIT_DIRTY 0)
@@ -39,8 +38,6 @@ set(_content "// Generated by cmake/gen_buildinfo.cmake — do not edit.
 #define MEMBQ_GIT_DIRTY ${GIT_DIRTY}
 #define MEMBQ_COMPILER \"${COMPILER}\"
 #define MEMBQ_BUILD_TYPE \"${BUILD_TYPE}\"
-#define MEMBQ_OPT_TELEMETRY ${TELEMETRY}
-#define MEMBQ_OPT_SEQCST_RINGS ${SEQCST_RINGS}
 ")
 
 file(WRITE "${OUT_FILE}.tmp" "${_content}")

@@ -1,14 +1,15 @@
 // Build provenance for machine-readable output: which commit, compiler,
-// and option flags produced a number. Every BENCH_*.json record embeds
-// this block, which is what lets compare_bench.py refuse to diff numbers
-// from incomparable builds (sanitizers aside, a seq-cst-rings build or a
-// dirty tree is not the same experiment).
+// and option flags produced a number. `membq_perf info` prints it, so a
+// number can be tied to its build (a seq-cst-rings build or a dirty tree
+// is not the same experiment).
 //
-// The concrete values come from a header that cmake/gen_buildinfo.cmake
-// regenerates on every build (so the sha tracks HEAD, not the last
-// configure). The __has_include fallback keeps this header usable from
-// non-CMake contexts (IDE indexers, single-file compiles): everything
-// degrades to "unknown" instead of failing to compile.
+// The sha, dirty flag, compiler and build type come from a header that
+// cmake/gen_buildinfo.cmake regenerates on every build (so the sha tracks
+// HEAD, not the last configure); the two option flags come from the
+// MEMBQ_TELEMETRY and MEMBQ_SEQCST_RINGS compile definitions. The
+// __has_include fallback keeps this header usable from non-CMake contexts
+// (IDE indexers, single-file compiles): everything degrades to "unknown"
+// instead of failing to compile.
 #pragma once
 
 #if defined(__has_include)

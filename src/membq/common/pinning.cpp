@@ -1,7 +1,6 @@
 #include "common/pinning.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -14,41 +13,6 @@
 #endif
 
 namespace membq {
-
-namespace {
-
-std::atomic<PinPolicy> g_default_pin{PinPolicy::kNone};
-
-}  // namespace
-
-const char* to_string(PinPolicy p) noexcept {
-  switch (p) {
-    case PinPolicy::kNone:
-      return "none";
-    case PinPolicy::kCoresFirst:
-      return "cores-first";
-  }
-  return "?";
-}
-
-bool pin_policy_from_string(const std::string& name,
-                            PinPolicy& out) noexcept {
-  for (auto p : {PinPolicy::kNone, PinPolicy::kCoresFirst}) {
-    if (name == to_string(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-PinPolicy default_pin_policy() noexcept {
-  return g_default_pin.load(std::memory_order_relaxed);
-}
-
-void set_default_pin_policy(PinPolicy p) noexcept {
-  g_default_pin.store(p, std::memory_order_relaxed);
-}
 
 std::size_t online_cpus() noexcept {
 #if defined(__linux__)

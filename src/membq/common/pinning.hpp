@@ -13,11 +13,10 @@
 //                  cores sit idle), filtered to the allowed set. When that
 //                  order misses the allowed set entirely (CPUs the startup
 //                  topology never saw), ascending CPU id stands in.
-//   kNone        — no pinning (policy value for config plumbing).
+//   kNone        — no pinning (RunConfig's default).
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace membq {
 
@@ -25,17 +24,6 @@ enum class PinPolicy {
   kNone,        // leave the scheduler alone
   kCoresFirst,  // physical cores before SMT siblings (topology order)
 };
-
-const char* to_string(PinPolicy p) noexcept;
-
-// Parses the wire names ("none", "cores-first"); returns
-// false (out untouched) for anything else.
-bool pin_policy_from_string(const std::string& name, PinPolicy& out) noexcept;
-
-// Process-wide default applied by RunConfig at construction; the bench
-// harness sets it from --pin-policy=. Starts as kNone.
-PinPolicy default_pin_policy() noexcept;
-void set_default_pin_policy(PinPolicy p) noexcept;
 
 // Number of CPUs the calling thread is currently allowed on (>= 1).
 std::size_t online_cpus() noexcept;

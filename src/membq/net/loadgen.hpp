@@ -6,8 +6,8 @@
 // `rate_ops_per_sec` is set (send times follow the arrival schedule
 // start + i/rate regardless of response progress, up to a bounded
 // in-flight window) or closed-loop when it is 0. Every frame's round trip
-// is recorded in the shared LatencyHistogram machinery, so BENCH JSON
-// percentiles over the socket compose exactly like the in-memory benches'.
+// is recorded in the shared LatencyHistogram machinery, so percentiles
+// over the socket compose exactly like the workload driver's.
 //
 // Backpressure handling is the client half of the WOULD_BLOCK contract:
 // an ENQ answered short has its unaccepted suffix re-queued and re-sent

@@ -1,15 +1,15 @@
-// membq_loadgen: open-loop client fleet + BENCH_server.json emitter.
+// membq_loadgen: open-loop client fleet for membq_server.
 //
 //   membq_server --port=7171 &
 //   membq_loadgen --connect=127.0.0.1:7171 --threads=4 --ops=20000
 //                 [--batch=N --enq-ratio=F --rate=OPS_PER_SEC --window=N]
 //
-// Loadgen-specific flags are consumed here; everything else (--threads,
-// --ops, --short, --out-dir, --no-json, ...) is the shared bench harness
-// CLI, and the artifact is the harness's schema-versioned
-// BENCH_server.json. --threads is the connection sweep: one record per
-// fleet size, each with RTT percentiles and the exactly-once ledger
-// verdict. Exit is nonzero when any run errors or the ledger fails.
+// --threads=LIST is the connection sweep (default 1,2,4) and --ops=N the
+// run-phase frames per connection (default 10000). Each fleet size prints
+// one line: rate, acked and received tokens, WOULD_BLOCK answers, RTT
+// percentiles and the exactly-once ledger verdict. Exit 1 on a run error,
+// a ledger breach or a bad --connect or --batch; 2 on an unknown flag or
+// a malformed --threads or --ops.
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "harness.hpp"
 #include "net/loadgen.hpp"
 #include "net/protocol.hpp"
 
@@ -37,16 +36,49 @@ bool parse_hostport(const std::string& s, std::string& host,
   return true;
 }
 
+bool parse_count(const char* s, std::size_t& out) {
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || v == 0) return false;
+  out = static_cast<std::size_t>(v);
+  return true;
+}
+
+// "1,2,4": one or more positive counts.
+bool parse_count_list(const char* s, std::vector<std::size_t>& out) {
+  out.clear();
+  std::string token;
+  for (const char* p = s;; ++p) {
+    if (*p == ',' || *p == '\0') {
+      std::size_t v = 0;
+      if (!parse_count(token.c_str(), v)) return false;
+      out.push_back(v);
+      token.clear();
+      if (*p == '\0') return true;
+    } else {
+      token += *p;
+    }
+  }
+}
+
+[[noreturn]] void usage_and_exit(const char* bad) {
+  std::fprintf(stderr,
+               "membq_loadgen: bad argument '%s'\n"
+               "usage: membq_loadgen --connect=HOST:PORT [--threads=1,2,4] "
+               "[--ops=N] [--batch=N]\n"
+               "       [--enq-ratio=F] [--rate=OPS_PER_SEC] [--window=N] "
+               "[--park-us=N] [--drain-limit=N]\n",
+               bad);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   membq::net::LoadgenConfig cfg;
   bool have_connect = false;
+  std::vector<std::size_t> fleet_sizes{1, 2, 4};
 
-  // Split argv: loadgen flags stay here, the rest goes to the harness
-  // (which exits(2) on anything it does not know).
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto val = [&](const char* prefix) -> const char* {
@@ -59,6 +91,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       have_connect = true;
+    } else if (const char* v = val("--threads=")) {
+      if (!parse_count_list(v, fleet_sizes)) usage_and_exit(argv[i]);
+    } else if (const char* v = val("--ops=")) {
+      if (!parse_count(v, cfg.ops_per_conn)) usage_and_exit(argv[i]);
     } else if (const char* v = val("--batch=")) {
       cfg.batch = std::strtoull(v, nullptr, 10);
     } else if (const char* v = val("--enq-ratio=")) {
@@ -72,13 +108,11 @@ int main(int argc, char** argv) {
     } else if (const char* v = val("--drain-limit=")) {
       cfg.drain_empty_limit = std::strtoull(v, nullptr, 10);
     } else {
-      rest.push_back(argv[i]);
+      usage_and_exit(argv[i]);
     }
   }
   if (!have_connect) {
-    std::fprintf(stderr,
-                 "membq_loadgen: --connect=HOST:PORT is required "
-                 "(plus any bench harness flags)\n");
+    std::fprintf(stderr, "membq_loadgen: --connect=HOST:PORT is required\n");
     return 1;
   }
   if (cfg.batch == 0 || cfg.batch > membq::net::kMaxBatch) {
@@ -87,11 +121,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  membq::bench::Harness harness(
-      "server", static_cast<int>(rest.size()), rest.data(),
-      membq::bench::param::kThreads | membq::bench::param::kOps);
-  cfg.ops_per_conn = harness.ops(10000);
-
   std::printf("# membq_loadgen -> %s:%u  ops/conn=%zu batch=%zu "
               "enq_ratio=%.2f rate=%.0f window=%zu\n",
               cfg.host.c_str(), static_cast<unsigned>(cfg.port),
@@ -99,7 +128,7 @@ int main(int argc, char** argv) {
               cfg.rate_ops_per_sec, cfg.window);
 
   bool ok = true;
-  for (std::size_t conns : harness.threads({1, 2, 4})) {
+  for (std::size_t conns : fleet_sizes) {
     cfg.conns = conns;
     const membq::net::LoadgenResult r = membq::net::run_loadgen(cfg);
     const std::uint64_t ops = r.enq_acked + r.deq_received;
@@ -115,34 +144,19 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.enq_retries), r.rtt.percentile(0.50),
         r.rtt.percentile(0.99), r.ledger_ok ? "OK" : "FAIL",
         r.error.empty() ? "" : "  error=", r.error.c_str());
-
-    harness.record("loadgen/conns=" + std::to_string(conns))
-        .param("transport", "tcp-loopback")
-        .param("host", cfg.host)
-        .param("conns", static_cast<std::uint64_t>(conns))
-        .param("batch", static_cast<std::uint64_t>(cfg.batch))
-        .param("ops_per_conn", static_cast<std::uint64_t>(cfg.ops_per_conn))
-        .metric("mops", mops)
-        .metric("frames_per_sec", r.frames_per_sec)
-        .metric("frames_tx", r.frames_tx)
-        .metric("frames_rx", r.frames_rx)
-        .metric("enq_acked", r.enq_acked)
-        .metric("deq_received", r.deq_received)
-        .metric("would_block", r.would_block)
-        .metric("enq_retries", r.enq_retries)
-        .metric("ledger_duplicates", r.duplicates)
-        .metric("ledger_lost", r.lost)
-        .metric("ledger_foreign", r.foreign)
-        .flag("ledger_ok", r.ledger_ok)
-        .latency(r.rtt);
+    if (!r.ledger_ok) {
+      std::printf("  ledger: duplicates=%llu lost=%llu foreign=%llu\n",
+                  static_cast<unsigned long long>(r.duplicates),
+                  static_cast<unsigned long long>(r.lost),
+                  static_cast<unsigned long long>(r.foreign));
+    }
 
     if (!r.error.empty() || !r.ledger_ok) ok = false;
   }
 
-  const int rc = harness.finish();
   if (!ok) {
     std::fprintf(stderr, "membq_loadgen: FAILED (error or ledger breach)\n");
     return 1;
   }
-  return rc;
+  return 0;
 }

@@ -41,8 +41,8 @@
 //     exactness single-threaded, same best-effort caveat concurrently.
 //
 // Telemetry: shard_affinity_hit (items served by the handle's home
-// shard), shard_steal (dequeued items served by a non-home shard) —
-// emitted per record in BENCH_*.json like every other counter.
+// shard), shard_steal (dequeued items served by a non-home shard);
+// membq_perf's traced run reports both as sharded.* metrics.
 #pragma once
 
 #include <algorithm>

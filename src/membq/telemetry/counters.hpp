@@ -14,7 +14,8 @@
 //   OFF — count() is an empty inline function, so every hook in queues/,
 //         sync/ and reclaim/ compiles to nothing; snapshot() returns
 //         zeros and enabled() is false, so benches and tests need no
-//         #ifdefs. The fence-ablation bench is the parity proof.
+//         #ifdefs. TelemetryContract.EnabledMatchesBuildFlag and CI's nm
+//         check on an OFF build hold it to that.
 //
 // Concurrency contract: count() is wait-free and per-thread; snapshot()
 // and reset() take the registry mutex and may run concurrently with
@@ -29,8 +30,7 @@
 namespace membq {
 namespace telemetry {
 
-// One X-macro so the enum, the name table and the JSON exporter can never
-// drift apart. Order is the wire order in BENCH_*.json counter objects.
+// One X-macro so the enum and the name table can never drift apart.
 #define MEMBQ_TELEMETRY_COUNTERS(X)                                         \
   X(enq_attempt)        /* calls (scalar or bulk) entering a queue;     */  \
                         /* the workload/bulk.hpp fallback counts one    */  \
@@ -74,8 +74,8 @@ constexpr std::size_t kCounterCount =
 // Stable wire name ("cas_fail", ...); never nullptr for a valid Counter.
 const char* counter_name(Counter c) noexcept;
 
-// Additive value-type view of the counters: what snapshot() returns and
-// what the bench harness stamps into BENCH_*.json records.
+// Additive value-type view of the counters: what snapshot() returns, and
+// what a caller subtracts (delta_since) to attribute counts to one run.
 struct CounterSnapshot {
   std::uint64_t v[kCounterCount] = {};
 

@@ -50,9 +50,8 @@ struct RunConfig {
   // them, per-item prefix loop otherwise — workload/bulk.hpp), with
   // ops_per_thread still counted in ITEMS so rows stay comparable.
   std::size_t batch = 1;
-  // How worker tid maps to a CPU. Defaults to the process-wide policy
-  // (the harness sets it from --pin-policy=).
-  PinPolicy pin = default_pin_policy();
+  // How worker tid maps to a CPU.
+  PinPolicy pin = PinPolicy::kNone;
 };
 
 struct RunResult {
@@ -71,9 +70,6 @@ struct RunResult {
   double p99_ns = 0.0;
   double p999_ns = 0.0;
   double max_ns = 0.0;
-
-  // How workers were pinned.
-  PinPolicy pin = PinPolicy::kNone;
 
   // Merged across all worker threads; callers can keep merging results
   // from further runs and re-derive composed percentiles.
@@ -126,7 +122,6 @@ RunResult run_workload(Q& q, const RunConfig& cfg) {
   r.mix = cfg.mix;
   r.batch = cfg.batch > 1 ? cfg.batch : 1;
   r.latency_sampled = cfg.sample_latency;
-  r.pin = cfg.pin;
 
   {
     // Prefill from the calling thread; uses a tid beyond the workers so

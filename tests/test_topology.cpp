@@ -112,21 +112,6 @@ TEST(TopologyTest, RealSystemSanity) {
   for (int cpu : t.pin_order()) EXPECT_NE(t.node_of(cpu), -1);
 }
 
-TEST(PinningTest, PolicyStringsRoundTrip) {
-  membq::PinPolicy p = membq::PinPolicy::kNone;
-  ASSERT_TRUE(membq::pin_policy_from_string("cores-first", p));
-  EXPECT_EQ(p, membq::PinPolicy::kCoresFirst);
-  ASSERT_TRUE(membq::pin_policy_from_string("none", p));
-  EXPECT_EQ(p, membq::PinPolicy::kNone);
-  p = membq::PinPolicy::kCoresFirst;
-  for (const char* bad : {"bogus", "sequential"}) {
-    EXPECT_FALSE(membq::pin_policy_from_string(bad, p)) << bad;
-    EXPECT_EQ(p, membq::PinPolicy::kCoresFirst) << bad;
-  }
-  EXPECT_STREQ(membq::to_string(membq::PinPolicy::kCoresFirst),
-               "cores-first");
-}
-
 #if defined(__linux__)
 // THE cpuset regression: under a restricted affinity mask (taskset,
 // cgroup cpuset), online_cpus() must count the *allowed* CPUs and
