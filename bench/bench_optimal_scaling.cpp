@@ -71,8 +71,10 @@ int main(int argc, char** argv) {
   }
 
   // The lock-free realization pays the same Θ(T) findOp scan per operation
-  // (a single thread finds `cur_` empty every time, scans the T records of
-  // the live handles and installs its own), plus the DCSS-guarded vacate;
+  // (a single thread finds `cur_` idle every time; its handle holds the
+  // last slot, which it installed last, so the cyclic scan reads the T
+  // records of the live handles before it finds its own), plus the
+  // DCSS-guarded vacate;
   // it allocates and retires nothing. So its time must scale with T exactly
   // like the combining row — the memory-class verdict re-checked for the
   // readElem/findOp protocol.

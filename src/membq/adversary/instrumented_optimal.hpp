@@ -6,8 +6,9 @@
 // advance — and can park a helper or an owner at any of them.
 //
 // Like the real queue, each announcement slot owns one record for life:
-// an operation re-announces its slot's record under a fresh ticket, and
-// every one-shot field (the view, the result) starts at a sentinel. The
+// an operation re-announces its slot's record under the record's next
+// seq (the last one plus one; there is no shared ticket), and every
+// one-shot field (the view, the result) starts at a sentinel. The
 // view is the real queue's one word, start<<4 | k (start = the tail for
 // an enqueue, the head for a dequeue; k = min(1, room or size)), read
 // from both counters in one step and bound by one CAS. (The real queue
@@ -41,16 +42,20 @@
 //                     the next incarnation.
 //
 // The machine follows the real protocol's structure: a packed {slot, seq}
-// `cur_` word, installer-first helping (a thread that finds an
-// installation in flight polls its own record once and only then helps),
-// the hand-off (a thread that finds the installation decided while its own
-// operation is pending scans and CASes `cur_` from the decided word
-// straight to the oldest pending record; it clears `cur_` only once its
-// own operation is decided), one-shot view binding validated against the
-// record's seq, versioned bottoms on the enqueue side. Announcing is one
+// `cur_` word whose idle form, bit 63 set on the last installed word,
+// keeps the last installed slot; the cyclic findOp, which starts after
+// that slot and stops at the first pending record; installer-first
+// helping (a thread that finds an installation in flight polls its own
+// record once and only then helps); the hand-off (a thread that finds the
+// installation decided while its own operation is pending scans on from
+// the decided record's slot and CASes `cur_` from the decided word
+// straight to the first pending record; it sets `cur_` idle only once its
+// own operation is decided); one-shot view binding validated against the
+// record's seq; versioned bottoms on the enqueue side. Announcing is one
 // atomic step here, so the real queue's seqlock writing state has no
 // counterpart. The scan covers every slot: the real queue's bound on it,
-// the high-water mark of handed-out slots, is not mirrored.
+// the high-water mark of handed-out slots, is not mirrored, so the mark
+// here is the slot count.
 #pragma once
 
 #include <algorithm>
@@ -128,6 +133,14 @@ class InstrumentedOptimal {
   std::uint64_t head() const noexcept { return head_; }
   std::uint64_t tail() const noexcept { return tail_; }
   std::uint64_t cur() const noexcept { return cur_; }
+  // The slot of every installation so far, in order: each CAS that put a
+  // record's word into `cur_`.
+  const std::vector<std::size_t>& installed_slots() const noexcept {
+    return installed_slots_;
+  }
+  bool pending(std::size_t slot) const noexcept {
+    return (recs_[slot].state & 3) == kPending;
+  }
   std::uint64_t cell(std::size_t i) const noexcept { return cells_[i]; }
   // The view bound in slot `slot`'s record (or its sentinel).
   std::uint64_t bound_view(std::size_t slot) const noexcept {
@@ -141,13 +154,13 @@ class InstrumentedOptimal {
   // The phases an operation can be parked at. Phases marked (*) touch
   // shared state when stepped; the rest only read or book-keep.
   enum class Phase {
-    kAnnounce,    // (*) take a ticket, re-announce the slot's record
+    kAnnounce,    // (*) re-announce the slot's record under its next seq
     kReadCur,     // read the installed-op word
     kWait,        // an installation is in flight: poll our own record
     kRecheckCur,  // the wait expired: read the installed-op word again
-    kScan,        // findOp: examine one announcement slot
-    kInstall,     // (*) CAS cur_ from kNone, or on a hand-off from the
-                  //     decided installation, to the oldest pending op
+    kScan,        // findOp: examine the next slot, cyclically
+    kInstall,     // (*) CAS cur_ from its idle word, or on a hand-off from
+                  //     the decided installation, to the first pending op
     kLookup,      // resolve the installed word to a record incarnation
     kReadView,    // read the view field and, if unbound, both counters
     kBindView,    // (*) one-shot bind of the record's view
@@ -163,8 +176,7 @@ class InstrumentedOptimal {
     kAdvHead,     // (*) advance head past the bound index
     kDecide,      // (*) one-shot state transition (done / failed)
     kUninstall,   // (*) leave a decided installation: start the hand-off
-                  //     scan while our op is pending, else CAS cur_ back
-                  //     to kNone
+                  //     scan while our op is pending, else set cur_ idle
     kCheckSelf,   // has our own record been decided?
     kDone,
   };
@@ -188,8 +200,11 @@ class InstrumentedOptimal {
       return target_slot_ != kNoTarget && target_slot_ != slot_;
     }
     // True while the scan and install phases hand `cur_` on from a
-    // decided installation rather than install into an empty `cur_`.
-    bool handing_off() const noexcept { return from_ != kNone; }
+    // decided installation rather than install into an idle `cur_`.
+    bool handing_off() const noexcept {
+      return (phase_ == Phase::kScan || phase_ == Phase::kInstall) &&
+             !is_idle(from_);
+    }
     // View-bind instrumentation: how often the bind CAS was granted, and
     // whether the *first* granted attempt wrote the field. For a parked
     // helper that first attempt is the poised, stale bind.
@@ -224,18 +239,30 @@ class InstrumentedOptimal {
     // Leave the target incarnation: it was decided or re-announced.
     void drop() noexcept { phase_ = Phase::kUninstall; }
 
+    // findOp from the word `from`, the idle or decided word kInstall will
+    // expect in cur_: start after the slot it names.
+    void start_scan(std::uint64_t from) noexcept {
+      from_ = from;
+      scan_slot_ = slot_of(from);
+      scan_n_ = 0;
+      found_ = false;
+      phase_ = Phase::kScan;
+    }
+
     InstrumentedOptimal& q_;
     const std::size_t slot_;
     const OpKind kind_;
     const std::uint64_t arg_;
-    std::uint64_t seq_ = 0;  // own ticket, set at kAnnounce
+    std::uint64_t seq_ = 0;  // own seq, set at kAnnounce
 
     Phase phase_ = Phase::kAnnounce;
-    std::uint64_t w_ = kNone;  // installed word being worked on
-    std::uint64_t from_ = kNone;  // the word kInstall expects in cur_
-    std::size_t scan_i_ = 0;      // findOp cursor
-    std::uint64_t best_seq_ = kNone;
-    std::size_t best_slot_ = 0;
+    std::uint64_t w_ = 0;     // word of cur_ being worked on
+    std::uint64_t from_ = 0;  // the word kInstall expects in cur_
+    std::size_t scan_slot_ = 0;  // findOp: the slot examined last
+    std::size_t scan_n_ = 0;     // findOp: slots examined so far
+    bool found_ = false;      // findOp: found_slot_ and found_seq_ are set
+    std::size_t found_slot_ = 0;
+    std::uint64_t found_seq_ = 0;
     // The target incarnation and the operation read from it.
     std::size_t target_slot_ = kNoTarget;
     std::uint64_t target_seq_ = 0;
@@ -261,7 +288,9 @@ class InstrumentedOptimal {
   static constexpr std::uint64_t kPending = 1;
   static constexpr std::uint64_t kDoneState = 2;
   static constexpr std::uint64_t kFailedState = 3;
-  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  // cur_: an installed word slot<<48 | seq, or idle, bit 63 set on the last
+  // installed word (the real queue's encoding).
+  static constexpr std::uint64_t kIdleFlag = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 48) - 1;
 
   // One slot's record. state = seq<<2 | status; seq 0 decided at start.
@@ -277,13 +306,21 @@ class InstrumentedOptimal {
     return (static_cast<std::uint64_t>(slot) << 48) | (seq & kSeqMask);
   }
 
+  static bool is_idle(std::uint64_t w) noexcept {
+    return (w & kIdleFlag) != 0;
+  }
+
+  static std::size_t slot_of(std::uint64_t w) noexcept {
+    return static_cast<std::size_t>((w & ~kIdleFlag) >> 48);
+  }
+
   const std::size_t cap_;
   std::vector<std::uint64_t> cells_;
   std::vector<Rec> recs_;
   std::uint64_t head_ = 0;
   std::uint64_t tail_ = 0;
-  std::uint64_t ticket_ = 0;
-  std::uint64_t cur_ = kNone;
+  std::uint64_t cur_ = kIdleFlag;  // idle({0, 0}): seq 0 is never installed
+  std::vector<std::size_t> installed_slots_;
 };
 
 template <class VacatePolicy, class SentinelPolicy>
@@ -295,7 +332,7 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
   switch (phase_) {
     case Phase::kAnnounce:
       assert((own.state & 3) != kPending && "slot's record still pending");
-      seq_ = q.ticket_++;
+      seq_ = (own.state >> 2) + 1;
       own.is_enqueue = kind_ == OpKind::kEnqueue;
       own.arg = arg_;
       own.bv = own.res = S::unbound(seq_);
@@ -305,10 +342,8 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
 
     case Phase::kReadCur:
       w_ = q.cur_;
-      if (w_ == kNone) {
-        scan_i_ = 0;
-        best_seq_ = kNone;
-        phase_ = Phase::kScan;
+      if (is_idle(w_)) {
+        start_scan(w_);
       } else {
         phase_ = Phase::kWait;
       }
@@ -324,55 +359,55 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
 
     case Phase::kRecheckCur:
       w_ = q.cur_;
-      if (w_ == kNone) {
-        scan_i_ = 0;
-        best_seq_ = kNone;
-        phase_ = Phase::kScan;
+      if (is_idle(w_)) {
+        start_scan(w_);
       } else {
         phase_ = Phase::kLookup;
       }
       return;
 
     case Phase::kScan: {  // findOp: one announcement slot per step
-      if (scan_i_ < q.recs_.size()) {
-        const Rec& r = q.recs_[scan_i_];
-        if ((r.state & 3) == kPending && (r.state >> 2) < best_seq_) {
-          best_seq_ = r.state >> 2;
-          best_slot_ = scan_i_;
+      const std::size_t mark = q.recs_.size();
+      if (scan_n_ < mark) {
+        // Cyclically from the slot after the last installed one.
+        if (++scan_slot_ >= mark) scan_slot_ = 0;
+        ++scan_n_;
+        const Rec& r = q.recs_[scan_slot_];
+        if ((r.state & 3) == kPending) {
+          found_ = true;
+          found_slot_ = scan_slot_;
+          found_seq_ = r.state >> 2;
+          phase_ = Phase::kInstall;
         }
-        ++scan_i_;
         return;
       }
       // Nothing pending: a fresh findOp has nothing to install, a
-      // hand-off still clears the decided word.
-      phase_ = best_seq_ == kNone && from_ == kNone ? Phase::kCheckSelf
-                                                    : Phase::kInstall;
+      // hand-off still sets the decided word idle.
+      phase_ = is_idle(from_) ? Phase::kCheckSelf : Phase::kInstall;
       return;
     }
 
     case Phase::kInstall: {
       // The installer applies its installation at once; a lost CAS sends
-      // us back to wait on the winner's. The expected word names the
-      // decided incarnation on a hand-off, so a helper that wakes up after
-      // `cur_` moved on misses.
+      // us back to wait on the winner's. No word of cur_ recurs, so a
+      // helper that wakes up after `cur_` moved on misses.
       const std::uint64_t next =
-          best_seq_ == kNone ? kNone : pack(best_slot_, best_seq_);
+          found_ ? pack(found_slot_, found_seq_) : from_ | kIdleFlag;
       if (q.cur_ == from_) {
         q.cur_ = next;
-        if (next != kNone) {
+        if (found_) {
+          q.installed_slots_.push_back(found_slot_);
           w_ = next;
-          from_ = kNone;
           phase_ = Phase::kLookup;
           return;
         }
       }
-      from_ = kNone;
       phase_ = Phase::kCheckSelf;
       return;
     }
 
     case Phase::kLookup: {
-      const std::size_t slot = static_cast<std::size_t>(w_ >> 48);
+      const std::size_t slot = slot_of(w_);
       target_slot_ = kNoTarget;
       if (slot < q.recs_.size()) {
         const Rec& r = q.recs_[slot];
@@ -520,13 +555,10 @@ void InstrumentedOptimal<VacatePolicy, SentinelPolicy>::Op::step() {
       if (own.state == ((seq_ << 2) | kPending)) {
         // Hand-off: findOp from the decided word, then kInstall CASes
         // cur_ from it.
-        from_ = w_;
-        scan_i_ = 0;
-        best_seq_ = kNone;
-        phase_ = Phase::kScan;
+        start_scan(w_);
         return;
       }
-      if (q.cur_ == w_) q.cur_ = kNone;
+      if (q.cur_ == w_) q.cur_ = w_ | kIdleFlag;
       phase_ = Phase::kCheckSelf;
       return;
 

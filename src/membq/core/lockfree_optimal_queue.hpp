@@ -12,10 +12,14 @@
 //     handle slot, owned by the slot for the queue's lifetime. Nothing is
 //     allocated per operation and nothing is retired, so the queue needs
 //     no reclamation domain and has no backlog outside its Θ(T) words.
-//   * `cur_` names the operation being applied as a packed {slot, seq}
-//     word (the DCSS-marker idiom), the seq in a 48-bit field. A record's
-//     bound view packs a counter above a 4-bit count, so `head_` and
-//     `tail_` must stay below 2^59: at 10^9 items/s, about 18 years.
+//   * `cur_` names the operation being applied as the word slot<<48 | seq
+//     (the DCSS-marker idiom), the record's seq in a 48-bit field. The
+//     slot stays below 2^15, as `DcssDomain` requires, so bit 63 is clear.
+//     With nothing installed, `cur_` holds idle(w) = bit 63 | w, where w
+//     is the last installed word: it keeps the slot where the next findOp
+//     starts (below). A record's bound view packs a counter above a 4-bit
+//     count, so `head_` and `tail_` must stay below 2^59: at 10^9 items/s,
+//     about 18 years.
 //
 // Batches. One announcement carries an operation on up to kBulk = 12
 // items: the operation word is kind|n, and the record's `val` words, which
@@ -36,18 +40,20 @@
 // contention, so a short count means full or empty.
 //
 // Record lifecycle. A record's `state` word is seq<<2 | status, where seq
-// is the operation's announcement ticket (global, strictly increasing, so
-// a record's seq never repeats). To announce ticket s the owner stores
-// s|writing, issues a release fence, writes the operation word, resets the
-// view word `bv` to the sentinel unbound(s) = bit 63 | s and writes `val`
-// (the arguments, or unbound(s) per item of a dequeue), then publishes
-// s|pending with a store. This is the seqlock of `DcssDomain`'s
-// descriptors: a helper that learned s from `cur_` reads the operation
-// word and an enqueue's arguments, then re-reads `state` behind an
-// acquire fence and drops the operation unless the seq is still s. The
-// record is decided by one CAS s|pending → s|done (or s|failed); the
-// owner reads the outcome and only then may announce its next ticket in
-// the record.
+// counts the record's announcements: the owner announces s+1 once s is
+// decided, and a handle that takes the slot continues from the state it
+// inherits, so a record's seq never repeats and no operation touches a
+// shared counter to get one. Seq 0 is the decided state a record starts
+// in. To announce s the owner stores s|writing, issues a release fence,
+// writes the operation word, resets the view word `bv` to the sentinel
+// unbound(s) = bit 63 | s and writes `val` (the arguments, or unbound(s)
+// per item of a dequeue), then publishes s|pending with a store. This is
+// the seqlock of `DcssDomain`'s descriptors: a helper that learned s from
+// `cur_` reads the operation word and an enqueue's arguments, then
+// re-reads `state` behind an acquire fence and drops the operation unless
+// the seq is still s. The record is decided by one CAS s|pending →
+// s|done (or s|failed); the owner reads the outcome and only then
+// announces s+1.
 //
 // Why a stale helper's CAS misses by sequence. Every one-shot field CAS
 // of incarnation s expects a word that names s: the view bind and the
@@ -61,18 +67,29 @@
 // replays that schedule.) A bound value names no seq, so helpers re-read
 // `state` after every bind and drop the operation if the record moved on.
 //
-// findOp: scan the records of the handed-out slots for the pending one
-// with the smallest ticket — the Θ(T) scan that is the paper's
-// time/memory trade-off (bench_optimal_scaling measures it). The scan
-// covers [0, mark), where `mark_` is the high-water mark of the slot
-// indices ever handed out: a slot raises it before its first
+// findOp: scan the records of the handed-out slots cyclically, starting
+// after the slot of the last installation, and return the first pending
+// one — the round-robin turn of Herlihy's universal construction
+// (TOPLAS'91), which needs no shared counter. It is the Θ(T) scan that is
+// the paper's time/memory trade-off (bench_optimal_scaling measures it).
+// The scan covers [0, mark), where `mark_` is the high-water mark of the
+// slot indices ever handed out: a slot raises it before its first
 // announcement, so an owner's own scan always covers its record, and a
 // queue provisioned for T slots but driven by fewer handles scans only
-// the slots they hold. Helping the *oldest* op first means an announced
-// operation completes after at most T installations: the protocol is not
-// just lock-free but starvation-free as long as any thread takes steps.
+// the slots they hold. The bound: let record i be pending. Every
+// installation after the first one that follows i's announcement comes
+// from a scan that read `cur_` after that first one, so it finds i
+// pending and takes a slot in (last, i] cyclically, where last is the
+// slot installed before it. (A scan begun before i was pending lands only
+// as that first installation: its install CAS expects the word the scan
+// started from, and no word of `cur_` recurs, since installed words name
+// a record's seq and idle words the last installed word.) So each
+// installation brings the installed slot closer to i, and an installed
+// record stays installed until it is decided: i is decided within mark
+// installations, and the protocol is not just lock-free but
+// starvation-free as long as any thread takes steps.
 //
-// Installer first, then hand-off. A thread that finds `cur_` empty scans
+// Installer first, then hand-off. A thread that finds `cur_` idle scans
 // and installs at once, and the thread whose CAS installed `cur_` applies
 // that operation at once. A thread that finds an installation in flight
 // polls its own record for kHelpPatience pauses and helps only if its
@@ -82,12 +99,13 @@
 // The wait is bounded, so a stalled installer delays the others by
 // kHelpPatience pauses and is then helped exactly as before: lock-freedom
 // holds. A thread that sees the installed record decided while its own is
-// still pending does not clear `cur_`: it scans and CASes `cur_` from the
-// decided word straight to the oldest pending record, which it then
-// applies as that record's installer. It clears `cur_` to empty only once
-// its own record is decided. The hand-off is the uninstall and the next
-// findOp install in one CAS, so what gets installed is unchanged (always
-// the oldest pending record) and the T-installation bound holds; the
+// still pending does not clear `cur_`: it scans on from the decided
+// record's slot and CASes `cur_` from the decided word straight to the
+// first pending record, which it then applies as that record's installer.
+// It clears `cur_` to idle only once its own record is decided. The
+// hand-off is the uninstall and the next findOp install in one CAS, so
+// what gets installed is unchanged (always the first pending record after
+// the last installed slot) and the mark-installation bound holds; the
 // rules only decide who applies an installed operation, and stop T
 // threads from applying it at once.
 //
@@ -241,9 +259,10 @@ class LockFreeOptimalQueue {
   // elements keep bit 63 clear, so a sentinel is never a bound value.
   static constexpr std::uint64_t kUnboundFlag = std::uint64_t{1} << 63;
 
-  // cur_ encoding, mirroring the DCSS marker layout: slot in the top 16
-  // bits, announcement ticket (mod 2^48) below.
-  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  // cur_ encoding, mirroring the DCSS marker layout: an installed word is
+  // slot<<48 | seq (mod 2^48) with bit 63 clear; idle(w) sets bit 63 on
+  // the last installed word w.
+  static constexpr std::uint64_t kIdleFlag = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 48) - 1;
 
   // One slot's announcement record, reused by every operation of every
@@ -281,6 +300,16 @@ class LockFreeOptimalQueue {
 
   static std::uint64_t pack(std::size_t slot, std::uint64_t seq) noexcept {
     return (static_cast<std::uint64_t>(slot) << 48) | (seq & kSeqMask);
+  }
+
+  static bool is_idle(std::uint64_t w) noexcept {
+    return (w & kIdleFlag) != 0;
+  }
+
+  // The slot of an installed word, or of the last installation an idle
+  // word names.
+  static std::size_t slot_of(std::uint64_t w) noexcept {
+    return static_cast<std::size_t>((w & ~kIdleFlag) >> 48);
   }
 
   std::uint64_t bot_for(std::uint64_t index) const noexcept {
@@ -326,7 +355,11 @@ class LockFreeOptimalQueue {
   std::size_t run_op(Handle& hd, std::size_t m, const std::uint64_t* in,
                      std::uint64_t* out) {
     Rec& rec = recs_[hd.slot_];
-    const std::uint64_t seq = ticket_.fetch_add(1, std::memory_order_acq_rel);
+    // Only the slot's holder announces in the record, and it saw its last
+    // announcement decided (or acquired the slot from the holder that
+    // did), so this load reads that decided state.
+    const std::uint64_t seq =
+        seq_of(rec.state.load(std::memory_order_relaxed)) + 1;
     // Seqlock publish: the writing state goes out before any field store
     // (release fence), the pending state after all of them.
     rec.state.store((seq << 2) | kWriting, std::memory_order_relaxed);
@@ -360,10 +393,10 @@ class LockFreeOptimalQueue {
   // One round for a thread whose record `mine` is still `pending`: wait
   // out an installation in flight, then finish the installed operation,
   // or findOp and install one if none is; then keep handing `cur_` on to
-  // the oldest pending record, and applying it, while ours is pending.
+  // the next pending record, and applying it, while ours is pending.
   void help_round(Handle& hd, Rec& mine, std::uint64_t pending) {
     std::uint64_t w = cur_.load(std::memory_order_seq_cst);
-    if (w != kNone) {
+    if (!is_idle(w)) {
       // Its installer is applying it; give it a bounded time before
       // joining in. Our own record may be decided meanwhile.
       for (std::uint32_t i = 0; i < kHelpPatience; ++i) {
@@ -376,50 +409,46 @@ class LockFreeOptimalQueue {
       // Never move `cur_` off a record that is still pending: an installed
       // record stays installed until decided, which is what keeps the
       // head/tail counters quiescent for the view bind.
-      if (w != kNone && !settle(hd, w)) return;
-      // `cur_` is empty or names a decided record: install the oldest
-      // pending one while ours is pending, clear it once ours is decided.
+      if (!is_idle(w) && !settle(hd, w)) return;
+      // `cur_` is idle or names a decided record: install the next pending
+      // one while ours is pending, set it idle once ours is decided.
       const std::uint64_t next =
-          mine.state.load(std::memory_order_acquire) == pending ? find_op()
-                                                                 : kNone;
+          mine.state.load(std::memory_order_acquire) == pending
+              ? find_op(w)
+              : w | kIdleFlag;
       if (next == w) return;  // nothing installed and nothing pending
-      // The seq in a non-empty `w` makes this CAS specific to that one
-      // operation, so a helper that lost the race to move it on misses.
+      // No word of `cur_` recurs, so this CAS is specific to the one `w`
+      // read: a helper that lost the race to move it on misses.
       std::uint64_t expected = w;
       if (!cur_.compare_exchange_strong(expected, next,
                                         std::memory_order_acq_rel)) {
-        if (next != kNone) telemetry::count(telemetry::Counter::k_cas_fail);
+        if (!is_idle(next)) telemetry::count(telemetry::Counter::k_cas_fail);
         return;  // another thread moved `cur_` on: wait on its installer
       }
-      if (next == kNone) return;
+      if (is_idle(next)) return;
       w = next;  // we installed it, so we apply it at once
     }
   }
 
-  // findOp: scan the handed-out slots for the oldest pending record.
-  // Returns its {slot, seq} word, or kNone if none is pending.
-  std::uint64_t find_op() const {
+  // findOp: scan the handed-out slots cyclically from the one after the
+  // last installed slot, which `w` names, for the first pending record.
+  // Returns its {slot, seq} word, or idle(w) if none is pending.
+  std::uint64_t find_op(std::uint64_t w) const {
     const std::size_t mark = mark_.load(std::memory_order_seq_cst);
-    std::uint64_t best_seq = kNone;
-    std::size_t best_slot = 0;
-    for (std::size_t i = 0; i < mark; ++i) {
+    std::size_t i = slot_of(w);
+    for (std::size_t n = 0; n < mark; ++n) {
+      if (++i >= mark) i = 0;
       const std::uint64_t st = recs_[i].state.load(std::memory_order_acquire);
-      if ((st & 3) == kPending && seq_of(st) < best_seq) {
-        best_seq = seq_of(st);
-        best_slot = i;
-      }
+      if ((st & 3) == kPending) return pack(i, seq_of(st));
     }
-    // Installing only {slot, seq} bits: if the record completes (or is
-    // even re-announced) before the install CAS lands, helpers detect the
-    // stale installation by the seq/state check and move `cur_` on.
-    return best_seq == kNone ? kNone : pack(best_slot, best_seq);
+    return w | kIdleFlag;
   }
 
   // Apply the installed operation `w` if it is still pending. Returns
   // false while it stays pending, true once it is decided (or its record
   // was re-announced since).
   bool settle(Handle& hd, std::uint64_t w) {
-    const std::size_t slot = static_cast<std::size_t>(w >> 48);
+    const std::size_t slot = slot_of(w);
     Rec& rec = recs_[slot];
     const std::uint64_t st = rec.state.load(std::memory_order_acquire);
     if ((seq_of(st) & kSeqMask) != (w & kSeqMask) || (st & 3) != kPending) {
@@ -567,8 +596,8 @@ class LockFreeOptimalQueue {
   // by every findOp, written only when a handle takes a slot.
   std::atomic<std::size_t> mark_{0};
   DcssDomain dcss_;  // Θ(T) descriptor pool guarding the vacate
-  alignas(64) std::atomic<std::uint64_t> ticket_{0};
-  alignas(64) std::atomic<std::uint64_t> cur_{kNone};
+  // Starts as idle({0, 0}): no record installs seq 0, so it never recurs.
+  alignas(64) std::atomic<std::uint64_t> cur_{kIdleFlag};
   alignas(64) std::atomic<std::uint64_t> head_{0};
   alignas(64) std::atomic<std::uint64_t> tail_{0};
 };

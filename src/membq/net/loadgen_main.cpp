@@ -3,17 +3,25 @@
 //   membq_server --port=7171 &
 //   membq_loadgen --connect=127.0.0.1:7171 --threads=4 --ops=20000
 //                 [--batch=N --enq-ratio=F --rate=OPS_PER_SEC --window=N]
+//                 [--park-us=N --drain-limit=N]
 //
 // --threads=LIST is the connection sweep (default 1,2,4) and --ops=N the
 // run-phase frames per connection (default 10000). Each fleet size prints
 // one line: rate, acked and received tokens, WOULD_BLOCK answers, RTT
-// percentiles and the exactly-once ledger verdict. Exit 1 on a run error,
-// a ledger breach or a bad --connect or --batch; 2 on an unknown flag or
-// a malformed --threads or --ops.
+// percentiles and the exactly-once ledger verdict. Every value must parse
+// completely and lie in its range (--batch 1..kMaxBatch, --enq-ratio 0..1,
+// --rate ≥ 0, --window, --threads and --ops ≥ 1, --park-us and
+// --drain-limit ≥ 0); all are checked before any connection. Exit 1 on a
+// run error, a ledger breach or a bad --connect; 2 on an unknown flag or
+// a malformed or out-of-range value.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,11 +44,34 @@ bool parse_hostport(const std::string& s, std::string& host,
   return true;
 }
 
-bool parse_count(const char* s, std::size_t& out) {
+// A decimal integer in [lo, hi]: digits only, no sign, space or suffix.
+template <class T>
+bool parse_uint(const char* s, T& out, T lo = 0,
+                T hi = std::numeric_limits<T>::max()) {
+  if (std::isdigit(static_cast<unsigned char>(*s)) == 0) return false;
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || v == 0) return false;
-  out = static_cast<std::size_t>(v);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
+  out = static_cast<T>(v);
+  return true;
+}
+
+bool parse_count(const char* s, std::size_t& out) {
+  return parse_uint(s, out, std::size_t{1});
+}
+
+// A finite decimal real in [lo, hi], with no sign, space or suffix.
+bool parse_real(const char* s, double lo, double hi, double& out) {
+  if (std::isdigit(static_cast<unsigned char>(*s)) == 0 && *s != '.') {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < lo || v > hi) {
+    return false;
+  }
+  out = v;
   return true;
 }
 
@@ -96,28 +127,28 @@ int main(int argc, char** argv) {
     } else if (const char* v = val("--ops=")) {
       if (!parse_count(v, cfg.ops_per_conn)) usage_and_exit(argv[i]);
     } else if (const char* v = val("--batch=")) {
-      cfg.batch = std::strtoull(v, nullptr, 10);
+      if (!parse_uint(v, cfg.batch, std::size_t{1}, membq::net::kMaxBatch)) {
+        usage_and_exit(argv[i]);
+      }
     } else if (const char* v = val("--enq-ratio=")) {
-      cfg.enq_ratio = std::strtod(v, nullptr);
+      if (!parse_real(v, 0.0, 1.0, cfg.enq_ratio)) usage_and_exit(argv[i]);
     } else if (const char* v = val("--rate=")) {
-      cfg.rate_ops_per_sec = std::strtod(v, nullptr);
+      if (!parse_real(v, 0.0, std::numeric_limits<double>::max(),
+                      cfg.rate_ops_per_sec)) {
+        usage_and_exit(argv[i]);
+      }
     } else if (const char* v = val("--window=")) {
-      cfg.window = std::strtoull(v, nullptr, 10);
+      if (!parse_count(v, cfg.window)) usage_and_exit(argv[i]);
     } else if (const char* v = val("--park-us=")) {
-      cfg.park_us = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!parse_uint(v, cfg.park_us)) usage_and_exit(argv[i]);
     } else if (const char* v = val("--drain-limit=")) {
-      cfg.drain_empty_limit = std::strtoull(v, nullptr, 10);
+      if (!parse_uint(v, cfg.drain_empty_limit)) usage_and_exit(argv[i]);
     } else {
       usage_and_exit(argv[i]);
     }
   }
   if (!have_connect) {
     std::fprintf(stderr, "membq_loadgen: --connect=HOST:PORT is required\n");
-    return 1;
-  }
-  if (cfg.batch == 0 || cfg.batch > membq::net::kMaxBatch) {
-    std::fprintf(stderr, "membq_loadgen: --batch out of range (1..%zu)\n",
-                 membq::net::kMaxBatch);
     return 1;
   }
 

@@ -17,8 +17,13 @@
 // one sentinel for every sequence (the control) it corrupts the next
 // operation in the record. The stale hand-off schedule parks a helper at
 // the CAS that moves `cur_` from a decided record to the next one: it must
-// miss once `cur_` has moved on.
+// miss once `cur_` has moved on. Two schedules pin findOp's cyclic turn:
+// it installs the first pending slot after the last installed one, and a
+// parked announcement is installed within mark installations however
+// busy the other slots are.
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,7 +61,7 @@ void step_until(ScheduledExecution& exec, Op& op, Pred pred) {
 //   E1 = enq(7)          runs solo: cell0 = 7.
 //   D1 = deq (victim)    stepped until poised at its vacate: the element
 //                        7 is bound as its result, head still 0.
-//   H  = deq (helper)    runs solo: findOp finds D1's record (oldest),
+//   H  = deq (helper)    runs solo: finds D1's record installed and
 //                        helps it to completion — vacates, advances head,
 //                        marks it done — then runs its own dequeue, which
 //                        finds the queue empty and fails.
@@ -265,45 +270,112 @@ TEST(AdversaryOptimalTest, StaleHelperOfAnotherOpsRecordIsHarmless) {
   EXPECT_TRUE(res.linearizable);
 }
 
-// ---- findOp helps the oldest announcement --------------------------------
+// ---- findOp's cyclic turn --------------------------------------------------
 //
-// Two enqueues parked right after announcing; a dequeuer's findOp scan
-// must install and help the *older* one, so the element it then dequeues
-// is the first announcement's — helping order is announcement order.
+// findOp scans cyclically from the slot after the last installation and
+// installs the first pending record it meets, whatever the order of the
+// announcements. Here slot 1 installed last, and two enqueues are parked
+// right after announcing, slot 0's first: the dequeuer in slot 3 must
+// install slot 2's, so the element it dequeues is the later
+// announcement's. Both enqueues are pending when it runs, so either order
+// linearizes.
 
-TEST(AdversaryOptimalTest, FindOpInstallsTheOldestAnnouncement) {
-  GuardedOptimal q(/*capacity=*/2, /*slots=*/3);
+TEST(AdversaryOptimalTest, FindOpInstallsTheFirstPendingSlotAfterTheLast) {
+  GuardedOptimal q(/*capacity=*/2, /*slots=*/4);
   ScheduledExecution exec;
 
-  GuardedOptimal::Op e_old(q, /*slot=*/0, OpKind::kEnqueue, 5);
-  exec.invoke(0, e_old);
-  step_until(exec, e_old, [&] {
-    return e_old.phase() == Phase<GuardedOptimal>::kReadCur;
-  });
+  GuardedOptimal::Op w(q, /*slot=*/1, OpKind::kDequeue);
+  exec.run(1, w);
+  ASSERT_FALSE(w.ok());
+  ASSERT_EQ(q.installed_slots().back(), 1u) << "slot 1 installed last";
 
-  GuardedOptimal::Op e_new(q, /*slot=*/1, OpKind::kEnqueue, 6);
-  exec.invoke(1, e_new);
-  step_until(exec, e_new, [&] {
-    return e_new.phase() == Phase<GuardedOptimal>::kReadCur;
-  });
+  GuardedOptimal::Op e_first(q, /*slot=*/0, OpKind::kEnqueue, 5);
+  exec.invoke(0, e_first);
+  exec.step(e_first);  // announce
+  ASSERT_EQ(e_first.phase(), Phase<GuardedOptimal>::kReadCur);
 
-  // The dequeuer must help the ticket-older enqueue in first.
-  GuardedOptimal::Op d(q, /*slot=*/2, OpKind::kDequeue);
-  exec.run(2, d);
+  GuardedOptimal::Op e_second(q, /*slot=*/2, OpKind::kEnqueue, 6);
+  exec.invoke(2, e_second);
+  exec.step(e_second);  // announce
+  ASSERT_EQ(e_second.phase(), Phase<GuardedOptimal>::kReadCur);
+
+  GuardedOptimal::Op d(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d);
   EXPECT_TRUE(d.ok());
-  EXPECT_EQ(d.value(), 5u) << "findOp helped a younger announcement first";
+  EXPECT_EQ(d.value(), 6u)
+      << "findOp did not start after the last installed slot";
 
-  step_until(exec, e_old, [&] { return e_old.complete(); });
-  step_until(exec, e_new, [&] { return e_new.complete(); });
-  EXPECT_TRUE(e_old.ok());
-  EXPECT_TRUE(e_new.ok());
+  step_until(exec, e_first, [&] { return e_first.complete(); });
+  step_until(exec, e_second, [&] { return e_second.complete(); });
+  EXPECT_TRUE(e_first.ok());
+  EXPECT_TRUE(e_second.ok());
 
-  GuardedOptimal::Op d2(q, /*slot=*/2, OpKind::kDequeue);
-  exec.run(2, d2);
+  GuardedOptimal::Op d2(q, /*slot=*/3, OpKind::kDequeue);
+  exec.run(3, d2);
   EXPECT_TRUE(d2.ok());
-  EXPECT_EQ(d2.value(), 6u);
+  EXPECT_EQ(d2.value(), 5u);
 
   const auto res = check_bounded_queue(exec.history(), 2);
+  ASSERT_FALSE(res.history_too_large);
+  EXPECT_TRUE(res.linearizable);
+}
+
+// ---- the installation bound -----------------------------------------------
+//
+// Slot 2's enqueue P is parked right after announcing while slots 0 and 1
+// complete operations back to back: slot 1 enqueues `mark` times in a row,
+// then slot 0 dequeues `mark` times, twice over. However busy they are,
+// every installation after P's announcement takes a slot in (last, 2]
+// cyclically, so P's record is installed within mark installations (the
+// mirror's mark is its slot count) and is decided before `cur_` moves on.
+// A scan that always starts at slot 0, or one that restarts after slot 0
+// whenever `cur_` goes idle (an idle word that forgets the last slot),
+// meets slot 1's own next operation first every time: P waits for slot
+// 0's turn, or forever.
+
+TEST(AdversaryOptimalTest, PendingRecordIsInstalledWithinMarkInstallations) {
+  constexpr std::size_t kMark = 3;
+  GuardedOptimal q(/*capacity=*/4, /*slots=*/kMark);
+  ScheduledExecution exec;
+
+  GuardedOptimal::Op p(q, /*slot=*/2, OpKind::kEnqueue, 100);
+  exec.invoke(2, p);
+  exec.step(p);  // announce, then stay parked
+  ASSERT_TRUE(q.pending(2));
+  const std::size_t base = q.installed_slots().size();
+
+  std::uint64_t next_value = 1;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < kMark; ++i) {
+      GuardedOptimal::Op e(q, /*slot=*/1, OpKind::kEnqueue, next_value++);
+      exec.run(1, e);
+      ASSERT_TRUE(e.ok());
+    }
+    for (std::size_t i = 0; i < kMark; ++i) {
+      GuardedOptimal::Op d(q, /*slot=*/0, OpKind::kDequeue);
+      exec.run(0, d);
+      ASSERT_TRUE(d.ok());
+    }
+  }
+
+  // The installations after P's announcement that came before its own.
+  const std::vector<std::size_t>& log = q.installed_slots();
+  std::size_t waited = 0;
+  while (base + waited < log.size() && log[base + waited] != 2) ++waited;
+  ASSERT_LT(base + waited, log.size())
+      << "P's record was never installed in " << waited << " installations";
+  EXPECT_LT(waited, kMark) << "P's record came after " << waited
+                           << " other installations";
+  EXPECT_FALSE(q.pending(2)) << "P's record installed but not decided";
+
+  step_until(exec, p, [&] { return p.complete(); });
+  EXPECT_TRUE(p.ok());
+  for (;;) {
+    GuardedOptimal::Op d(q, /*slot=*/0, OpKind::kDequeue);
+    exec.run(0, d);
+    if (!d.ok()) break;
+  }
+  const auto res = check_bounded_queue(exec.history(), 4);
   ASSERT_FALSE(res.history_too_large);
   EXPECT_TRUE(res.linearizable);
 }
@@ -311,23 +383,23 @@ TEST(AdversaryOptimalTest, FindOpInstallsTheOldestAnnouncement) {
 // ---- a stale hand-off -----------------------------------------------------
 //
 // A thread that finds the installed record decided while its own is
-// pending hands `cur_` on with one CAS from the decided word to the oldest
-// pending record. Park a helper poised at that CAS, move the world on
+// pending hands `cur_` on with one CAS from the decided word to the first
+// pending record after its slot. Park a helper poised at that CAS, move the world on
 // until the same slot's next incarnation is installed, and grant it: the
 // expected word names the decided incarnation's seq, so the CAS misses
 // and the new installation stays put.
 //
-//   O  = enq(5)  slot 0, ticket 0: steps until it has installed itself.
-//   H  = enq(6)  slot 1, ticket 1: finds O installed, waits once, helps O
-//                to done, scans, and parks poised at its hand-off CAS from
-//                {0, 0} to its own record {1, 1}.
-//   O completes  finds its record decided and clears cur_.
-//   X  = deq     slot 2, ticket 2, runs solo: installs H's record (the
-//                oldest), writes 6, hands cur_ on to its own record,
-//                dequeues 5 and clears cur_.
-//   O2 = enq(7)  slot 0, ticket 3: steps until it has installed itself, so
-//                cur_ names slot 0 again, at ticket 3.
-//   grant H's hand-off CAS: it expects {0, 0} and must miss.
+//   O  = enq(5)  slot 0, seq 1: steps until it has installed itself.
+//   H  = enq(6)  slot 1, seq 1: finds O installed, waits once, helps O to
+//                done, scans on from slot 0, and parks poised at its
+//                hand-off CAS from {0, 1} to its own record {1, 1}.
+//   O completes  finds its record decided and sets cur_ idle.
+//   X  = deq     slot 2, seq 1, runs solo: installs H's record (the first
+//                pending after slot 0), writes 6, hands cur_ on to its
+//                own record, dequeues 5 and sets cur_ idle.
+//   O2 = enq(7)  slot 0, seq 2: steps until it has installed itself, so
+//                cur_ names slot 0 again, at seq 2.
+//   grant H's hand-off CAS: it expects {0, 1} and must miss.
 
 TEST(AdversaryOptimalTest, StaleHandOffMissesOnceCurMovedOn) {
   GuardedOptimal q(/*capacity=*/4, /*slots=*/3);
@@ -363,7 +435,7 @@ TEST(AdversaryOptimalTest, StaleHandOffMissesOnceCurMovedOn) {
   const std::uint64_t installed = q.cur();
   ASSERT_EQ(installed >> 48, 0u) << "slot 0's next incarnation is installed";
 
-  // Grant the poised hand-off CAS of the decided {0, 0}.
+  // Grant the poised hand-off CAS of the decided {0, 1}.
   exec.step(h);
   EXPECT_EQ(q.cur(), installed)
       << "a stale hand-off displaced a pending installation";
@@ -395,7 +467,7 @@ TEST(AdversaryOptimalTest, StaleHandOffMissesOnceCurMovedOn) {
 // start of s' in the same record.
 //
 //   E0 = enq(10)          runs solo: cell0 = 10, tail = 1.
-//   O  = deq (ticket s)   steps until it has installed itself.
+//   O  = deq (seq s)      steps until it has installed itself.
 //   H  = deq (helper)     steps until poised at the bind CAS of s's view,
 //                         having read tail 1 and head 0: the dequeue's
 //                         view (start 0, k 1).
